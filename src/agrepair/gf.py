@@ -412,12 +412,14 @@ class FieldTower:
         GF(p); raises ValueError when the input is linearly dependent (the
         trace form is non-degenerate, so dependence is the only failure).
         """
+        from .linalg import solve
+
         primal = [self.element(z).code for z in primal]
         t = self.t
         if len(primal) != t:
             raise ValueError(f"primal basis must have {t} elements")
         gram = [[self.trace(self.mul(zi, zj)) for zj in primal] for zi in primal]
-        inv = _invert_matrix(self, gram)
+        inv = solve(self, gram, np.eye(t, dtype=np.int64))
         if inv is None:
             raise ValueError("primal set is linearly dependent over the base subfield")
         dual = []
@@ -445,24 +447,6 @@ class FieldTower:
 def tower(p: int, t: int) -> FieldTower:
     """Memoised tower factory with the default (lex-least) modulus."""
     return FieldTower(p, t)
-
-
-def _invert_matrix(tw: FieldTower, rows):
-    """Tiny exact Gauss-Jordan inverse; returns None when singular."""
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = tw.inv(aug[col][col])
-        aug[col] = [tw.mul(f, v) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [tw.sub(v, tw.mul(f, w)) for v, w in zip(aug[r], aug[col])]
-    return [r[n:] for r in aug]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,18 @@ Matrices are 2-D numpy int64 arrays of element codes for a FieldTower.
 Elimination is deterministic: pivots are found by a first-nonzero scan,
 left to right and top to bottom, so reduced forms, ranks and nullspace
 bases are reproducible byte for byte.  No floating point anywhere.
+
+`rref` is the one elimination kernel; `rank`, `nullspace` and `solve` read
+its output.  Per pivot it normalises the pivot row's tail (the columns from
+the pivot on; everything to their left is already zero), tabulates every
+scalar multiple of that tail once, and updates all other rows in one
+gather from the table: an in-place XOR in characteristic 2, `sub_arr`
+otherwise.  A field with more elements than the matrix has rows skips the
+table and multiplies each row's factor into the tail directly.  In
+characteristic 2 the working copy is uint8 (q <= 256) or uint16, so the
+gather moves bytes, not int64 words.  The reduced row echelon form is
+unique, so the pivot rule and every output are unchanged: R is returned
+as int64, as before.
 """
 
 from __future__ import annotations
@@ -20,28 +32,39 @@ def as_matrix(mat) -> np.ndarray:
 
 def rref(tw, mat):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = as_matrix(mat).copy()
+    if tw.char == 2:
+        work = np.uint8 if tw.q <= 256 else np.uint16
+    else:
+        work = np.int64
+    r = as_matrix(mat).astype(work)
     nrows, ncols = r.shape
+    scalars = np.arange(tw.q)[:, None]
     pivots = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = np.flatnonzero(r[row:, col])
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = tw.mul_arr(r[row], tw.inv(int(r[row, col])))
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            factors = r[others, col][:, None]
-            r[others] = tw.sub_arr(r[others], tw.mul_arr(factors, r[row][None, :]))
+            r[[row, piv], col:] = r[[piv, row], col:]
+        tail = tw.mul_arr(r[row, col:], tw.inv(int(r[row, col])))
+        r[row, col:] = tail
+        factors = r[:, col].copy()
+        factors[row] = 0
+        if tw.q <= nrows:  # one table row per scalar, gathered by factor
+            multiples = tw.mul_arr(scalars, tail).astype(work)[factors]
+        else:
+            multiples = tw.mul_arr(factors[:, None], tail).astype(work)
+        if tw.char == 2:
+            r[:, col:] ^= multiples
+        else:
+            r[:, col:] = tw.sub_arr(r[:, col:], multiples)
         pivots.append(col)
         row += 1
-    return r, pivots
+    return r.astype(np.int64, copy=False), pivots
 
 
 def rank(tw, mat) -> int:
@@ -58,12 +81,10 @@ def nullspace(tw, mat) -> np.ndarray:
     if m.size == 0:
         return np.eye(ncols, dtype=np.int64)
     r, pivots = rref(tw, m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for row_idx, p in enumerate(pivots):
-            basis[k, p] = tw.neg(int(r[row_idx, f]))
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = tw.neg_arr(r[: len(pivots)][:, free].T)
     return basis
 
 
@@ -85,8 +106,7 @@ def solve(tw, mat, rhs):
     if any(p >= ncols for p in pivots):
         return None
     x = np.zeros((ncols, bm.shape[1]), dtype=np.int64)
-    for row_idx, p in enumerate(pivots):
-        x[p] = r[row_idx, ncols:]
+    x[pivots] = r[: len(pivots), ncols:]
     return x[:, 0] if single else x
 
 

@@ -240,30 +240,16 @@ def build_scheme(
     pruned = tuple(j for j in helpers if w[j] == 0)
 
     # per-helper independent index sets, expansion coefficients, multipliers
-    t = tw.t
     mu: dict[int, np.ndarray] = {}
     expand: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for j in active:
-        digits = tw.digits_arr(table[:, j])  # (t, t) GF(p) codes, row u
-        chosen: list[int] = []
-        for u in range(t):
-            if linalg.rank(tw, digits[chosen + [u]]) > len(chosen):
-                chosen.append(u)
-        basis = digits[chosen]
-        lam = np.zeros((t, len(chosen)), dtype=np.int64)
-        for u in range(t):
-            if u in chosen:
-                lam[u, chosen.index(u)] = 1
-                continue
-            sol = linalg.solve(tw, basis.T, digits[u])
-            if sol is None:
-                raise AssertionError("expansion over the chosen basis failed")
-            lam[u] = sol
-        mu[j] = np.asarray(
-            [tw.mul(int(w[j]), int(table[v, j])) for v in chosen], dtype=np.int64
-        )
-        expand[j] = lam
+        # columns of the transposed (t, t) digit block are the rows u; its
+        # pivot columns are the greedily independent u, and the pivot rows
+        # write every u over them
+        reduced, chosen = linalg.rref(tw, tw.digits_arr(table[:, j]).T)
+        mu[j] = tw.mul_arr(int(w[j]), table[chosen, j])
+        expand[j] = reduced[: len(chosen)].T
         counts[j] = len(chosen)
 
     return RepairScheme(
@@ -299,20 +285,27 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
 
 
 def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
-    """Rebuild the lost symbol from the helpers' sub-symbol lists."""
+    """Rebuild the lost symbol from the helpers' sub-symbol lists.
+
+    Raises ValueError when an active helper's response is missing, has the
+    wrong length, or holds a value outside the base subfield GF(p).
+    """
     tw = scheme.code.tower
-    t = tw.t
+    for j in scheme.active:
+        if j not in responses:
+            raise ValueError(f"missing response from helper {j}")
+        resp = responses[j]
+        if len(resp) != scheme.counts[j]:
+            raise ValueError(f"helper {j} sent {len(resp)} symbols, expected {scheme.counts[j]}")
+        bad = next((int(v) for v in resp if not 0 <= int(v) < tw.p), None)
+        if bad is not None:
+            raise ValueError(f"helper {j} sent {bad}, outside GF({tw.p})")
     traces = []
-    for u in range(t):
+    for u in range(tw.t):
         acc = 0
         for j in scheme.active:
-            if j not in responses:
-                raise ValueError(f"missing response from helper {j}")
-            resp = responses[j]
-            if len(resp) != scheme.counts[j]:
-                raise ValueError(f"helper {j} sent {len(resp)} symbols, expected {scheme.counts[j]}")
             lam = scheme.expand[j][u]
-            for v_idx, val in enumerate(resp):
+            for v_idx, val in enumerate(responses[j]):
                 if lam[v_idx]:
                     acc = tw.add(acc, tw.mul(int(lam[v_idx]), int(val)))
         traces.append(tw.neg(acc))

@@ -200,6 +200,14 @@ def test_dual_basis_rejects_dependent_input():
         f4.dual_basis((1,))
 
 
+@pytest.mark.parametrize("p,t,primal", [(3, 2, (1, 2)), (2, 3, (1, 2, 3)), (4, 2, (3, 2))])
+def test_dual_basis_dependent_input_message(p, t, primal):
+    """Dependent primal sets give a singular Gram matrix: linalg.solve finds
+    no inverse and dual_basis names the condition."""
+    with pytest.raises(ValueError, match="linearly dependent"):
+        tower(p, t).dual_basis(primal)
+
+
 def test_self_dual_iff_gram_identity():
     tw = tower(2, 4)
     rng = np.random.default_rng(4)

@@ -315,3 +315,89 @@ def test_scheme_and_transcript_serialize_to_json():
     json.dumps(tr)
     assert tr["total_symbols"] == transcript.total_symbols
     assert all(v < tw.p for resp in tr["responses"].values() for v in resp)
+
+
+# ----------------------------------------------------------------------
+# per-helper index sets: one elimination against the greedy reference
+# ----------------------------------------------------------------------
+
+
+def _reference_index_sets(scheme):
+    """The greedy selection build_scheme used before: grow the chosen set
+    row by row with `rank`, then `solve` each dependent row over it."""
+    from agrepair import linalg
+
+    tw = scheme.code.tower
+    t = tw.t
+    mu, expand, counts = {}, {}, {}
+    for j in scheme.active:
+        digits = tw.digits_arr(scheme.table[:, j])
+        chosen = []
+        for u in range(t):
+            if linalg.rank(tw, digits[chosen + [u]]) > len(chosen):
+                chosen.append(u)
+        basis = digits[chosen]
+        lam = np.zeros((t, len(chosen)), dtype=np.int64)
+        for u in range(t):
+            if u in chosen:
+                lam[u, chosen.index(u)] = 1
+                continue
+            sol = linalg.solve(tw, basis.T, digits[u])
+            assert sol is not None
+            lam[u] = sol
+        mu[j] = np.asarray(
+            [tw.mul(int(scheme.w[j]), int(scheme.table[v, j])) for v in chosen], dtype=np.int64
+        )
+        expand[j] = lam
+        counts[j] = len(chosen)
+    return mu, expand, counts
+
+
+def _index_set_cases():
+    f16 = tower(2, 4)
+    rs16 = codes.rs_code(f16, k=6, n=16)
+    rs27 = codes.rs_code(tower(3, 3), k=10, n=27)
+    hc = herm_code(2, 2, s=4)
+    hc9 = herm_code(3, 2, s=9)
+    rng = np.random.default_rng(7)
+    sub = sorted(rng.choice([j for j in range(27) if j != 5], size=20, replace=False).tolist())
+    yield from ((rs16, 3, None, l, repair.VARIANT_RS) for l in (1, 2, 3))
+    yield rs27, 5, sub, 2, repair.VARIANT_RS
+    yield rs27, 0, None, 1, repair.VARIANT_RS
+    yield hc, 0, None, 1, repair.VARIANT_LINE
+    yield hc9, 4, None, 1, repair.VARIANT_LINE
+    yield hc9, 11, [j for j in range(hc9.n) if j not in (11, 3, 20)], 1, repair.VARIANT_LINE
+    yield hc, 0, None, 1, repair.VARIANT_WEAK
+    yield hc9, 7, None, 1, repair.VARIANT_WEAK
+
+
+@pytest.mark.parametrize("case", list(_index_set_cases()),
+                         ids=lambda c: f"{c[4]}-q{c[0].tower.q}-i{c[1]}-l{c[3]}")
+def test_index_sets_match_greedy_reference(case):
+    import dataclasses
+
+    code, target, helpers, l, variant = case
+    scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
+    mu, expand, counts = _reference_index_sets(scheme)
+    assert scheme.counts == counts
+    for j in scheme.active:
+        assert scheme.mu[j].dtype == mu[j].dtype and np.array_equal(scheme.mu[j], mu[j])
+        assert scheme.expand[j].dtype == np.int64
+        assert np.array_equal(scheme.expand[j], expand[j])
+    ref = dataclasses.replace(scheme, mu=mu, expand=expand, counts=counts)
+    assert repair.scheme_to_json(scheme) == repair.scheme_to_json(ref)
+
+
+def test_reconstruct_rejects_value_outside_base_field():
+    hc = herm_code(2, 2, s=5)
+    scheme = repair.build_scheme(hc, 2, l=1)
+    p = hc.tower.p
+    cw = codes.encode(hc, np.arange(hc.k) % hc.tower.q)
+    resp = {j: repair.helper_response(scheme, j, int(cw.symbols[j])) for j in scheme.active}
+    assert repair.reconstruct(scheme, resp).code == int(cw.symbols[2])
+    j = scheme.active[1]
+    for bad in (p, -1):
+        corrupt = dict(resp)
+        corrupt[j] = (bad,) + resp[j][1:]
+        with pytest.raises(ValueError, match=rf"helper {j} sent {bad}, outside GF\({p}\)"):
+            repair.reconstruct(scheme, corrupt)
