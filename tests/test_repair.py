@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from agrepair import codes, repair
+from agrepair import codes, linalg, repair
 from agrepair.gf import tower
 
 
@@ -325,8 +327,6 @@ def test_scheme_and_transcript_serialize_to_json():
 def _reference_index_sets(scheme):
     """The greedy selection build_scheme used before: grow the chosen set
     row by row with `rank`, then `solve` each dependent row over it."""
-    from agrepair import linalg
-
     tw = scheme.code.tower
     t = tw.t
     mu, expand, counts = {}, {}, {}
@@ -374,8 +374,6 @@ def _index_set_cases():
 @pytest.mark.parametrize("case", list(_index_set_cases()),
                          ids=lambda c: f"{c[4]}-q{c[0].tower.q}-i{c[1]}-l{c[3]}")
 def test_index_sets_match_greedy_reference(case):
-    import dataclasses
-
     code, target, helpers, l, variant = case
     scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
     mu, expand, counts = _reference_index_sets(scheme)
