@@ -20,8 +20,9 @@ print("stored symbols:", stored.symbols.tolist())
 
 failed = 6
 scheme = repair.build_scheme(code, failed, l=3)
+first = scheme.active[0]
 print(f"repairing node {failed}: each helper sends "
-      f"{scheme.counts[scheme.active[0]]} bit(s)")
+      f"{scheme.start[first + 1] - scheme.start[first]} bit(s)")
 
 value, transcript = repair.run_repair(scheme, stored.symbols)
 print("downloaded bits:", transcript.total_bits, " (naive would ship",

@@ -23,7 +23,7 @@ failed = 11
 d = 26
 scheme = repair.build_scheme(code, failed, l=1, variant=repair.VARIANT_WEAK)
 print("extra zeros of h_i (helpers that send full symbols):", scheme.extra_zeros)
-print("per-helper symbol counts:", sorted(scheme.counts.values()))
+print("per-helper symbol counts:", sorted(np.diff(scheme.start)[list(scheme.active)].tolist()))
 
 value, transcript = repair.run_repair(scheme, stored.symbols)
 assert value.code == stored.symbols[failed]

@@ -248,8 +248,8 @@ def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:
 def erasure_decode(code: EvalCode, known) -> Codeword:
     """Recover the unique codeword agreeing with the given (position, value) pairs.
 
-    Needs at least threshold = s + 1 coordinates; raises UnderdeterminedError
-    below that (or if the provided positions do not pin the message down) and
+    Needs at least threshold = s + 1 distinct coordinates, which always pin
+    the message down; raises UnderdeterminedError below that and
     InconsistentError when the values match no codeword.
     """
     known = list(known)
@@ -261,30 +261,14 @@ def erasure_decode(code: EvalCode, known) -> Codeword:
         raise ValueError("duplicate positions")
     if positions.size and (positions.min() < 0 or positions.max() >= code.n):
         raise ValueError("position out of range")
-    if positions.size < code.threshold:
-        raise UnderdeterminedError(
-            f"{positions.size} coordinates given, {code.threshold} needed"
-        )
-    tw = code.tower
-    mat = code.generator[:, positions].T
-    aug = np.concatenate([mat, values[:, None]], axis=1)
-    r, pivots = linalg.rref(tw, aug)
-    if any(p >= code.k for p in pivots):
-        raise InconsistentError("coordinates match no codeword")
-    if len(pivots) < code.k:
-        raise UnderdeterminedError("coordinates do not determine the message")
-    msg = np.zeros(code.k, dtype=np.int64)
-    for row_idx, p in enumerate(pivots):
-        msg[p] = r[row_idx, code.k]
-    return encode(code, msg)
+    return Codeword(code, erasure_decode_many(code, positions, values[None, :])[0])
 
 
 def erasure_decode_many(code: EvalCode, positions, value_rows: np.ndarray) -> np.ndarray:
     """Batched erasure decoding against one fixed known-position set.
 
     value_rows has one codeword's known values per row; returns the decoded
-    (m, n) codeword block.  Same algorithm as `erasure_decode`, one
-    elimination for the whole batch.
+    (m, n) codeword block from one elimination for the whole batch.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size < code.threshold:

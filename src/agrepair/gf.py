@@ -386,9 +386,6 @@ class FieldTower:
             raise ValueError(f"code {code} out of range for GF({self.q})")
         return FieldElement(self, code)
 
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.q))
-
     @property
     def zero(self):
         return FieldElement(self, 0)

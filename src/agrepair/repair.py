@@ -24,6 +24,13 @@ remaining traces are GF(p)-combinations of the downloaded ones, and
 rebuilds f(P_i) through its trace representation.  Helpers where w_j = 0
 contribute nothing and are pruned when the scheme is built.
 
+A built scheme is one flat plan over the D downloaded sub-symbols, helper
+by helper in ascending node order and ascending u within each helper:
+mu[k] is the coefficient w_j * h_(i,u)(P_j) of sub-symbol k, chosen_u[k]
+its u, and column k of lam (t, D) its GF(p) weight in every row u.  The
+offsets start (n + 1,) delimit each node's run, so node j's sub-symbols are
+start[j]:start[j+1], empty for pruned helpers and non-helpers alike.
+
 Variants:
   "rs"              h_i = x - a_i; every b_j = t - l (strong).
   "hermitian-line"  h_i = the vanishing line at P_i; strong.  With the full
@@ -36,6 +43,7 @@ Variants:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -50,7 +58,7 @@ from .codes import (
     vanishing_function,
     vanishing_line,
 )
-from .gf import FieldElement, LinearizedMap
+from .gf import FieldElement, LinearizedMap, trace_reconstruct
 
 VARIANT_RS = "rs"
 VARIANT_LINE = "hermitian-line"
@@ -72,9 +80,10 @@ class RepairScheme:
     active: tuple            # helpers with nonzero dual weight, ascending
     pruned: tuple            # helpers with zero dual weight (download nothing)
     table: np.ndarray        # (t, n) values of h_(i,u) at every position
-    mu: dict                 # j -> (b_j,) coefficient codes w_j * h_(i,v)(P_j)
-    expand: dict             # j -> (t, b_j) GF(p) codes writing row u over J_j
-    counts: dict             # j -> b_j
+    mu: np.ndarray           # (D,) coefficient codes w_j * h_(i,u)(P_j), one per sub-symbol
+    chosen_u: np.ndarray     # (D,) the u behind each sub-symbol, ascending within a helper
+    lam: np.ndarray          # (t, D) GF(p) codes writing row u over its helper's chosen rows
+    start: np.ndarray        # (n + 1,) node j's sub-symbols are start[j]:start[j+1]
     extra_zeros: tuple       # weak variant: helpers where h_i vanishes
 
     @property
@@ -239,18 +248,21 @@ def build_scheme(
     active = tuple(j for j in helpers if w[j] != 0)
     pruned = tuple(j for j in helpers if w[j] == 0)
 
-    # per-helper independent index sets, expansion coefficients, multipliers
-    mu: dict[int, np.ndarray] = {}
-    expand: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
+    # per-helper independent index sets and expansions, laid out flat
+    per_node = np.zeros(n, dtype=np.int64)
+    chosen_u: list[int] = []
+    lam_parts = [np.zeros((tw.t, 0), dtype=np.int64)]
     for j in active:
         # columns of the transposed (t, t) digit block are the rows u; its
         # pivot columns are the greedily independent u, and the pivot rows
         # write every u over them
         reduced, chosen = linalg.rref(tw, tw.digits_arr(table[:, j]).T)
-        mu[j] = tw.mul_arr(int(w[j]), table[chosen, j])
-        expand[j] = reduced[: len(chosen)].T
-        counts[j] = len(chosen)
+        per_node[j] = len(chosen)
+        chosen_u += chosen
+        lam_parts.append(reduced[: len(chosen)].T)
+    start = np.concatenate([[0], np.cumsum(per_node)])
+    helper_of = np.repeat(np.arange(n), per_node)
+    chosen_arr = np.asarray(chosen_u, dtype=np.int64)
 
     return RepairScheme(
         code=code,
@@ -262,9 +274,10 @@ def build_scheme(
         active=active,
         pruned=pruned,
         table=table,
-        mu=mu,
-        expand=expand,
-        counts=counts,
+        mu=tw.mul_arr(w[helper_of], table[chosen_arr, helper_of]),
+        chosen_u=chosen_arr,
+        lam=np.concatenate(lam_parts, axis=1),
+        start=start,
         extra_zeros=extra_zeros,
     )
 
@@ -275,13 +288,13 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
     Deterministic order (ascending chosen index).  Pruned helpers are asked
     for nothing and return an empty tuple.
     """
-    if j not in scheme.helpers:
+    k = bisect.bisect_left(scheme.helpers, j)
+    if k == len(scheme.helpers) or scheme.helpers[k] != j:
         raise ValueError(f"node {j} is not in the helper set")
-    if j not in scheme.mu:
-        return ()
     tw = scheme.code.tower
     sym = symbol.code if isinstance(symbol, FieldElement) else int(symbol)
-    return tuple(tw.trace(tw.mul(int(m), sym)) for m in scheme.mu[j])
+    mu = scheme.mu[scheme.start[j]:scheme.start[j + 1]]
+    return tuple(tw.trace(tw.mul(int(m), sym)) for m in mu)
 
 
 def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
@@ -291,28 +304,32 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
     wrong length, or holds a value outside the base subfield GF(p).
     """
     tw = scheme.code.tower
+    flat: list[int] = []
     for j in scheme.active:
         if j not in responses:
             raise ValueError(f"missing response from helper {j}")
         resp = responses[j]
-        if len(resp) != scheme.counts[j]:
-            raise ValueError(f"helper {j} sent {len(resp)} symbols, expected {scheme.counts[j]}")
-        bad = next((int(v) for v in resp if not 0 <= int(v) < tw.p), None)
+        expected = int(scheme.start[j + 1] - scheme.start[j])
+        if len(resp) != expected:
+            raise ValueError(f"helper {j} sent {len(resp)} symbols, expected {expected}")
+        vals = [int(v) for v in resp]
+        bad = next((v for v in vals if not 0 <= v < tw.p), None)
         if bad is not None:
             raise ValueError(f"helper {j} sent {bad}, outside GF({tw.p})")
-    traces = []
-    for u in range(tw.t):
-        acc = 0
-        for j in scheme.active:
-            lam = scheme.expand[j][u]
-            for v_idx, val in enumerate(responses[j]):
-                if lam[v_idx]:
-                    acc = tw.add(acc, tw.mul(int(lam[v_idx]), int(val)))
-        traces.append(tw.neg(acc))
-    out = 0
-    for a_u, th in zip(traces, tw.theta):
-        out = tw.add(out, tw.mul(a_u, th))
-    return FieldElement(tw, out)
+        flat += vals
+    # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
+    terms = tw.mul_arr(scheme.lam, np.asarray(flat, dtype=np.int64))
+    return trace_reconstruct(tw.neg_arr(_sum_columns(tw, terms)), tw)
+
+
+def _sum_columns(tw, m: np.ndarray) -> np.ndarray:
+    """Field sum of the columns of m, folding halves in log2(width) adds."""
+    width = 1 << max(m.shape[1] - 1, 0).bit_length()
+    m = np.pad(m, ((0, 0), (0, width - m.shape[1])))  # code 0 is the field's zero
+    while m.shape[1] > 1:
+        half = m.shape[1] // 2
+        m = tw.add_arr(m[:, :half], m[:, half:])
+    return m[:, 0]
 
 
 def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTranscript]:
@@ -338,7 +355,7 @@ def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTrans
 
 def bandwidth(scheme: RepairScheme) -> tuple[int, float]:
     """(total subfield symbols downloaded, total bits) for one repair."""
-    symbols = sum(scheme.counts.values())
+    symbols = len(scheme.mu)
     return symbols, symbols * scheme.bits_per_symbol()
 
 
@@ -369,7 +386,7 @@ def scheme_to_json(scheme: RepairScheme) -> dict:
     def dig(v):
         return list(tw.digits(int(v)))
 
-    chosen = {j: _chosen_u_indices(scheme, j) for j in scheme.active}
+    runs = {j: slice(scheme.start[j], scheme.start[j + 1]) for j in scheme.active}
     return {
         "variant": scheme.variant,
         "target": scheme.target,
@@ -381,19 +398,10 @@ def scheme_to_json(scheme: RepairScheme) -> dict:
         "dual_vector": {int(j): dig(scheme.w[j]) for j in scheme.active},
         "value_table": {int(j): [dig(scheme.table[u, j]) for u in range(scheme.t)]
                         for j in scheme.active},
-        "chosen_indices": {int(j): chosen[j] for j in scheme.active},
-        "expansion": {int(j): scheme.expand[j].tolist() for j in scheme.active},
-        "per_helper_symbols": {int(j): scheme.counts[j] for j in scheme.active},
+        "chosen_indices": {int(j): scheme.chosen_u[runs[j]].tolist() for j in scheme.active},
+        "expansion": {int(j): scheme.lam[:, runs[j]].tolist() for j in scheme.active},
+        "per_helper_symbols": {int(j): len(scheme.mu[runs[j]]) for j in scheme.active},
     }
-
-
-def _chosen_u_indices(scheme: RepairScheme, j: int) -> list:
-    tw = scheme.code.tower
-    out = []
-    for v in range(scheme.counts[j]):
-        val = tw.div(int(scheme.mu[j][v]), int(scheme.w[j]))
-        out.append(next(u for u in range(scheme.t) if int(scheme.table[u, j]) == val))
-    return out
 
 
 def transcript_to_json(transcript: RepairTranscript) -> dict:
@@ -406,30 +414,3 @@ def transcript_to_json(transcript: RepairTranscript) -> dict:
         "total_bits": transcript.total_bits,
     }
 
-
-def bandwidth_survey(code: EvalCode, l: int, variant: str, d: int | None = None,
-                     trials: int = 50, seed: int = 0):
-    """Max measured bandwidth over repair instances.
-
-    Exhaustive over all targets with the full helper set when d is None;
-    otherwise samples `trials` random (target, S) pairs of helper size d.
-    Returns (max_symbols, instances_checked).
-    """
-    rng = np.random.default_rng(seed)
-    best = 0
-    checked = 0
-    if d is None or d == code.n - 1:
-        targets = range(code.n)
-        for i in targets:
-            scheme = build_scheme(code, i, l=l, variant=variant)
-            best = max(best, bandwidth(scheme)[0])
-            checked += 1
-    else:
-        for _ in range(trials):
-            i = int(rng.integers(code.n))
-            others = np.asarray([j for j in range(code.n) if j != i])
-            sel = rng.choice(others, size=d, replace=False)
-            scheme = build_scheme(code, i, helpers=sel.tolist(), l=l, variant=variant)
-            best = max(best, bandwidth(scheme)[0])
-            checked += 1
-    return best, checked

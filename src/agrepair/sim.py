@@ -13,8 +13,10 @@ the download accounting in the transcripts is therefore the real traffic.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -216,9 +218,20 @@ def save_cluster(path, cluster: Cluster) -> None:
         if cluster.withheld is None
         else [_digit_list(tw, v) for v in cluster.withheld],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # write a sibling file and rename it over the old state, so a crash
+    # mid-write leaves the previous file whole
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(state, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_cluster(path) -> Cluster:
@@ -240,13 +253,15 @@ def load_cluster(path) -> Cluster:
     if nodes.shape != (stripes.shape[0], code.n):
         raise StateFormatError("node array shape does not match the code")
     failed = state.get("failed")
+    if failed is not None and (type(failed) is not int or not 0 <= failed < code.n):
+        raise StateFormatError(f"failed node {failed!r} out of range for n={code.n}")
     withheld = state.get("withheld")
     cluster = Cluster(
         code=code,
         stripes=stripes,
         nodes=nodes,
         seed=int(state.get("seed", 0)),
-        failed=None if failed is None else int(failed),
+        failed=failed,
         withheld=None
         if withheld is None
         else np.asarray([_undigit(tw, d) for d in withheld], dtype=np.int64),

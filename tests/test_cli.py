@@ -50,6 +50,18 @@ def test_encode_fail_repair_verify_flow(tmp_path, capsys):
     assert cli.main(["verify", "--state", state]) == 0
 
 
+def test_out_of_range_failed_node_is_a_state_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, RS_CONFIG)
+    state = tmp_path / "state.json"
+    assert cli.main(["encode", "--config", cfg, "--state", str(state)]) == 0
+    payload = json.loads(state.read_text())
+    for bad in (RS_CONFIG["n"], -1, True, "3"):
+        state.write_text(json.dumps(dict(payload, failed=bad)))
+        for cmd in (["verify"], ["repair", "--l", "3"]):
+            assert cli.main([*cmd, "--state", str(state)]) == 2
+            assert f"failed node {bad!r} out of range for n=16" in capsys.readouterr().err
+
+
 def test_bench_csv_schema(tmp_path):
     cfg = write_config(tmp_path, RS_CONFIG)
     out = tmp_path / "bench.csv"

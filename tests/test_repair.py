@@ -1,15 +1,18 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from agrepair import codes, linalg, repair
-from agrepair.gf import tower
+from agrepair.gf import FieldElement, tower
 
 
 def herm_code(p, t, s, n=None):
     tw = tower(p, t)
     return codes.hermitian_code(codes.hermitian_curve(tw), s=s, n=n)
+
+
+def per_helper(scheme, arr):
+    """Each active helper's run of a flat per-sub-symbol array."""
+    return {j: arr[..., scheme.start[j]:scheme.start[j + 1]] for j in scheme.active}
 
 
 # ----------------------------------------------------------------------
@@ -29,10 +32,10 @@ def test_strong_uniform_counts():
     f16 = tower(2, 4)
     rs = codes.rs_code(f16, k=6, n=16)
     scheme = repair.build_scheme(rs, 0, l=2)
-    assert set(scheme.counts.values()) == {2}  # t - l
+    assert set(np.diff(scheme.start)[list(scheme.active)]) == {2}  # t - l
     hc = herm_code(2, 4, s=8)
     scheme = repair.build_scheme(hc, 7, l=1)
-    assert set(scheme.counts.values()) == {3}
+    assert set(np.diff(scheme.start)[list(scheme.active)]) == {3}
 
 
 def test_weak_counts_full_at_extra_zeros():
@@ -41,7 +44,7 @@ def test_weak_counts_full_at_extra_zeros():
     assert len(scheme.extra_zeros) <= hc.genus
     for j in scheme.active:
         expect = 2 if j in scheme.extra_zeros else 1
-        assert scheme.counts[j] == expect
+        assert scheme.start[j + 1] - scheme.start[j] == expect
 
 
 def test_rs_gf4_hand_checked_responses():
@@ -56,24 +59,13 @@ def test_rs_gf4_hand_checked_responses():
         a_j, a_i = int(rs.points[j]), int(rs.points[i])
         h_ij = f4.sub(a_j, a_i)
         expected = []
-        for u in _chosen_indices(scheme, j):
+        for u in scheme.chosen_u[scheme.start[j]:scheme.start[j + 1]]:
             zu = f4.zeta[u]
             # h_(i,u)(P_j) = L(zeta_u * h) / (c * h) evaluated directly
             val = f4.div(lin(f4.mul(zu, h_ij)), f4.mul(lin.c, h_ij))
             coeff = f4.mul(int(scheme.w[j]), val)
             expected.append(f4.trace(f4.mul(coeff, int(cw.symbols[j]))))
         assert list(repair.helper_response(scheme, j, int(cw.symbols[j]))) == expected
-
-
-def _chosen_indices(scheme, j):
-    """Recover which u-indices the scheme selected for helper j."""
-    tw = scheme.code.tower
-    out = []
-    for v in range(scheme.counts[j]):
-        target = tw.div(int(scheme.mu[j][v]), int(scheme.w[j]))
-        matches = [u for u in range(tw.t) if int(scheme.table[u, j]) == target]
-        out.append(matches[0])
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -215,13 +207,19 @@ def test_bandwidth_justifies_over_trivial_repair():
 
 def test_bandwidth_survey_full_and_sampled():
     code = herm_code(2, 2, s=5)
-    worst, checked = repair.bandwidth_survey(code, l=1, variant=repair.VARIANT_LINE)
-    assert checked == code.n
-    assert worst == 7  # (n-1) * (t-l)
+    full = [repair.bandwidth(repair.build_scheme(code, i, l=1, variant=repair.VARIANT_LINE))[0]
+            for i in range(code.n)]
+    assert max(full) == 7  # (n-1) * (t-l)
     sub = herm_code(2, 4, s=8)
-    worst, checked = repair.bandwidth_survey(sub, l=1, variant=repair.VARIANT_LINE, d=14, trials=10)
-    assert checked == 10
-    assert worst == 42
+    rng = np.random.default_rng(0)
+    sampled = []
+    for _ in range(10):
+        i = int(rng.integers(sub.n))
+        others = np.asarray([j for j in range(sub.n) if j != i])
+        helpers = rng.choice(others, size=14, replace=False).tolist()
+        scheme = repair.build_scheme(sub, i, helpers=helpers, l=1, variant=repair.VARIANT_LINE)
+        sampled.append(repair.bandwidth(scheme)[0])
+    assert max(sampled) == 42
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +267,9 @@ def test_helper_validation():
 def test_helper_response_validation():
     hc = herm_code(2, 2, s=5)
     scheme = repair.build_scheme(hc, 2, l=1)
-    with pytest.raises(ValueError):
-        repair.helper_response(scheme, 2, 1)
+    for outside in (2, -1, hc.n):  # the target, and indices that would wrap on start
+        with pytest.raises(ValueError, match=f"node {outside} is not in the helper set"):
+            repair.helper_response(scheme, outside, 1)
     resp = {j: repair.helper_response(scheme, j, 0) for j in scheme.active}
     missing = dict(resp)
     missing.pop(scheme.active[0])
@@ -309,7 +308,8 @@ def test_scheme_and_transcript_serialize_to_json():
     for j in scheme.active:
         digs = blob["dual_vector"][j]
         assert tw.from_digits(digs) == int(scheme.w[j])
-        assert len(blob["chosen_indices"][j]) == scheme.counts[j] == blob["per_helper_symbols"][j]
+        count = scheme.start[j + 1] - scheme.start[j]
+        assert len(blob["chosen_indices"][j]) == count == blob["per_helper_symbols"][j]
     rng = np.random.default_rng(0)
     cw = codes.encode(code, rng.integers(0, 9, size=code.k))
     _, transcript = repair.run_repair(scheme, cw.symbols)
@@ -320,13 +320,14 @@ def test_scheme_and_transcript_serialize_to_json():
 
 
 # ----------------------------------------------------------------------
-# per-helper index sets: one elimination against the greedy reference
+# the flat plan against the per-helper greedy and scalar references
 # ----------------------------------------------------------------------
 
 
 def _reference_index_sets(scheme):
-    """The greedy selection build_scheme used before: grow the chosen set
-    row by row with `rank`, then `solve` each dependent row over it."""
+    """The greedy selection build_scheme used before, as per-helper dicts:
+    grow the chosen set row by row with `rank`, then `solve` each dependent
+    row over it."""
     tw = scheme.code.tower
     t = tw.t
     mu, expand, counts = {}, {}, {}
@@ -353,6 +354,17 @@ def _reference_index_sets(scheme):
     return mu, expand, counts
 
 
+def _reference_chosen(scheme, j, mu_j):
+    """Recover which u-indices helper j's coefficients came from, searching
+    the value table backwards for each mu / w_j."""
+    tw = scheme.code.tower
+    out = []
+    for m in mu_j:
+        target = tw.div(int(m), int(scheme.w[j]))
+        out.append(next(u for u in range(tw.t) if int(scheme.table[u, j]) == target))
+    return out
+
+
 def _index_set_cases():
     f16 = tower(2, 4)
     rs16 = codes.rs_code(f16, k=6, n=16)
@@ -377,13 +389,60 @@ def test_index_sets_match_greedy_reference(case):
     code, target, helpers, l, variant = case
     scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
     mu, expand, counts = _reference_index_sets(scheme)
-    assert scheme.counts == counts
+    chosen = {j: _reference_chosen(scheme, j, mu[j]) for j in scheme.active}
+    for arr in (scheme.mu, scheme.chosen_u, scheme.lam, scheme.start):
+        assert arr.dtype == np.int64
+    assert scheme.start[-1] == len(scheme.mu) == scheme.lam.shape[1] == sum(counts.values())
+    assert np.diff(scheme.start)[list(scheme.active)].tolist() == [counts[j] for j in scheme.active]
+    assert not np.diff(scheme.start)[[j for j in range(code.n) if j not in scheme.active]].any()
+    flat_mu = per_helper(scheme, scheme.mu)
+    flat_u = per_helper(scheme, scheme.chosen_u)
+    flat_lam = per_helper(scheme, scheme.lam)
     for j in scheme.active:
-        assert scheme.mu[j].dtype == mu[j].dtype and np.array_equal(scheme.mu[j], mu[j])
-        assert scheme.expand[j].dtype == np.int64
-        assert np.array_equal(scheme.expand[j], expand[j])
-    ref = dataclasses.replace(scheme, mu=mu, expand=expand, counts=counts)
-    assert repair.scheme_to_json(scheme) == repair.scheme_to_json(ref)
+        assert np.array_equal(flat_mu[j], mu[j])
+        assert flat_u[j].tolist() == chosen[j]
+        assert np.array_equal(flat_lam[j], expand[j])
+    ref = repair.scheme_to_json(scheme) | {
+        "chosen_indices": {int(j): chosen[j] for j in scheme.active},
+        "expansion": {int(j): expand[j].tolist() for j in scheme.active},
+        "per_helper_symbols": {int(j): counts[j] for j in scheme.active},
+    }
+    assert repair.scheme_to_json(scheme) == ref
+
+
+def _reference_reconstruct(scheme, responses):
+    """The scalar reconstruction: one field multiply-add per (row u,
+    sub-symbol), then the theta-combination of the t traces."""
+    tw = scheme.code.tower
+    traces = []
+    for u in range(tw.t):
+        acc = 0
+        for j in scheme.active:
+            lam = scheme.lam[u, scheme.start[j]:scheme.start[j + 1]]
+            for v_idx, val in enumerate(responses[j]):
+                if lam[v_idx]:
+                    acc = tw.add(acc, tw.mul(int(lam[v_idx]), int(val)))
+        traces.append(tw.neg(acc))
+    out = 0
+    for a_u, th in zip(traces, tw.theta):
+        out = tw.add(out, tw.mul(a_u, th))
+    return FieldElement(tw, out)
+
+
+@pytest.mark.parametrize("code,variant", [
+    (herm_code(2, 4, s=20), repair.VARIANT_LINE),
+    (herm_code(3, 2, s=9), repair.VARIANT_WEAK),
+    (codes.rs_code(tower(9, 2), k=20, n=81), repair.VARIANT_RS),
+], ids=["char2-line-q16", "char3-weak-q9", "gf9-rs-q81"])
+def test_reconstruct_matches_scalar_reference(code, variant):
+    tw = code.tower
+    rng = np.random.default_rng(tw.q)
+    for trial in range(6):
+        scheme = repair.build_scheme(code, int(rng.integers(code.n)), l=1, variant=variant)
+        runs = np.diff(scheme.start)
+        responses = {j: tuple(int(v) for v in rng.integers(0, tw.p, size=runs[j]))
+                     for j in scheme.active}
+        assert repair.reconstruct(scheme, responses).code == _reference_reconstruct(scheme, responses).code
 
 
 def test_reconstruct_rejects_value_outside_base_field():

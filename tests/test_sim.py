@@ -42,6 +42,27 @@ def test_save_load_with_failure(tmp_path):
     assert (back.nodes[:, 2] == 0).all()
 
 
+def test_save_is_atomic_when_the_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    sim.save_cluster(path, small_cluster())
+    before = path.read_bytes()
+    cl = small_cluster()
+    sim.fail_node(cl, 2)
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"schema_version": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sim.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        sim.save_cluster(path, cl)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    back = sim.load_cluster(path)
+    assert back.failed is None and np.array_equal(back.nodes, small_cluster().nodes)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
 def test_fail_repair_verify_cycle():
     cl = small_cluster()
     original = cl.nodes.copy()
