@@ -10,7 +10,7 @@ Subcommands:
 
 Configs are JSON objects; see README for the schema.  The only environment
 override is AGREPAIR_OUTPUT_DIR, which re-roots relative output paths.
-Exit status: 0 success, 1 verification mismatch, 2 bad config/preconditions.
+Exit status: 0 success, 1 verification mismatch, 2 bad config/state/preconditions.
 """
 
 from __future__ import annotations
@@ -139,8 +139,6 @@ def cmd_fail(args) -> int:
 def cmd_repair(args) -> int:
     path = _out_path(args.state)
     cluster = sim.load_cluster(path)
-    if cluster.failed is None:
-        raise ConfigError("nothing to repair: no node has failed")
     records = sim.repair_failed(cluster, l=args.l, variant=args.variant)
     sim.save_cluster(path, cluster)
     all_ok = all(r.equal for r in records)
@@ -165,7 +163,7 @@ def cmd_repair(args) -> int:
             "transcripts": [repair.transcript_to_json(r.transcript) for r in records],
         }
         _out_path(args.report).write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
         )
     return 0 if all_ok else 1
 
@@ -189,20 +187,12 @@ def cmd_bench(args) -> int:
         rng = np.random.default_rng(np.random.PCG64([seed, trial]))
         target = int(rng.integers(code.n))
         helpers = _helper_set(cfg, code, target, rng)
-        msg = rng.integers(0, code.tower.q, size=code.k, dtype=np.int64)
-        cw = codes.encode(code, msg)
-        scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
-        value, transcript = repair.run_repair(scheme, cw.symbols)
-        rows.append(
-            {
-                "target": target,
-                "d": len(scheme.helpers),
-                "symbols": transcript.total_symbols,
-                "bits": transcript.total_bits,
-                "bound_bits": repair.bound_symbols(scheme) * scheme.bits_per_symbol(),
-                "equal": value.code == int(cw.symbols[target]),
-            }
-        )
+        msgs = rng.integers(0, code.tower.q, size=(1, code.k), dtype=np.int64)
+        cluster = sim.Cluster(code, msgs, codes.encode_many(code, msgs), seed)
+        sim.fail_node(cluster, target)
+        (rec,) = sim.repair_failed(cluster, l=l, variant=variant, helpers=helpers)
+        rows.append({"target": rec.target, "d": rec.helper_count, "symbols": rec.symbols,
+                     "bits": rec.bits, "bound_bits": rec.bound_bits, "equal": rec.equal})
     out = _out_path(args.out) if args.out else None
     fh = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:

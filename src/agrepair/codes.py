@@ -237,7 +237,7 @@ def encode(code: EvalCode, message) -> Codeword:
     msg = np.asarray([m.code if isinstance(m, FieldElement) else int(m) for m in message], dtype=np.int64)
     if msg.shape[0] != code.k:
         raise ValueError(f"message length {msg.shape[0]} != dimension {code.k}")
-    return Codeword(code, linalg.matvec(code.tower, code.generator.T, msg))
+    return Codeword(code, encode_many(code, msg[None, :])[0])
 
 
 def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:

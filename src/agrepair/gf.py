@@ -363,16 +363,24 @@ class FieldTower:
         return self._digits(code)
 
     def from_digits(self, digits) -> int:
-        digits = tuple(int(d) for d in digits)
-        if len(digits) != self.t:
-            raise ValueError(f"expected {self.t} digits, got {len(digits)}")
-        if any(not 0 <= d < self.p for d in digits):
-            raise ValueError(f"digits must lie in [0, {self.p})")
-        return self._undigits(digits)
+        return int(self.from_digits_arr([int(d) for d in digits]))
 
     def digits_arr(self, a):
         """(..., t) array of base-p digit codes for an array of element codes."""
         return (np.asarray(a)[..., None] // (self.p ** np.arange(self.t, dtype=np.int64))) % self.p
+
+    def from_digits_arr(self, dig):
+        """Inverse of digits_arr: a (..., t) digit array -> (...) element codes."""
+        dig = np.asarray(dig, dtype=np.int64)
+        if dig.ndim == 0 or dig.shape[-1] != self.t:
+            raise ValueError(f"expected {self.t} digits, got {dig.shape[-1] if dig.ndim else 0}")
+        bad = ((dig < 0) | (dig >= self.p)).any(axis=-1)
+        if bad.any():
+            first = dig.reshape(-1, self.t)[np.argmax(bad.ravel())].tolist()
+            raise ValueError(
+                f"invalid digit vector {first} for GF({self.q}): digits must lie in [0, {self.p})"
+            )
+        return dig @ (self.p ** np.arange(self.t, dtype=np.int64))
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):

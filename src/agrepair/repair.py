@@ -382,10 +382,8 @@ def scheme_to_json(scheme: RepairScheme) -> dict:
     """JSON-ready view of a scheme: field elements as digit vectors
     (least-significant first), chosen index sets as plain lists."""
     tw = scheme.code.tower
-
-    def dig(v):
-        return list(tw.digits(int(v)))
-
+    w = tw.digits_arr(scheme.w).tolist()
+    table = tw.digits_arr(scheme.table.T).tolist()  # node -> u -> digits
     runs = {j: slice(scheme.start[j], scheme.start[j + 1]) for j in scheme.active}
     return {
         "variant": scheme.variant,
@@ -393,11 +391,10 @@ def scheme_to_json(scheme: RepairScheme) -> dict:
         "helpers": list(scheme.helpers),
         "pruned": list(scheme.pruned),
         "l": scheme.l,
-        "v_basis": [dig(v) for v in scheme.lin.v_basis],
-        "normaliser": dig(scheme.lin.c),
-        "dual_vector": {int(j): dig(scheme.w[j]) for j in scheme.active},
-        "value_table": {int(j): [dig(scheme.table[u, j]) for u in range(scheme.t)]
-                        for j in scheme.active},
+        "v_basis": tw.digits_arr(np.asarray(scheme.lin.v_basis, dtype=np.int64)).tolist(),
+        "normaliser": tw.digits_arr(scheme.lin.c).tolist(),
+        "dual_vector": {int(j): w[j] for j in scheme.active},
+        "value_table": {int(j): table[j] for j in scheme.active},
         "chosen_indices": {int(j): scheme.chosen_u[runs[j]].tolist() for j in scheme.active},
         "expansion": {int(j): scheme.lam[:, runs[j]].tolist() for j in scheme.active},
         "per_helper_symbols": {int(j): len(scheme.mu[runs[j]]) for j in scheme.active},

@@ -2,9 +2,12 @@
 
 A Cluster holds the code, the encoded stripes, and at most one failed node
 whose symbols are withheld from the repair path but kept privately so the
-outcome can be verified.  State round-trips through a versioned JSON file
-in which every field element appears as its base-p digit list
-(least-significant digit first), so files are portable across runs.
+outcome can be verified.  State round-trips through a versioned, compact
+JSON file in which every field element appears as its base-p digit list
+(least-significant digit first), so files are portable across runs.  Whole
+arrays go through FieldTower.digits_arr / from_digits_arr.  Loading checks
+every field's presence, shape, JSON-integer digits and digit range, raising
+StateFormatError with the field's name, then re-encodes the stripes.
 
 Helpers never see anything beyond (scheme, their index, their own symbol);
 the download accounting in the transcripts is therefore the real traffic.
@@ -157,14 +160,6 @@ def verify_cluster(cluster: Cluster) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _digit_list(tw: FieldTower, code_val: int) -> list[int]:
-    return list(tw.digits(int(code_val)))
-
-
-def _digit_matrix(tw: FieldTower, arr: np.ndarray) -> list:
-    return [[_digit_list(tw, v) for v in row] for row in arr]
-
-
 def _code_payload(code: codes.EvalCode) -> dict:
     tw = code.tower
     payload = {
@@ -173,34 +168,56 @@ def _code_payload(code: codes.EvalCode) -> dict:
         "t": tw.t,
         "s": code.s,
         "monomials": [list(m) if isinstance(m, tuple) else m for m in code.monomials],
+        "points": tw.digits_arr(code.points).tolist(),
     }
-    if code.kind == "rs":
-        payload["points"] = [_digit_list(tw, v) for v in code.points]
-    else:
+    if code.kind != "rs":
         payload["r"] = code.curve.r
-        payload["points"] = [
-            [_digit_list(tw, a), _digit_list(tw, b)] for a, b in code.points
-        ]
     return payload
 
 
-def _undigit(tw: FieldTower, digits) -> int:
-    digits = list(digits)
-    if len(digits) != tw.t or any(not 0 <= int(d) < tw.p for d in digits):
-        raise StateFormatError(f"invalid digit vector {digits} for GF({tw.q})")
-    return tw.from_digits(digits)
+def _field(obj, key: str, where: str, integer: bool = False):
+    if not isinstance(obj, dict) or key not in obj:
+        raise StateFormatError(f"{where} has no {key!r} field")
+    if integer and type(obj[key]) is not int:
+        raise StateFormatError(f"{where} field {key!r} must be an integer, got {obj[key]!r}")
+    return obj[key]
 
 
-def _code_from_payload(payload: dict) -> codes.EvalCode:
-    tw = tower(int(payload["p"]), int(payload["t"]))
-    if payload["kind"] == "rs":
-        pts = np.asarray([_undigit(tw, d) for d in payload["points"]], dtype=np.int64)
-        return codes.rs_code(tw, k=int(payload["s"]) + 1, points=pts)
-    curve = codes.hermitian_curve(tw)
-    pts = [(_undigit(tw, a), _undigit(tw, b)) for a, b in payload["points"]]
-    n = len(pts)
-    code = codes.hermitian_code(curve, s=int(payload["s"]), n=n)
-    if [tuple(pt) for pt in code.points.tolist()] != pts:
+def _decode(tw: FieldTower, value, name: str, shape: tuple) -> np.ndarray:
+    """A JSON array of digit vectors as an int64 code array of `shape`
+    (None matches any length)."""
+    want = (*shape, tw.t)
+    if not isinstance(value, list):
+        raise StateFormatError(f"{name} must be an array, got {type(value).__name__}")
+    arr = np.array(value, dtype=object)
+    if arr.size == 0:  # JSON keeps no axes inside an empty array
+        arr = np.zeros(arr.shape + tuple(w or 0 for w in want[arr.ndim:]), dtype=object)
+    kinds = set(map(type, arr.flat))
+    if list in kinds:
+        raise StateFormatError(f"{name} is a ragged array")
+    if arr.ndim != len(want) or any(w not in (None, g) for g, w in zip(arr.shape, want)):
+        raise StateFormatError(f"{name} must have shape {want}, got {arr.shape}")
+    if kinds - {int}:
+        bad = next(d for d in arr.flat if type(d) is not int)
+        raise StateFormatError(f"{name} holds {bad!r}; digits must be JSON integers")
+    try:
+        return tw.from_digits_arr(arr.astype(np.int64))
+    except (OverflowError, ValueError) as exc:
+        raise StateFormatError(f"{name}: {exc}") from None
+
+
+def _code_from_payload(payload) -> codes.EvalCode:
+    kind = _field(payload, "kind", "code")
+    if kind not in ("rs", "hermitian"):
+        raise StateFormatError(f"code kind must be 'rs' or 'hermitian', got {kind!r}")
+    p, t, s = (_field(payload, key, "code", integer=True) for key in ("p", "t", "s"))
+    tw = tower(p, t)
+    if kind == "rs":
+        pts = _decode(tw, _field(payload, "points", "code"), "code points", (None,))
+        return codes.rs_code(tw, k=s + 1, points=pts)
+    pts = _decode(tw, _field(payload, "points", "code"), "code points", (None, 2))
+    code = codes.hermitian_code(codes.hermitian_curve(tw), s=s, n=len(pts))
+    if not np.array_equal(code.points, pts):
         raise StateFormatError("stored point list does not match the canonical enumeration")
     return code
 
@@ -211,12 +228,10 @@ def save_cluster(path, cluster: Cluster) -> None:
         "schema_version": SCHEMA_VERSION,
         "code": _code_payload(cluster.code),
         "seed": cluster.seed,
-        "stripes": _digit_matrix(tw, cluster.stripes),
-        "nodes": _digit_matrix(tw, cluster.nodes.T),  # node-major: node -> per-stripe symbols
+        "stripes": tw.digits_arr(cluster.stripes).tolist(),
+        "nodes": tw.digits_arr(cluster.nodes.T).tolist(),  # node-major: node -> per-stripe symbols
         "failed": cluster.failed,
-        "withheld": None
-        if cluster.withheld is None
-        else [_digit_list(tw, v) for v in cluster.withheld],
+        "withheld": None if cluster.withheld is None else tw.digits_arr(cluster.withheld).tolist(),
     }
     # write a sibling file and rename it over the old state, so a crash
     # mid-write leaves the previous file whole
@@ -224,8 +239,7 @@ def save_cluster(path, cluster: Cluster) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(state, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -237,35 +251,25 @@ def save_cluster(path, cluster: Cluster) -> None:
 def load_cluster(path) -> Cluster:
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
+    if not isinstance(state, dict):
+        raise StateFormatError(f"state must be a JSON object, got {type(state).__name__}")
     version = state.get("schema_version")
     if version != SCHEMA_VERSION:
         raise StateFormatError(
             f"unsupported state schema: expected {SCHEMA_VERSION}, got {version}"
         )
-    code = _code_from_payload(state["code"])
+    code = _code_from_payload(_field(state, "code", "state"))
     tw = code.tower
-    stripes = np.asarray(
-        [[_undigit(tw, d) for d in row] for row in state["stripes"]], dtype=np.int64
-    )
-    nodes = np.asarray(
-        [[_undigit(tw, d) for d in row] for row in state["nodes"]], dtype=np.int64
-    ).T
-    if nodes.shape != (stripes.shape[0], code.n):
-        raise StateFormatError("node array shape does not match the code")
+    stripes = _decode(tw, _field(state, "stripes", "state"), "stripes", (None, code.k))
+    nodes = _decode(tw, _field(state, "nodes", "state"), "nodes", (code.n, len(stripes))).T
     failed = state.get("failed")
     if failed is not None and (type(failed) is not int or not 0 <= failed < code.n):
         raise StateFormatError(f"failed node {failed!r} out of range for n={code.n}")
+    seed = _field(state, "seed", "state", integer=True) if "seed" in state else 0
     withheld = state.get("withheld")
-    cluster = Cluster(
-        code=code,
-        stripes=stripes,
-        nodes=nodes,
-        seed=int(state.get("seed", 0)),
-        failed=failed,
-        withheld=None
-        if withheld is None
-        else np.asarray([_undigit(tw, d) for d in withheld], dtype=np.int64),
-    )
+    if withheld is not None:
+        withheld = _decode(tw, withheld, "withheld", (len(stripes),))
+    cluster = Cluster(code, stripes, nodes, seed, failed, withheld)
     _check_consistency(cluster)
     return cluster
 

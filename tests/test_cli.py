@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from agrepair import cli
 
 RS_CONFIG = {
@@ -60,6 +62,53 @@ def test_out_of_range_failed_node_is_a_state_error(tmp_path, capsys):
         for cmd in (["verify"], ["repair", "--l", "3"]):
             assert cli.main([*cmd, "--state", str(state)]) == 2
             assert f"failed node {bad!r} out of range for n=16" in capsys.readouterr().err
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("where,value,named", [
+    (("nodes",), DROP, "state has no 'nodes' field"),
+    (("code",), DROP, "state has no 'code' field"),
+    (("code", "p"), DROP, "code has no 'p' field"),
+    ((), [], "state must be a JSON object, got list"),
+    (("nodes", 0, 0, 0), None, "nodes holds None"),
+    (("nodes",), 5, "nodes must be an array, got int"),
+    (("code", "kind"), "reed-solomon", "code kind must be 'rs' or 'hermitian', got 'reed-solomon'"),
+    (("code", "s"), "7", "code field 's' must be an integer, got '7'"),
+    (("seed",), None, "state field 'seed' must be an integer, got None"),
+], ids=["no-nodes", "no-code", "no-code-p", "top-level-list", "null-digit", "nodes-int",
+        "unknown-kind", "string-s", "null-seed"])
+def test_malformed_state_is_a_state_error(tmp_path, capsys, where, value, named):
+    cfg = write_config(tmp_path, RS_CONFIG)
+    state = tmp_path / "state.json"
+    assert cli.main(["encode", "--config", cfg, "--state", str(state)]) == 0
+    payload = json.loads(state.read_text())
+    if not where:
+        payload = value
+    else:
+        obj = payload
+        for key in where[:-1]:
+            obj = obj[key]
+        if value is DROP:
+            del obj[where[-1]]
+        else:
+            obj[where[-1]] = value
+    state.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["verify", "--state", str(state)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_zero_stripe_state_cycle(tmp_path):
+    cfg = write_config(tmp_path, dict(RS_CONFIG, stripes=0))
+    state, report = str(tmp_path / "state.json"), tmp_path / "report.json"
+    for cmd in (["encode", "--config", cfg], ["verify"], ["fail", "--node", "5"],
+                ["repair", "--l", "3", "--report", str(report)], ["verify"]):
+        assert cli.main([*cmd, "--state", state]) == 0, cmd
+    assert json.loads(report.read_text())["records"] == []
+    payload = json.loads(Path(state).read_text())
+    assert payload["stripes"] == [] and payload["nodes"] == [[]] * RS_CONFIG["n"]
 
 
 def test_bench_csv_schema(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,31 @@ def test_digits_round_trip_and_serial_order():
         f64.from_digits((8, 0))
     with pytest.raises(ValueError):
         f64.from_digits((0,))
+
+
+@pytest.mark.parametrize("p,t", [(2, 4), (4, 2), (8, 2), (3, 2), (9, 2), (3, 7)])
+def test_digit_arrays_match_scalar_digits(p, t):
+    tw = tower(p, t)
+    rng = np.random.default_rng(p * 10 + t)
+    for vals in (np.zeros(0, dtype=np.int64), np.arange(tw.q),
+                 rng.integers(0, tw.q, size=(50, 2), dtype=np.int64)):
+        dig = tw.digits_arr(vals)
+        assert dig.shape == vals.shape + (t,)
+        flat = dig.reshape(-1, t).tolist()
+        assert [tuple(d) for d in flat] == [tw.digits(int(v)) for v in vals.ravel()]
+        back = tw.from_digits_arr(dig)
+        assert back.shape == vals.shape and np.array_equal(back, vals)
+        assert back.ravel().tolist() == [tw.from_digits(d) for d in flat]
+    dig = tw.digits_arr(rng.integers(0, tw.q, size=(3, 2), dtype=np.int64))
+    for bad in (p, -1):
+        dig[1, 0, t - 1] = bad
+        vec = dig[1, 0].tolist()
+        with pytest.raises(ValueError, match=re.escape(f"invalid digit vector {vec} for GF({tw.q})")):
+            tw.from_digits_arr(dig)
+        with pytest.raises(ValueError, match=re.escape(f"digits must lie in [0, {p})")):
+            tw.from_digits(vec)
+    with pytest.raises(ValueError, match=f"expected {t} digits, got {t + 1}"):
+        tw.from_digits_arr(np.zeros((2, t + 1), dtype=np.int64))
 
 
 def test_modulus_determinism_and_validation():

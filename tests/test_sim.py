@@ -49,11 +49,10 @@ def test_save_is_atomic_when_the_write_fails(tmp_path, monkeypatch):
     cl = small_cluster()
     sim.fail_node(cl, 2)
 
-    def broken_dump(obj, fh, **kwargs):
-        fh.write('{"schema_version": ')
+    def broken_fsync(fd):  # the new bytes are already in the temporary file
         raise OSError("disk full")
 
-    monkeypatch.setattr(sim.json, "dump", broken_dump)
+    monkeypatch.setattr(sim.os, "fsync", broken_fsync)
     with pytest.raises(OSError, match="disk full"):
         sim.save_cluster(path, cl)
     monkeypatch.undo()
@@ -111,15 +110,107 @@ def test_golden_stripe_round_trip_is_stable(tmp_path):
     assert json.loads(out.read_text()) == json.loads(src.read_text())
 
 
+def _set(state, path, value):
+    obj = state
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+CORRUPTIONS = [  # (where, new value, expected message)
+    (("nodes", 0, 0, 0), 5, r"nodes: invalid digit vector \[5, \d\] for GF\(4\)"),
+    (("nodes", 0, 0, 0), -1, r"nodes: invalid digit vector \[-1, \d\] for GF\(4\)"),
+    (("nodes", 0, 0, 0), "3", "nodes holds '3'; digits must be JSON integers"),
+    (("nodes", 0, 0, 0), 2.0, "nodes holds 2.0; digits must be JSON integers"),
+    (("nodes", 0, 0, 0), 1.5, "nodes holds 1.5; digits must be JSON integers"),
+    (("nodes", 0, 0, 0), None, "nodes holds None; digits must be JSON integers"),
+    (("nodes", 0, 0, 0), True, "nodes holds True; digits must be JSON integers"),
+    (("nodes", 0, 0, 0), 2 ** 70, "nodes: .*too large"),
+    (("stripes", 0), [[0], [1]], r"stripes must have shape \(None, 2, 2\), got \(1, 2, 1\)"),
+    (("stripes", 0), [[0, 1]], r"stripes must have shape \(None, 2, 2\), got \(1, 1, 2\)"),
+    (("nodes", 0, 0), [1], "nodes is a ragged array"),
+    (("nodes", 1), [[0, 0], [0, 0]], "nodes is a ragged array"),
+    (("code", "points", 2), [0, 1, 0], "code points is a ragged array"),
+]
+
+
 def test_corrupt_digit_rejected(tmp_path):
-    cl = small_cluster(stripes=1)
     path = tmp_path / "state.json"
-    sim.save_cluster(path, cl)
-    state = json.loads(path.read_text())
-    state["nodes"][0][0][0] = 5  # digit >= p
-    path.write_text(json.dumps(state))
-    with pytest.raises(sim.StateFormatError, match="digit"):
-        sim.load_cluster(path)
+    sim.save_cluster(path, small_cluster(stripes=1))
+    good = path.read_text()
+    for where, value, match in CORRUPTIONS:
+        state = json.loads(good)
+        _set(state, where, value)
+        path.write_text(json.dumps(state))
+        with pytest.raises(sim.StateFormatError, match=match):
+            sim.load_cluster(path)
+
+
+def _reference_state(cluster):
+    """The per-symbol writer the state format was defined with."""
+    code, tw = cluster.code, cluster.code.tower
+
+    def dig(v):
+        return list(tw.digits(int(v)))
+
+    payload = {"kind": code.kind, "p": tw.p, "t": tw.t, "s": code.s,
+               "monomials": [list(m) if isinstance(m, tuple) else m for m in code.monomials]}
+    if code.kind == "rs":
+        payload["points"] = [dig(v) for v in code.points]
+    else:
+        payload["r"] = code.curve.r
+        payload["points"] = [[dig(a), dig(b)] for a, b in code.points]
+    return {
+        "schema_version": 1,
+        "code": payload,
+        "seed": cluster.seed,
+        "stripes": [[dig(v) for v in row] for row in cluster.stripes],
+        "nodes": [[dig(v) for v in row] for row in cluster.nodes.T],
+        "failed": cluster.failed,
+        "withheld": None if cluster.withheld is None else [dig(v) for v in cluster.withheld],
+    }
+
+
+def _reference_arrays(state):
+    """The per-symbol reader: the stored code arrays, nodes stripe-major."""
+    p, t = state["code"]["p"], state["code"]["t"]
+
+    def undig(digits):
+        assert len(digits) == t and all(type(d) is int and 0 <= d < p for d in digits)
+        return sum(d * p ** i for i, d in enumerate(digits))
+
+    def conv(value):
+        return undig(value) if type(value[0]) is int else [conv(v) for v in value]
+
+    return {
+        "points": np.asarray(conv(state["code"]["points"]), dtype=np.int64),
+        "stripes": np.asarray(conv(state["stripes"]), dtype=np.int64),
+        "nodes": np.asarray(conv(state["nodes"]), dtype=np.int64).T,
+        "withheld": np.asarray(conv(state["withheld"]), dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("code,node", [
+    (codes.rs_code(tower(3, 2), k=4), 5),
+    (codes.hermitian_code(codes.hermitian_curve(tower(3, 2)), s=9), 13),
+], ids=["rs", "hermitian"])
+def test_array_codec_matches_per_symbol_reference(tmp_path, code, node):
+    cl = sim.make_cluster(code, 5, seed=17)
+    sim.fail_node(cl, node)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    sim.save_cluster(new, cl)
+    reference = _reference_state(cl)
+    old.write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n")
+    assert json.loads(new.read_text()) == json.loads(old.read_text()) == reference
+    for path in (new, old):
+        back = sim.load_cluster(path)
+        ref = _reference_arrays(json.loads(path.read_text()))
+        assert np.array_equal(back.code.points, ref["points"])
+        assert np.array_equal(back.code.points, cl.code.points)
+        for name in ("stripes", "nodes", "withheld"):
+            assert np.array_equal(getattr(back, name), ref[name])
+            assert np.array_equal(getattr(back, name), getattr(cl, name))
+        assert back.failed == node
 
 
 def test_schema_version_mismatch(tmp_path):
