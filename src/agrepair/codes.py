@@ -169,10 +169,21 @@ def _rs_generator(tw: FieldTower, points: np.ndarray, k: int) -> np.ndarray:
 
 
 def _hermitian_rows(tw: FieldTower, points: np.ndarray, monomials) -> np.ndarray:
+    """Rows x**i * y**j evaluated at the points, one per monomial (i, j).
+
+    The powers of x come from one table, and the rows sharing a y-exponent
+    j (there are at most r such groups) are multiplied in one call.
+    """
     a, b = points[:, 0], points[:, 1]
-    return np.stack(
-        [tw.mul_arr(tw.pow_arr(a, i), tw.pow_arr(b, j)) for i, j in monomials]
-    )
+    ij = np.asarray(monomials, dtype=np.int64).reshape(-1, 2)
+    rows = np.empty((ij.shape[0], points.shape[0]), dtype=np.int64)
+    if not ij.size:
+        return rows
+    a_pows = np.stack([tw.pow_arr(a, i) for i in range(ij[:, 0].max() + 1)])
+    for j in set(ij[:, 1].tolist()):  # not np.unique: its first call imports numpy.ma
+        group = np.flatnonzero(ij[:, 1] == j)
+        rows[group] = tw.mul_arr(a_pows[ij[group, 0]], tw.pow_arr(b, j))
+    return rows
 
 
 def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCode:
@@ -362,11 +373,13 @@ def dual_support_vector(
     """A vector w orthogonal to every row of code_aug_generator with
     w_i != 0 and support inside helpers + {i}, normalised to w_i = 1.
 
-    Found as a nullspace vector of the column-restricted generator.  With
-    `densify`, zero coordinates inside the allowed support are greedily
-    filled in (adding scaled nullspace basis vectors, deterministically)
-    so that as many helpers as possible carry weight; helpers that stay at
-    zero cost nothing and download nothing.
+    Found as a nullspace vector of the column-restricted generator: the
+    first basis vector nonzero at i.  Any matrix with the same row space
+    gives the same vector, because the nullspace basis is read off the
+    unique reduced form of the restriction.  With `densify`, see `_densify`:
+    zeros inside the allowed support are filled greedily, which need not
+    reach every helper; helpers that stay at zero cost nothing and download
+    nothing.
     """
     helpers = sorted(int(j) for j in helpers)
     if i in helpers:
@@ -382,21 +395,36 @@ def dual_support_vector(
         raise DualVectorError("no dual vector is nonzero at the repair position")
     w = pick.copy()
     if densify:
-        for pos in range(len(cols)):
-            if w[pos] != 0:
-                continue
-            vec = next((row for row in basis if row[pos] != 0), None)
-            if vec is None:
-                continue
-            forbidden = {0}
-            nz = np.nonzero(w)[0]
-            for k in nz[vec[nz] != 0]:
-                forbidden.add(tw.neg(tw.div(int(w[k]), int(vec[k]))))
-            c = next((c for c in range(1, tw.q) if c not in forbidden), None)
-            if c is None:
-                continue
-            w = tw.add_arr(w, tw.mul_arr(np.int64(c), vec))
+        w = _densify(tw, w, basis)
     w = tw.mul_arr(w, tw.inv(int(w[pos_i])))
     out = np.zeros(code_aug_generator.shape[1], dtype=np.int64)
     out[cols] = w
     return out
+
+
+def _densify(tw: FieldTower, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Greedily fill the zeros of w with multiples of nullspace vectors.
+
+    Positions that are zero in w are visited in ascending order.  A position
+    still zero when reached takes the first basis row nonzero there, scaled
+    by the least scalar c != 0 that zeroes no position of w where that row
+    is also nonzero (c = -w_m / vec_m is forbidden at each such m).  When
+    no basis row reaches the position, or the forbidden scalars cover all
+    of GF(q)*, the position is skipped and stays zero.  Filling a zero never
+    empties another, but a skipped position may be nonzero in some other
+    vector of the span, so not every fillable helper is guaranteed weight.
+    """
+    nonzero = basis != 0
+    first = nonzero.argmax(axis=0)  # first basis row nonzero at each position
+    for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)):
+        if w[pos] != 0:
+            continue
+        vec = basis[first[pos]]
+        common = np.flatnonzero((w != 0) & (vec != 0))
+        free = np.ones(tw.q, dtype=bool)
+        free[0] = False
+        free[tw.neg_arr(tw.mul_arr(w[common], tw.inv_arr(vec[common])))] = False
+        c = int(free.argmax())
+        if c:
+            w = tw.add_arr(w, tw.mul_arr(np.int64(c), vec))
+    return w

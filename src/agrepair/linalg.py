@@ -5,17 +5,23 @@ Elimination is deterministic: pivots are found by a first-nonzero scan,
 left to right and top to bottom, so reduced forms, ranks and nullspace
 bases are reproducible byte for byte.  No floating point anywhere.
 
-`rref` is the one elimination kernel; `rank`, `nullspace` and `solve` read
-its output.  Per pivot it normalises the pivot row's tail (the columns from
-the pivot on; everything to their left is already zero), tabulates every
-scalar multiple of that tail once, and updates all other rows in one
-gather from the table: an in-place XOR in characteristic 2, `sub_arr`
-otherwise.  A field with more elements than the matrix has rows skips the
-table and multiplies each row's factor into the tail directly.  In
-characteristic 2 the working copy is uint8 (q <= 256) or uint16, so the
-gather moves bytes, not int64 words.  The reduced row echelon form is
-unique, so the pivot rule and every output are unchanged: R is returned
-as int64, as before.
+`rref` is the one elimination kernel for whole matrices; `rank`,
+`nullspace` and `solve` read its output.  Per pivot it normalises the pivot
+row's tail (the columns from the pivot on; everything to their left is
+already zero), tabulates every scalar multiple of that tail once, and
+updates all other rows in one gather from the table: an in-place XOR in
+characteristic 2, `sub_arr` otherwise.  A field with more elements than the
+matrix has rows skips the table and multiplies each row's factor into the
+tail directly.  Steps that would change nothing are skipped: a pivot row
+whose lead is already 1 is not normalised, and a pivot column that is zero
+in every other row triggers no update, so reducing an already-reduced
+matrix costs one nonzero scan per column.  In characteristic 2 the working
+copy is uint8 (q <= 256) or uint16, so the gather moves bytes, not int64
+words.  The reduced row echelon form is unique, so the pivot rule and every
+output are unchanged: R is returned as int64, as before.
+
+`rref_blocks` reduces a (B, m, k) stack of small matrices with the same
+pivot rule, one column step for all blocks at once.
 """
 
 from __future__ import annotations
@@ -50,21 +56,58 @@ def rref(tw, mat):
         piv = row + int(nz[0])
         if piv != row:
             r[[row, piv], col:] = r[[piv, row], col:]
-        tail = tw.mul_arr(r[row, col:], tw.inv(int(r[row, col])))
-        r[row, col:] = tail
+        tail = r[row, col:]
+        if tail[0] != 1:
+            tail = tw.mul_arr(tail, tw.inv(int(tail[0])))
+            r[row, col:] = tail
         factors = r[:, col].copy()
         factors[row] = 0
-        if tw.q <= nrows:  # one table row per scalar, gathered by factor
-            multiples = tw.mul_arr(scalars, tail).astype(work)[factors]
-        else:
-            multiples = tw.mul_arr(factors[:, None], tail).astype(work)
-        if tw.char == 2:
-            r[:, col:] ^= multiples
-        else:
-            r[:, col:] = tw.sub_arr(r[:, col:], multiples)
+        if factors.any():
+            if tw.q <= nrows:  # one table row per scalar, gathered by factor
+                multiples = tw.mul_arr(scalars, tail).astype(work)[factors]
+            else:
+                multiples = tw.mul_arr(factors[:, None], tail).astype(work)
+            if tw.char == 2:
+                r[:, col:] ^= multiples
+            else:
+                r[:, col:] = tw.sub_arr(r[:, col:], multiples)
         pivots.append(col)
         row += 1
     return r.astype(np.int64, copy=False), pivots
+
+
+def rref_blocks(tw, blocks):
+    """Reduced row echelon form of every matrix in a (B, m, k) stack.
+
+    Returns (R, pivot_mask): R is the (B, m, k) int64 stack of reduced
+    forms and pivot_mask the (B, k) boolean map of each block's pivot
+    columns.  Block b gets exactly rref(tw, blocks[b]); each of the k column
+    steps swaps, normalises and eliminates in every block that has a pivot
+    there.
+    """
+    r = np.array(blocks, dtype=np.int64)
+    if r.ndim != 3:
+        raise ValueError("expected a (B, m, k) stack")
+    nblocks, nrows, ncols = r.shape
+    pivot_mask = np.zeros((nblocks, ncols), dtype=bool)
+    row = np.zeros(nblocks, dtype=np.int64)  # next pivot row of each block
+    below = np.ones((nblocks, nrows), dtype=bool)  # rows at or past it
+    for col in range(ncols):
+        cand = (r[:, :, col] != 0) & below
+        b = np.flatnonzero(cand.any(axis=1))
+        if b.size == 0:
+            continue
+        piv, top = cand[b].argmax(axis=1), row[b]
+        r[b, piv], r[b, top] = r[b, top], r[b, piv]
+        lead = tw.mul_arr(r[b, top], tw.inv_arr(r[b, top, col])[:, None])
+        r[b, top] = lead
+        factors = r[b, :, col]
+        factors[np.arange(b.size), top] = 0
+        r[b] = tw.sub_arr(r[b], tw.mul_arr(factors[:, :, None], lead[:, None, :]))
+        pivot_mask[b, col] = True
+        row[b] += 1
+        below[b, top] = False
+    return r, pivot_mask
 
 
 def rank(tw, mat) -> int:

@@ -44,6 +44,7 @@ Variants:
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,6 +161,23 @@ def _full_support(code: EvalCode, helpers) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _reduced_augmented(code: EvalCode, rho: int) -> np.ndarray:
+    """The nonzero rows of the reduced augmented generator, read-only.
+
+    They span the same row space as `augmented_generator(code, rho)`, so
+    every column restriction has the same reduced form and nullspace basis;
+    and most of the restriction's pivot columns are already unit columns,
+    which `rref` passes over.  Cached per (code, extra pole), as repeated
+    repairs against one code reuse it.
+    """
+    tw = code.tower
+    reduced, pivots = linalg.rref(tw, augmented_generator(code, rho))
+    out = reduced[: len(pivots)].astype(np.min_scalar_type(tw.q - 1))
+    out.setflags(write=False)
+    return out
+
+
 def build_scheme(
     code: EvalCode,
     target: int,
@@ -177,9 +195,10 @@ def build_scheme(
     if helpers is None:
         helpers = [j for j in range(n) if j != target]
     helpers = sorted(int(j) for j in helpers)
+    helper_set = set(helpers)
     if not helpers:
         raise ValueError("helper set is empty")
-    if target in helpers or len(set(helpers)) != len(helpers):
+    if target in helper_set or len(helper_set) != len(helpers):
         raise ValueError("helpers must be distinct and exclude the target")
     if max(helpers) >= n or min(helpers) < 0:
         raise ValueError("helper index out of range")
@@ -217,14 +236,13 @@ def build_scheme(
         h_vals = vanishing_line(code.curve, (int(a), int(b))).values(code.points)
     else:
         h_vals, zero_set = vanishing_function(code, target)
-        extra_zeros = tuple(j for j in zero_set if j in set(helpers))
+        extra_zeros = tuple(j for j in zero_set if j in helper_set)
 
     # value table of h_(i,u) = zeta_u * Q(zeta_u * h_i) / c over all positions
-    inv_c = tw.inv(lin.c)
     rows = []
     for zu in tw.zeta:
         scaled = tw.mul_arr(np.int64(zu), h_vals)
-        rows.append(tw.mul_arr(np.int64(tw.mul(zu, inv_c)), lin.quotient_arr(scaled)))
+        rows.append(tw.mul_arr(np.int64(tw.div(zu, lin.c)), lin.quotient_arr(scaled)))
     table = np.stack(rows)
     if not np.array_equal(table[:, target], np.asarray(tw.zeta)):
         raise AssertionError("normalisation failed: h_(i,u)(P_i) != zeta_u")
@@ -234,13 +252,13 @@ def build_scheme(
         w = np.asarray(dual_vector, dtype=np.int64).copy()
         if w[target] == 0:
             raise DualVectorError("supplied dual vector vanishes at the target")
-        outside = [j for j in range(n) if j != target and j not in set(helpers) and w[j] != 0]
+        outside = [j for j in range(n) if j != target and j not in helper_set and w[j] != 0]
         if outside:
             raise DualVectorError(f"supplied dual vector has support outside S+{{i}}: {outside}")
     elif all_ones:
         w = np.ones(n, dtype=np.int64)
     else:
-        w = dual_support_vector(augmented_generator(code, rho), tw, target, helpers)
+        w = dual_support_vector(_reduced_augmented(code, rho), tw, target, helpers)
     w_i = int(w[target])
     if w_i != 1:
         w = tw.mul_arr(w, tw.inv(w_i))
@@ -248,21 +266,19 @@ def build_scheme(
     active = tuple(j for j in helpers if w[j] != 0)
     pruned = tuple(j for j in helpers if w[j] == 0)
 
-    # per-helper independent index sets and expansions, laid out flat
+    # per-helper independent index sets and expansions, laid out flat: the
+    # columns of each active helper's transposed (t, t) digit block are the
+    # rows u; its pivot columns are the greedily independent u, and the
+    # pivot rows write every u over them
+    reduced, pivot_mask = linalg.rref_blocks(
+        tw, tw.digits_arr(table[:, list(active)].T).transpose(0, 2, 1))
+    counts = pivot_mask.sum(axis=1)
     per_node = np.zeros(n, dtype=np.int64)
-    chosen_u: list[int] = []
-    lam_parts = [np.zeros((tw.t, 0), dtype=np.int64)]
-    for j in active:
-        # columns of the transposed (t, t) digit block are the rows u; its
-        # pivot columns are the greedily independent u, and the pivot rows
-        # write every u over them
-        reduced, chosen = linalg.rref(tw, tw.digits_arr(table[:, j]).T)
-        per_node[j] = len(chosen)
-        chosen_u += chosen
-        lam_parts.append(reduced[: len(chosen)].T)
+    per_node[list(active)] = counts
     start = np.concatenate([[0], np.cumsum(per_node)])
     helper_of = np.repeat(np.arange(n), per_node)
-    chosen_arr = np.asarray(chosen_u, dtype=np.int64)
+    chosen_arr = np.nonzero(pivot_mask)[1]
+    pivot_rows = np.arange(tw.t)[None, :] < counts[:, None]
 
     return RepairScheme(
         code=code,
@@ -276,7 +292,7 @@ def build_scheme(
         table=table,
         mu=tw.mul_arr(w[helper_of], table[chosen_arr, helper_of]),
         chosen_u=chosen_arr,
-        lam=np.concatenate(lam_parts, axis=1),
+        lam=reduced[pivot_rows].T,
         start=start,
         extra_zeros=extra_zeros,
     )

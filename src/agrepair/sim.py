@@ -6,8 +6,9 @@ outcome can be verified.  State round-trips through a versioned, compact
 JSON file in which every field element appears as its base-p digit list
 (least-significant digit first), so files are portable across runs.  Whole
 arrays go through FieldTower.digits_arr / from_digits_arr.  Loading checks
-every field's presence, shape, JSON-integer digits and digit range, raising
-StateFormatError with the field's name, then re-encodes the stripes.
+every field's presence, shape, JSON-integer digits and digit range, and that
+the stored monomials and r match the code rebuilt from the other fields,
+raising StateFormatError with the field's name, then re-encodes the stripes.
 
 Helpers never see anything beyond (scheme, their index, their own symbol);
 the download accounting in the transcripts is therefore the real traffic.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,19 +162,24 @@ def verify_cluster(cluster: Cluster) -> bool:
 # ----------------------------------------------------------------------
 
 
+def _derived_fields(code: codes.EvalCode) -> dict:
+    """The code fields a state file stores but a load rebuilds."""
+    fields = {"monomials": [list(m) if isinstance(m, tuple) else m for m in code.monomials]}
+    if code.kind != "rs":
+        fields["r"] = code.curve.r
+    return fields
+
+
 def _code_payload(code: codes.EvalCode) -> dict:
     tw = code.tower
-    payload = {
+    return {
         "kind": code.kind,
         "p": tw.p,
         "t": tw.t,
         "s": code.s,
-        "monomials": [list(m) if isinstance(m, tuple) else m for m in code.monomials],
         "points": tw.digits_arr(code.points).tolist(),
+        **_derived_fields(code),
     }
-    if code.kind != "rs":
-        payload["r"] = code.curve.r
-    return payload
 
 
 def _field(obj, key: str, where: str, integer: bool = False):
@@ -211,15 +218,34 @@ def _code_from_payload(payload) -> codes.EvalCode:
     if kind not in ("rs", "hermitian"):
         raise StateFormatError(f"code kind must be 'rs' or 'hermitian', got {kind!r}")
     p, t, s = (_field(payload, key, "code", integer=True) for key in ("p", "t", "s"))
-    tw = tower(p, t)
-    if kind == "rs":
-        pts = _decode(tw, _field(payload, "points", "code"), "code points", (None,))
-        return codes.rs_code(tw, k=s + 1, points=pts)
-    pts = _decode(tw, _field(payload, "points", "code"), "code points", (None, 2))
-    code = codes.hermitian_code(codes.hermitian_curve(tw), s=s, n=len(pts))
-    if not np.array_equal(code.points, pts):
+    with _naming("fields 'p' and 't'"):
+        tw = tower(p, t)
+        curve = codes.hermitian_curve(tw) if kind == "hermitian" else None
+    pts = _decode(tw, _field(payload, "points", "code"), "code points",
+                  (None,) if curve is None else (None, 2))
+    if curve is None and np.unique(pts).size != pts.size:
+        raise StateFormatError("code points are not pairwise distinct")
+    with _naming("field 's'"):
+        code = (codes.rs_code(tw, k=s + 1, points=pts) if curve is None
+                else codes.hermitian_code(curve, s=s, n=len(pts)))
+    if curve is not None and not np.array_equal(code.points, pts):
         raise StateFormatError("stored point list does not match the canonical enumeration")
+    for key, want in _derived_fields(code).items():
+        if json.dumps(_field(payload, key, "code")) != json.dumps(want):
+            raise StateFormatError(
+                f"code field {key!r} disagrees with the code rebuilt from 'p', 't', 's' and 'points'"
+            )
     return code
+
+
+@contextmanager
+def _naming(fields: str):
+    """Re-raise a constructor's ValueError as a StateFormatError naming the
+    state fields it was built from, keeping the original text."""
+    try:
+        yield
+    except ValueError as exc:
+        raise StateFormatError(f"code {fields}: {exc}") from None
 
 
 def save_cluster(path, cluster: Cluster) -> None:

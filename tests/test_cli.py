@@ -67,20 +67,35 @@ def test_out_of_range_failed_node_is_a_state_error(tmp_path, capsys):
 DROP = object()
 
 
-@pytest.mark.parametrize("where,value,named", [
-    (("nodes",), DROP, "state has no 'nodes' field"),
-    (("code",), DROP, "state has no 'code' field"),
-    (("code", "p"), DROP, "code has no 'p' field"),
-    ((), [], "state must be a JSON object, got list"),
-    (("nodes", 0, 0, 0), None, "nodes holds None"),
-    (("nodes",), 5, "nodes must be an array, got int"),
-    (("code", "kind"), "reed-solomon", "code kind must be 'rs' or 'hermitian', got 'reed-solomon'"),
-    (("code", "s"), "7", "code field 's' must be an integer, got '7'"),
-    (("seed",), None, "state field 'seed' must be an integer, got None"),
+@pytest.mark.parametrize("config,where,value,named", [
+    (RS_CONFIG, ("nodes",), DROP, "state has no 'nodes' field"),
+    (RS_CONFIG, ("code",), DROP, "state has no 'code' field"),
+    (RS_CONFIG, ("code", "p"), DROP, "code has no 'p' field"),
+    (RS_CONFIG, (), [], "state must be a JSON object, got list"),
+    (RS_CONFIG, ("nodes", 0, 0, 0), None, "nodes holds None"),
+    (RS_CONFIG, ("nodes",), 5, "nodes must be an array, got int"),
+    (RS_CONFIG, ("code", "kind"), "reed-solomon",
+     "code kind must be 'rs' or 'hermitian', got 'reed-solomon'"),
+    (RS_CONFIG, ("code", "s"), "7", "code field 's' must be an integer, got '7'"),
+    (RS_CONFIG, ("seed",), None, "state field 'seed' must be an integer, got None"),
+    (RS_CONFIG, ("code", "monomials"), [5, 6], "code field 'monomials' disagrees with the code"),
+    (RS_CONFIG, ("code", "monomials"), DROP, "code has no 'monomials' field"),
+    (HERM_CONFIG, ("code", "r"), 3, "code field 'r' disagrees with the code"),
+    (HERM_CONFIG, ("code", "monomials", 1), [0, 1], "code field 'monomials' disagrees"),
+    (RS_CONFIG, ("code", "p"), 6,
+     "code fields 'p' and 't': base order p=6 is not a prime power"),
+    (RS_CONFIG, ("code", "s"), 40, "code field 's': k=41 exceeds length n=16"),
+    (HERM_CONFIG, ("code", "t"), 3,
+     "code fields 'p' and 't': Hermitian curve needs a square field size, got q=8"),
+    (HERM_CONFIG, ("code", "s"), 64,
+     "code field 's': pole degree s=64 must be below the length n=64"),
+    (RS_CONFIG, ("code", "points", 1), [0, 0, 0, 0], "code points are not pairwise distinct"),
 ], ids=["no-nodes", "no-code", "no-code-p", "top-level-list", "null-digit", "nodes-int",
-        "unknown-kind", "string-s", "null-seed"])
-def test_malformed_state_is_a_state_error(tmp_path, capsys, where, value, named):
-    cfg = write_config(tmp_path, RS_CONFIG)
+        "unknown-kind", "string-s", "null-seed", "wrong-monomials", "no-monomials",
+        "wrong-r", "swapped-monomial", "p-not-prime-power", "s-too-large",
+        "non-square-field", "pole-too-large", "repeated-point"])
+def test_malformed_state_is_a_state_error(tmp_path, capsys, config, where, value, named):
+    cfg = write_config(tmp_path, config)
     state = tmp_path / "state.json"
     assert cli.main(["encode", "--config", cfg, "--state", str(state)]) == 0
     payload = json.loads(state.read_text())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrepair import codes, linalg
 from agrepair.gf import tower
@@ -139,6 +141,28 @@ def test_hermitian_code_monomial_rows():
     assert codes.encode(hc, [1, 0, 0, 0, 0]).symbols.tolist() == [1] * 8
     with pytest.raises(ValueError):
         codes.hermitian_code(cv, s=8)  # s must stay below n
+
+
+def _reference_hermitian_rows(tw, points, monomials):
+    """One pow_arr pair and one product per monomial."""
+    a, b = points[:, 0], points[:, 1]
+    rows = [tw.mul_arr(tw.pow_arr(a, i), tw.pow_arr(b, j)) for i, j in monomials]
+    return np.array(rows, dtype=np.int64).reshape(len(monomials), len(points))
+
+
+@pytest.mark.parametrize("p,t,r", [(2, 2, 2), (3, 2, 3), (2, 4, 4), (4, 2, 4), (8, 2, 8)])
+def test_hermitian_rows_match_per_monomial_reference(p, t, r):
+    cv = codes.hermitian_curve(tower(p, t))
+    rng = np.random.default_rng(r)
+    shuffled = codes.rr_basis(r, 3 * r + 2)
+    rng.shuffle(shuffled)
+    for mons in (codes.rr_basis(r, 0), codes.rr_basis(r, 2 * r), codes.rr_basis(r, r ** 3 - 1),
+                 shuffled, [(5, 1), (0, 0), (5, 1), (2, r - 1)], []):
+        for pts in (cv.points, cv.points[: r + 1]):
+            got = codes._hermitian_rows(cv.tower, pts, mons)
+            want = _reference_hermitian_rows(cv.tower, pts, mons)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_hermitian_sub_support():
@@ -357,3 +381,77 @@ def test_dual_support_error_when_impossible():
     rs_full = codes.rs_code(f4, k=4, n=4)  # dual code is trivial
     with pytest.raises(codes.DualVectorError):
         codes.dual_support_vector(rs_full.generator, f4, 0, [1, 2, 3])
+
+
+def _reference_densify(tw, w, basis):
+    """The scalar densify loop: one tw.div per common-support position."""
+    for pos in range(len(w)):
+        if w[pos] != 0:
+            continue
+        vec = next((row for row in basis if row[pos] != 0), None)
+        if vec is None:
+            continue
+        forbidden = {0}
+        nz = np.nonzero(w)[0]
+        for k in nz[vec[nz] != 0]:
+            forbidden.add(tw.neg(tw.div(int(w[k]), int(vec[k]))))
+        c = next((c for c in range(1, tw.q) if c not in forbidden), None)
+        if c is None:
+            continue
+        w = tw.add_arr(w, tw.mul_arr(np.int64(c), vec))
+    return w
+
+
+def _reference_dual_support_vector(aug, tw, i, helpers):
+    cols = sorted(list(helpers) + [i])
+    pos_i = cols.index(i)
+    basis = linalg.nullspace(tw, aug[:, cols])
+    w = next(row for row in basis if row[pos_i] != 0).copy()
+    w = _reference_densify(tw, w, basis)
+    w = tw.mul_arr(w, tw.inv(int(w[pos_i])))
+    out = np.zeros(aug.shape[1], dtype=np.int64)
+    out[cols] = w
+    return out
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 1), (8, 2)]),
+       st.integers(1, 5), st.integers(1, 14), st.floats(0.0, 0.9), st.integers(0, 2 ** 32 - 1))
+def test_densify_matches_scalar_reference(pt, nrows, ncols, sparsity, seed):
+    """Small sparse bases, where GF(q)* is often fully forbidden and a
+    position is skipped."""
+    tw = tower(*pt)
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, tw.q, size=(nrows, ncols))
+    basis[rng.random(basis.shape) < sparsity] = 0
+    w = basis[int(rng.integers(nrows))].copy()
+    got = codes._densify(tw, w.copy(), basis)
+    assert got.dtype == np.int64 and np.array_equal(got, _reference_densify(tw, w, basis))
+
+
+@pytest.fixture(scope="module")
+def flagship_s300():
+    return codes.hermitian_code(codes.hermitian_curve(tower(8, 2)), s=300)
+
+
+@pytest.mark.parametrize("seed,rho,d", [(1, 63, 400), (2, 63, 400), (3, 203, 505)],
+                         ids=["line-1", "line-2", "weak"])
+def test_dual_support_vector_matches_reference_on_flagship(flagship_s300, seed, rho, d):
+    """Flagship sub-helper shapes (s = 300; line rho = 7 * 9, weak
+    rho = 7 * 29), where densify skips dozens of helpers."""
+    code = flagship_s300
+    tw = code.tower
+    aug = codes.augmented_generator(code, rho)
+    rng = np.random.default_rng(seed)
+    i = int(rng.integers(code.n))
+    helpers = sorted(rng.choice(np.delete(np.arange(code.n), i), size=d, replace=False).tolist())
+    cols = sorted(helpers + [i])
+    basis = linalg.nullspace(tw, aug[:, cols])
+    w = basis[np.flatnonzero(basis[:, cols.index(i)])[0]].copy()
+    dense = codes._densify(tw, w.copy(), basis)
+    assert np.array_equal(dense, _reference_densify(tw, w, basis))
+    reachable = (basis != 0).any(axis=0)
+    if d == 400:
+        assert ((dense == 0) & reachable).sum() > 10  # skipped positions
+    got = codes.dual_support_vector(aug, tw, i, helpers)
+    assert np.array_equal(got, _reference_dual_support_vector(aug, tw, i, helpers))

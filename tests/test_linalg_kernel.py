@@ -1,5 +1,6 @@
 """Differential tests: the table-driven `linalg.rref` against the plain
-row-by-row elimination it replaced.
+row-by-row elimination it replaced, and the batched `rref_blocks` against
+`rref` on each block.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.
@@ -84,12 +85,14 @@ def _same(a, b):
 
 @st.composite
 def matrices(draw, max_rows=20, max_cols=20):
-    """A tower and a matrix: tall, wide, rank-deficient, sparse or all zero."""
+    """A tower and a matrix: tall, wide, rank-deficient, sparse, all zero, or
+    a column selection of a reduced matrix, where most pivots are already
+    unit columns and `rref` skips their updates."""
     p, t = draw(st.sampled_from(TOWERS))
     tw = tower(p, t)
     nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(1, max_cols))
-    kind = draw(st.sampled_from(["dense", "low-rank", "sparse", "zero", "repeated"]))
+    kind = draw(st.sampled_from(["dense", "low-rank", "sparse", "zero", "repeated", "reduced"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "zero":
         m = np.zeros((nrows, ncols), dtype=np.int64)
@@ -99,6 +102,9 @@ def matrices(draw, max_rows=20, max_cols=20):
         right = rng.integers(0, tw.q, size=(k, ncols))
         m = (linalg.matmul(tw, left, right) if k else
              np.zeros((nrows, ncols), dtype=np.int64))
+    elif kind == "reduced":
+        full = _reference_rref(tw, rng.integers(0, tw.q, size=(nrows, ncols + 4)))[0]
+        m = full[:, np.sort(rng.choice(ncols + 4, size=ncols, replace=False))]
     elif kind == "sparse":
         m = rng.integers(0, tw.q, size=(nrows, ncols))
         m[rng.random((nrows, ncols)) < 0.7] = 0
@@ -179,3 +185,48 @@ def test_edge_shapes(shape):
     ref_r, ref_pivots = _reference_rref(tw, m)
     assert _same(r, ref_r) and pivots == ref_pivots
     assert _same(linalg.nullspace(tw, m), _reference_nullspace(tw, m))
+
+
+# towers for the digit blocks of scheme planning and a few general fields
+BLOCK_TOWERS = [(2, 2), (2, 4), (4, 2), (8, 2), (3, 2), (9, 2), (3, 3)]
+
+
+@st.composite
+def block_stacks(draw):
+    """A tower and a (B, m, k) stack, 1 <= m, k <= 4 and 0 <= B <= 12:
+    dense, base-field digits, rank-deficient or all zero."""
+    p, t = draw(st.sampled_from(BLOCK_TOWERS))
+    tw = tower(p, t)
+    shape = (draw(st.integers(0, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["dense", "digits", "low-rank", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "zero":
+        return tw, np.zeros(shape, dtype=np.int64)
+    blocks = rng.integers(0, tw.p if kind == "digits" else tw.q, size=shape)
+    if kind == "low-rank" and shape[1] > 1:
+        blocks[:, -1] = blocks[:, 0]  # a repeated row in every block
+        blocks[:, :, -1] = 0          # and a zero column
+    return tw, blocks
+
+
+@DETERMINISTIC
+@given(block_stacks())
+def test_rref_blocks_matches_rref_per_block(case):
+    tw, blocks = case
+    before = blocks.copy()
+    reduced, pivot_mask = linalg.rref_blocks(tw, blocks)
+    assert reduced.dtype == np.int64 and reduced.shape == blocks.shape
+    assert pivot_mask.dtype == bool and pivot_mask.shape == (blocks.shape[0], blocks.shape[2])
+    for b in range(blocks.shape[0]):
+        ref_r, ref_pivots = linalg.rref(tw, blocks[b])
+        assert _same(reduced[b], ref_r)
+        assert np.flatnonzero(pivot_mask[b]).tolist() == ref_pivots
+    assert np.array_equal(blocks, before)
+
+
+def test_rref_blocks_empty_stack_and_bad_shape():
+    tw = tower(2, 4)
+    reduced, pivot_mask = linalg.rref_blocks(tw, np.zeros((0, 4, 4), dtype=np.int64))
+    assert reduced.shape == (0, 4, 4) and pivot_mask.shape == (0, 4)
+    with pytest.raises(ValueError, match=r"\(B, m, k\) stack"):
+        linalg.rref_blocks(tw, np.zeros((4, 4), dtype=np.int64))

@@ -458,3 +458,43 @@ def test_reconstruct_rejects_value_outside_base_field():
         corrupt[j] = (bad,) + resp[j][1:]
         with pytest.raises(ValueError, match=rf"helper {j} sent {bad}, outside GF\({p}\)"):
             repair.reconstruct(scheme, corrupt)
+
+
+def _dual_cases():
+    rng = np.random.default_rng(5)
+    rs27 = codes.rs_code(tower(3, 3), k=10, n=27)
+    rs16 = codes.rs_code(tower(2, 4), k=6, n=13)
+    hc16 = herm_code(2, 4, s=8)
+    hc9 = herm_code(3, 2, s=5, n=27)
+    flagship = herm_code(8, 2, s=300)
+    for code, variant, l, d in ((rs27, repair.VARIANT_RS, 1, 20), (rs27, repair.VARIANT_RS, 2, 22),
+                                (rs16, repair.VARIANT_RS, 1, 10),
+                                (hc16, repair.VARIANT_LINE, 1, 14), (hc16, repair.VARIANT_WEAK, 1, 30),
+                                (hc9, repair.VARIANT_LINE, 1, 20), (hc9, repair.VARIANT_WEAK, 1, 22),
+                                (flagship, repair.VARIANT_LINE, 1, 400),
+                                (flagship, repair.VARIANT_WEAK, 1, 505)):
+        target = int(rng.integers(code.n))
+        others = [j for j in range(code.n) if j != target]
+        helpers = sorted(rng.choice(others, size=d, replace=False).tolist())
+        yield code, variant, l, target, helpers
+
+
+@pytest.mark.parametrize("case", list(_dual_cases()),
+                         ids=lambda c: f"{c[1]}-q{c[0].tower.q}-n{c[0].n}-l{c[2]}-d{len(c[4])}")
+def test_scheme_dual_vector_matches_raw_augmented_generator(case):
+    """Planning against the cached reduced generator gives the dual vector
+    the raw augmented generator gives."""
+    code, variant, l, target, helpers = case
+    tw = code.tower
+    rho = (tw.p ** l - 1) * repair._pole_step(code, variant)
+    raw = codes.augmented_generator(code, rho)
+    scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
+    assert np.array_equal(scheme.w, codes.dual_support_vector(raw, tw, target, helpers))
+    reduced = repair._reduced_augmented(code, rho)
+    assert repair._reduced_augmented(code, rho) is reduced
+    assert not reduced.flags.writeable and reduced.dtype == np.min_scalar_type(tw.q - 1)
+    assert reduced.shape == (linalg.rank(tw, raw), code.n)
+    cols = sorted(helpers + [target])
+    basis = linalg.nullspace(tw, reduced[:, cols])
+    assert basis.dtype == np.int64
+    assert np.array_equal(basis, linalg.nullspace(tw, raw[:, cols]))
