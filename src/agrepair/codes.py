@@ -186,6 +186,16 @@ def _hermitian_rows(tw: FieldTower, points: np.ndarray, monomials) -> np.ndarray
     return rows
 
 
+def distinct(values) -> bool:
+    """True when the entries of `values` are pairwise distinct.
+
+    Sorts instead of calling np.unique: the first call of numpy's set
+    routines in a process imports numpy.ma, which costs more than a sort.
+    """
+    ordered = np.sort(np.asarray(values), axis=None)
+    return not (ordered[1:] == ordered[:-1]).any()
+
+
 def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCode:
     if points is None:
         if n is None:
@@ -193,7 +203,7 @@ def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCo
         points = np.arange(n, dtype=np.int64)
     points = np.asarray(points, dtype=np.int64)
     n = points.shape[0]
-    if np.unique(points).size != n:
+    if not distinct(points):
         raise ValueError("evaluation points must be pairwise distinct")
     if n > tw.q:
         raise ValueError(f"cannot place {n} distinct points in GF({tw.q})")
@@ -268,7 +278,7 @@ def erasure_decode(code: EvalCode, known) -> Codeword:
     values = np.asarray(
         [v.code if isinstance(v, FieldElement) else int(v) for _, v in known], dtype=np.int64
     )
-    if np.unique(positions).size != positions.size:
+    if not distinct(positions):
         raise ValueError("duplicate positions")
     if positions.size and (positions.min() < 0 or positions.max() >= code.n):
         raise ValueError("position out of range")

@@ -309,6 +309,8 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
         raise ValueError(f"node {j} is not in the helper set")
     tw = scheme.code.tower
     sym = symbol.code if isinstance(symbol, FieldElement) else int(symbol)
+    if not 0 <= sym < tw.q:
+        raise ValueError(f"node {j} stores {sym}, outside GF({tw.q})")
     mu = scheme.mu[scheme.start[j]:scheme.start[j + 1]]
     return tuple(tw.trace(tw.mul(int(m), sym)) for m in mu)
 
@@ -317,25 +319,44 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
     """Rebuild the lost symbol from the helpers' sub-symbol lists.
 
     Raises ValueError when an active helper's response is missing, has the
-    wrong length, or holds a value outside the base subfield GF(p).
+    wrong length, or holds a value that is not an integer (a Python int or
+    a numpy integer; bool is not one) or lies outside the base subfield
+    GF(p).  The checks run once over all responses, laid out flat in the
+    scheme's sub-symbol order.
     """
     tw = scheme.code.tower
-    flat: list[int] = []
-    for j in scheme.active:
-        if j not in responses:
-            raise ValueError(f"missing response from helper {j}")
-        resp = responses[j]
-        expected = int(scheme.start[j + 1] - scheme.start[j])
-        if len(resp) != expected:
-            raise ValueError(f"helper {j} sent {len(resp)} symbols, expected {expected}")
-        vals = [int(v) for v in resp]
-        bad = next((v for v in vals if not 0 <= v < tw.p), None)
-        if bad is not None:
-            raise ValueError(f"helper {j} sent {bad}, outside GF({tw.p})")
-        flat += vals
+    missing = [j for j in scheme.active if j not in responses]
+    if missing:
+        raise ValueError(f"missing response from helper {missing[0]}")
+    resps = [responses[j] for j in scheme.active]
+    sent = np.array([len(r) for r in resps], dtype=np.int64)
+    expected = np.diff(scheme.start)[list(scheme.active)]
+    if not np.array_equal(sent, expected):
+        k = int(np.argmax(sent != expected))
+        raise ValueError(
+            f"helper {scheme.active[k]} sent {sent[k]} symbols, expected {expected[k]}")
+    # the lengths match, so flat index k is sub-symbol k of the scheme
+    flat = [v for r in resps for v in r]
+    if not all(c is int or issubclass(c, np.integer) for c in set(map(type, flat))):
+        k = next(k for k, v in enumerate(flat)
+                 if type(v) is not int and not isinstance(v, np.integer))
+        raise ValueError(f"helper {_sender(scheme, k)} sent {flat[k]!r}, not an integer")
+    try:
+        vals = np.array(flat, dtype=np.int64)
+    except OverflowError:  # a value beyond int64 lies outside GF(p) too
+        vals = np.array([v if 0 <= v < tw.p else -1 for v in flat], dtype=np.int64)
+    outside = (vals < 0) | (vals >= tw.p)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"helper {_sender(scheme, k)} sent {flat[k]}, outside GF({tw.p})")
     # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
-    terms = tw.mul_arr(scheme.lam, np.asarray(flat, dtype=np.int64))
+    terms = tw.mul_arr(scheme.lam, vals)
     return trace_reconstruct(tw.neg_arr(_sum_columns(tw, terms)), tw)
+
+
+def _sender(scheme: RepairScheme, k: int) -> int:
+    """The node that sends sub-symbol k."""
+    return int(np.searchsorted(scheme.start, k, side="right")) - 1
 
 
 def _sum_columns(tw, m: np.ndarray) -> np.ndarray:
@@ -352,9 +373,17 @@ def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTrans
     """Execute the protocol against a stored codeword (symbol codes, length n).
 
     Each helper sees only its own coordinate; the target coordinate is never
-    read.  Returns the rebuilt symbol and the download transcript.
+    read.  Returns the rebuilt symbol and the download transcript.  Raises
+    ValueError naming the first active helper whose symbol code lies
+    outside [0, q).
     """
     symbols = np.asarray(symbols, dtype=np.int64)
+    read = symbols[list(scheme.active)]
+    outside = (read < 0) | (read >= scheme.code.tower.q)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(
+            f"node {scheme.active[k]} stores {read[k]}, outside GF({scheme.code.tower.q})")
     responses = {j: helper_response(scheme, j, int(symbols[j])) for j in scheme.active}
     value = reconstruct(scheme, responses)
     counts = {j: len(r) for j, r in responses.items()}

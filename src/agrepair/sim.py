@@ -223,7 +223,7 @@ def _code_from_payload(payload) -> codes.EvalCode:
         curve = codes.hermitian_curve(tw) if kind == "hermitian" else None
     pts = _decode(tw, _field(payload, "points", "code"), "code points",
                   (None,) if curve is None else (None, 2))
-    if curve is None and np.unique(pts).size != pts.size:
+    if curve is None and not codes.distinct(pts):
         raise StateFormatError("code points are not pairwise distinct")
     with _naming("field 's'"):
         code = (codes.rs_code(tw, k=s + 1, points=pts) if curve is None

@@ -1,6 +1,7 @@
 """Differential tests: the table-driven `linalg.rref` against the plain
-row-by-row elimination it replaced, and the batched `rref_blocks` against
-`rref` on each block.
+row-by-row elimination it replaced, the batched `rref_blocks` against
+`rref` on each block, and the split-table `matmul` against the row-by-row
+product it replaced.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.
@@ -230,3 +231,57 @@ def test_rref_blocks_empty_stack_and_bad_shape():
     assert reduced.shape == (0, 4, 4) and pivot_mask.shape == (0, 4)
     with pytest.raises(ValueError, match=r"\(B, m, k\) stack"):
         linalg.rref_blocks(tw, np.zeros((4, 4), dtype=np.int64))
+
+
+def _reference_matmul(tw, a, b):
+    """The row-by-row product: one `mul_arr`/`add_arr` pass per inner index."""
+    a, b = linalg.as_matrix(a), linalg.as_matrix(b)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        out = tw.add_arr(out, tw.mul_arr(a[:, k][:, None], b[k][None, :]))
+    return out
+
+
+def _split_rows(tw):
+    """Rows of matmul's two multiples tables: 2**h + 2**(w - h)."""
+    h = (tw.degree + 1) // 2
+    return (1 << h) + (1 << (tw.degree - h))
+
+
+@st.composite
+def products(draw):
+    """A tower and a pair of matrices to multiply.  The output row count is
+    drawn around the split-table threshold of a characteristic-2 tower (and
+    so lands on both sides of it); inner and output widths may be empty."""
+    p, t = draw(st.sampled_from(TOWERS + [(4, 2), (8, 2)]))
+    tw = tower(p, t)
+    edge = _split_rows(tw)
+    nrows = draw(st.sampled_from([0, 1, edge - 1, edge, edge + 5]))
+    inner, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(0, tw.q, size=(nrows, inner))
+    if draw(st.booleans()):
+        a[rng.random(a.shape) < 0.5] = 0
+    return tw, a, rng.integers(0, tw.q, size=(inner, ncols))
+
+
+@DETERMINISTIC
+@given(products())
+def test_matmul_matches_reference(case):
+    tw, a, b = case
+    before_a, before_b = a.copy(), b.copy()
+    assert _same(linalg.matmul(tw, a, b), _reference_matmul(tw, a, b))
+    assert np.array_equal(a, before_a) and np.array_equal(b, before_b)
+
+
+@pytest.mark.parametrize("p,t", [(2, 4), (8, 2), (32, 2)])
+def test_matmul_split_tables_on_every_code(p, t):
+    """Every code of the field in every split position, at the threshold
+    row count and above it, including all-max and all-zero rows."""
+    tw = tower(p, t)
+    rng = np.random.default_rng(p + t)
+    for nrows in (_split_rows(tw), _split_rows(tw) + 1):
+        codes = np.resize(np.arange(tw.q), (nrows, -(-tw.q // nrows)))
+        a = np.concatenate([codes, np.full((nrows, 1), tw.q - 1), np.zeros((nrows, 1), int)], axis=1)
+        b = rng.integers(0, tw.q, size=(a.shape[1], 7))
+        assert _same(linalg.matmul(tw, a, b), _reference_matmul(tw, a, b))

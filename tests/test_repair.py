@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -453,11 +455,36 @@ def test_reconstruct_rejects_value_outside_base_field():
     resp = {j: repair.helper_response(scheme, j, int(cw.symbols[j])) for j in scheme.active}
     assert repair.reconstruct(scheme, resp).code == int(cw.symbols[2])
     j = scheme.active[1]
-    for bad in (p, -1):
+    for bad in (p, -1, 2 ** 70, np.int64(p)):
         corrupt = dict(resp)
         corrupt[j] = (bad,) + resp[j][1:]
         with pytest.raises(ValueError, match=rf"helper {j} sent {bad}, outside GF\({p}\)"):
             repair.reconstruct(scheme, corrupt)
+    for bad in (0.9, "0", False, np.float64(1.0), np.bool_(True)):
+        corrupt = dict(resp)
+        corrupt[j] = resp[j][:-1] + (bad,)
+        with pytest.raises(ValueError, match=rf"helper {j} sent {re.escape(repr(bad))}, not an integer"):
+            repair.reconstruct(scheme, corrupt)
+    numpy_ints = {k: tuple(np.uint8(v) for v in r) for k, r in resp.items()}
+    assert repair.reconstruct(scheme, numpy_ints).code == int(cw.symbols[2])
+
+
+def test_symbol_codes_outside_the_field_name_the_node():
+    hc = herm_code(2, 2, s=5)
+    q = hc.tower.q
+    scheme = repair.build_scheme(hc, 2, l=1)
+    cw = codes.encode(hc, np.arange(hc.k) % q)
+    j = scheme.active[1]
+    for bad in (-1, q):
+        with pytest.raises(ValueError, match=rf"node {j} stores {bad}, outside GF\({q}\)"):
+            repair.helper_response(scheme, j, bad)
+        word = cw.symbols.copy()
+        word[j] = bad
+        with pytest.raises(ValueError, match=rf"node {j} stores {bad}, outside GF\({q}\)"):
+            repair.run_repair(scheme, word)
+    word = cw.symbols.copy()
+    word[scheme.target] = -1  # the target coordinate is never read
+    assert repair.run_repair(scheme, word)[0].code == int(cw.symbols[2])
 
 
 def _dual_cases():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -253,3 +256,29 @@ def test_deterministic_for_fixed_seed():
     assert np.array_equal(a.nodes, b.nodes)
     c = small_cluster(stripes=4, seed=124)
     assert not np.array_equal(a.nodes, c.nodes)
+
+
+_RS_PATH_SCRIPT = """
+import sys
+from agrepair import codes, linalg, sim
+from agrepair.gf import tower
+code = codes.rs_code(tower(2, 4), k=8, n=16)
+linalg.nullspace(code.tower, code.generator[:, :12])
+codes.erasure_decode(code, [(j, 0) for j in range(8)])
+sim.save_cluster(sys.argv[1], sim.make_cluster(code, 3, seed=1))
+assert sim.verify_cluster(sim.load_cluster(sys.argv[1]))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_rs_path_does_not_import_numpy_ma(tmp_path):
+    """numpy's set routines import numpy.ma on their first call, which a
+    fresh CLI process pays; building an RS code, `nullspace`, erasure
+    decoding and an RS state round trip avoid them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RS_PATH_SCRIPT, str(tmp_path / "s.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
