@@ -302,7 +302,8 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
     """The GF(p) sub-symbols node j sends for its stored symbol.
 
     Deterministic order (ascending chosen index).  Pruned helpers are asked
-    for nothing and return an empty tuple.
+    for nothing and return an empty tuple.  Raises ValueError when j is not
+    a helper or the symbol code lies outside [0, q).
     """
     k = bisect.bisect_left(scheme.helpers, j)
     if k == len(scheme.helpers) or scheme.helpers[k] != j:
