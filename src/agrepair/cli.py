@@ -16,7 +16,6 @@ Exit status: 0 success, 1 verification mismatch, 2 bad config/state/precondition
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, codes, repair, sim
+from . import codes, repair, sim
 from .gf import tower
 
 BENCH_COLUMNS = ("target", "d", "symbols", "bits", "bound_bits", "equal")
@@ -99,6 +98,8 @@ def _helper_set(cfg: dict, code: codes.EvalCode, target: int, rng) -> list | Non
 
 
 def cmd_params(args) -> int:
+    from . import bounds  # imported here: fractions costs every other command's start-up
+
     cfg = _load_config(args.config)
     try:
         report = bounds.bound_report(**cfg)
@@ -176,6 +177,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv  # imported here, as bounds is in cmd_params
+
     cfg = _load_config(args.config)
     code = code_from_config(cfg)
     trials = int(cfg.get("trials", 10))

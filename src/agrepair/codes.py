@@ -255,15 +255,28 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
 
 
 def encode(code: EvalCode, message) -> Codeword:
-    msg = np.asarray([m.code if isinstance(m, FieldElement) else int(m) for m in message], dtype=np.int64)
+    msg = np.asarray([m.code if isinstance(m, FieldElement) else m for m in message])
     if msg.shape[0] != code.k:
         raise ValueError(f"message length {msg.shape[0]} != dimension {code.k}")
     return Codeword(code, encode_many(code, msg[None, :])[0])
 
 
 def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:
-    """(m, k) message block -> (m, n) codeword block."""
-    return linalg.matmul(code.tower, np.asarray(messages, dtype=np.int64), code.generator)
+    """(m, k) message block -> (m, n) codeword block.
+
+    Raises ValueError when the block's dtype is not an integer dtype (float,
+    bool and object blocks are refused, not cast), or naming the row, the
+    position and the value of the first code outside [0, q).
+    """
+    messages = np.asarray(messages)
+    if messages.dtype.kind not in "iu":
+        raise ValueError(f"message codes have dtype {messages.dtype}, not an integer dtype")
+    q = code.tower.q
+    if messages.size and (messages.min() < 0 or messages.max() >= q):
+        row, pos = np.argwhere((messages < 0) | (messages >= q))[0]
+        raise ValueError(
+            f"message row {row}, position {pos} holds {messages[row, pos]}, outside GF({q})")
+    return linalg.matmul(code.tower, messages.astype(np.int64, copy=False), code.generator)
 
 
 def erasure_decode(code: EvalCode, known) -> Codeword:

@@ -4,11 +4,15 @@ A Cluster holds the code, the encoded stripes, and at most one failed node
 whose symbols are withheld from the repair path but kept privately so the
 outcome can be verified.  State round-trips through a versioned, compact
 JSON file in which every field element appears as its base-p digit list
-(least-significant digit first), so files are portable across runs.  Whole
-arrays go through FieldTower.digits_arr / from_digits_arr.  Loading checks
-every field's presence, shape, JSON-integer digits and digit range, and that
-the stored monomials and r match the code rebuilt from the other fields,
-raising StateFormatError with the field's name, then re-encodes the stripes.
+(least-significant digit first), so files are portable across runs.  Saving
+renders the JSON text of each element once, for every code the cluster
+holds, and writes the stripes, nodes and withheld arrays by joining those
+words, in sorted-key order: the bytes are those of json.dumps(state,
+sort_keys=True) and a newline.  Loading reads whole arrays through
+FieldTower.from_digits_arr and checks every field's presence, shape,
+JSON-integer digits and digit range, and that the stored monomials and r
+match the code rebuilt from the other fields, raising StateFormatError with
+the field's name, then re-encodes the stripes.
 
 Helpers never see anything beyond (scheme, their index, their own symbol);
 the download accounting in the transcripts is therefore the real traffic.
@@ -248,24 +252,42 @@ def _naming(fields: str):
         raise StateFormatError(f"code {fields}: {exc}") from None
 
 
+def _json_codes(words: np.ndarray, a: np.ndarray) -> str:
+    """JSON text of a code array as nested digit lists; words[c] is the
+    text of code c's digit list."""
+    if a.ndim == 1:
+        return "[" + ", ".join(words[a].tolist()) + "]"
+    return "[" + ", ".join(_json_codes(words, row) for row in a) + "]"
+
+
 def save_cluster(path, cluster: Cluster) -> None:
     tw = cluster.code.tower
-    state = {
-        "schema_version": SCHEMA_VERSION,
-        "code": _code_payload(cluster.code),
-        "seed": cluster.seed,
-        "stripes": tw.digits_arr(cluster.stripes).tolist(),
-        "nodes": tw.digits_arr(cluster.nodes.T).tolist(),  # node-major: node -> per-stripe symbols
-        "failed": cluster.failed,
-        "withheld": None if cluster.withheld is None else tw.digits_arr(cluster.withheld).tolist(),
+    arrays = {"stripes": cluster.stripes, "nodes": cluster.nodes.T}  # nodes node-major
+    if cluster.withheld is not None:
+        arrays["withheld"] = cluster.withheld
+    # the digit-list text of every code the arrays hold, rendered once; codes
+    # that do not occur are skipped, so a small state over a large field
+    # costs no O(q) rendering
+    used = np.flatnonzero(np.bincount(
+        np.concatenate([a.ravel() for a in arrays.values()]), minlength=tw.q))
+    words = np.empty(tw.q, dtype=object)
+    words[used] = [json.dumps(d) for d in tw.digits_arr(used).tolist()]
+    fields = {
+        "schema_version": json.dumps(SCHEMA_VERSION),
+        "code": json.dumps(_code_payload(cluster.code), sort_keys=True),
+        "seed": json.dumps(cluster.seed),
+        "failed": json.dumps(cluster.failed),
+        "withheld": "null",
+        **{name: _json_codes(words, a) for name, a in arrays.items()},
     }
+    text = "{" + ", ".join(f"{json.dumps(k)}: {fields[k]}" for k in sorted(fields)) + "}\n"
     # write a sibling file and rename it over the old state, so a crash
     # mid-write leaves the previous file whole
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(state, sort_keys=True) + "\n")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

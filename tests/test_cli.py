@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,3 +210,17 @@ def test_bench_flagship_hermitian(tmp_path):
         assert row["bits"] == "1533.0"
         assert row["bound_bits"] == "1533.0"
         assert row["equal"] == "True"
+
+
+def test_cli_import_leaves_out_bounds_and_csv():
+    """`fail`, `repair` and `verify` children never need the bound formulas
+    (which import fractions) or csv, so importing the CLI loads neither."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = ("import sys, agrepair.cli; "
+              "print(sorted(m for m in ('agrepair.bounds', 'fractions', 'csv') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -131,6 +131,39 @@ def test_encode_is_linear():
     assert np.array_equal(lhs, rhs)
 
 
+def test_encode_rejects_codes_outside_the_field():
+    rs = codes.rs_code(tower(2, 4), k=4, n=16)
+    with pytest.raises(ValueError, match=r"message row 0, position 0 holds -1, outside GF\(16\)"):
+        codes.encode(rs, [-1, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"message row 0, position 3 holds 16, outside GF\(16\)"):
+        codes.encode(rs, [0, 0, 0, 16])
+    block = np.zeros((8, 4), dtype=np.int64)  # eight rows: the split-table product
+    for bad in (-1, 16, 2 ** 40):
+        block[5, 2] = bad
+        with pytest.raises(ValueError, match=rf"message row 5, position 2 holds {bad}, outside GF\(16\)"):
+            codes.encode_many(rs, block)
+    block[5, 2] = 0
+    block[6] = -1
+    with pytest.raises(ValueError, match="message row 6, position 0 holds -1"):
+        codes.encode_many(rs, block)
+
+
+def test_encode_rejects_non_integer_codes():
+    rs = codes.rs_code(tower(2, 4), k=4, n=16)
+    block = np.arange(32).reshape(8, 4) % 16
+    for dtype in (np.float64, bool, object):
+        with pytest.raises(ValueError, match=rf"message codes have dtype {np.dtype(dtype)}, not an integer dtype"):
+            codes.encode_many(rs, block.astype(dtype))
+    for message in ([1.9, 0, 0, 0], [True, False, False, True], [2 ** 70, 0, 0, 0]):
+        with pytest.raises(ValueError, match="not an integer dtype"):
+            codes.encode(rs, message)
+    expected = codes.encode_many(rs, block)
+    assert np.array_equal(codes.encode_many(rs, block.astype(np.uint8)), expected)
+    f16 = rs.tower
+    assert codes.encode(rs, [f16.element(int(c)) for c in block[3]]).symbols.tolist() == expected[3].tolist()
+    assert codes.encode(rs, block[3].tolist()).symbols.tolist() == expected[3].tolist()
+
+
 def test_hermitian_code_monomial_rows():
     f4 = tower(2, 2)
     cv = codes.hermitian_curve(f4)

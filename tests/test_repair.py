@@ -1,7 +1,10 @@
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrepair import codes, linalg, repair
 from agrepair.gf import FieldElement, tower
@@ -485,6 +488,91 @@ def test_symbol_codes_outside_the_field_name_the_node():
     word = cw.symbols.copy()
     word[scheme.target] = -1  # the target coordinate is never read
     assert repair.run_repair(scheme, word)[0].code == int(cw.symbols[2])
+    # non-integer symbols are refused, not truncated to a code
+    for bad in (1.9, True, np.float64(2.0), np.bool_(True), "1", None):
+        with pytest.raises(ValueError, match=rf"node {j} stores {re.escape(repr(bad))}, not an integer"):
+            repair.helper_response(scheme, j, bad)
+    for dtype in (np.float64, bool, object):
+        with pytest.raises(ValueError, match=rf"codeword has dtype {np.dtype(dtype)}, not an integer dtype"):
+            repair.run_repair(scheme, cw.symbols.astype(dtype))
+    with pytest.raises(ValueError, match="codeword has dtype float64"):
+        repair.run_repair(scheme, [v + 0.7 for v in cw.symbols.tolist()])
+    expected = repair.run_repair(scheme, cw.symbols)
+    for word in (cw.symbols.astype(np.uint8), cw.symbols.tolist()):
+        value, transcript = repair.run_repair(scheme, word)
+        assert value == expected[0] and transcript == expected[1]
+    sym = int(cw.symbols[j])
+    want = repair.helper_response(scheme, j, sym)
+    for same in (np.uint8(sym), np.int64(sym), FieldElement(hc.tower, sym)):
+        assert repair.helper_response(scheme, j, same) == want
+
+
+# ----------------------------------------------------------------------
+# the reply table against the scalar trace formula
+# ----------------------------------------------------------------------
+
+_REPLY_CASES = [  # (p, t, kind, n, s, variant, l): every valid l in {1, 2} below t
+    (2, 2, "rs", 4, 1, repair.VARIANT_RS, 1),
+    (2, 2, "hermitian", 8, 3, repair.VARIANT_LINE, 1),
+    (2, 2, "hermitian", 8, 3, repair.VARIANT_WEAK, 1),
+    (2, 4, "rs", 16, 4, repair.VARIANT_RS, 1),
+    (2, 4, "rs", 16, 4, repair.VARIANT_RS, 2),
+    (2, 4, "hermitian", 64, 20, repair.VARIANT_LINE, 1),
+    (2, 4, "hermitian", 64, 20, repair.VARIANT_LINE, 2),
+    (2, 4, "hermitian", 64, 20, repair.VARIANT_WEAK, 1),
+    (2, 4, "hermitian", 64, 20, repair.VARIANT_WEAK, 2),
+    (3, 2, "rs", 9, 2, repair.VARIANT_RS, 1),
+    (3, 2, "hermitian", 27, 9, repair.VARIANT_LINE, 1),
+    (3, 2, "hermitian", 27, 9, repair.VARIANT_WEAK, 1),
+    (3, 3, "rs", 27, 7, repair.VARIANT_RS, 1),
+    (3, 3, "rs", 27, 7, repair.VARIANT_RS, 2),
+    (4, 2, "rs", 16, 4, repair.VARIANT_RS, 1),
+    (4, 2, "hermitian", 64, 20, repair.VARIANT_LINE, 1),
+    (4, 2, "hermitian", 64, 20, repair.VARIANT_WEAK, 1),
+    (8, 2, "rs", 64, 19, repair.VARIANT_RS, 1),
+    (8, 2, "hermitian", 512, 40, repair.VARIANT_LINE, 1),
+    (8, 2, "hermitian", 512, 40, repair.VARIANT_WEAK, 1),
+    (9, 2, "rs", 81, 19, repair.VARIANT_RS, 1),
+    (9, 2, "hermitian", 729, 40, repair.VARIANT_LINE, 1),
+    (9, 2, "hermitian", 729, 40, repair.VARIANT_WEAK, 1),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _reply_code(p, t, kind, n, s):
+    if kind == "rs":
+        return codes.rs_code(tower(p, t), k=s + 1, n=n)
+    return herm_code(p, t, s=s, n=n)
+
+
+def _scalar_replies(scheme, j, x):
+    """What helper_response returned before the reply table: one scalar
+    product and trace per sub-symbol."""
+    tw = scheme.code.tower
+    mu = scheme.mu[scheme.start[j]:scheme.start[j + 1]]
+    return tuple(tw.trace(tw.mul(int(m), x)) for m in mu)
+
+
+@pytest.mark.parametrize("case", _REPLY_CASES, ids=lambda c: "-".join(map(str, c)))
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_helper_response_matches_scalar_trace_formula(case, data):
+    p, t, kind, n, s, variant, l = case
+    code = _reply_code(p, t, kind, n, s)
+    tw = code.tower
+    target = data.draw(st.integers(0, n - 1), label="target")
+    scheme = repair.build_scheme(code, target, l=l, variant=variant)
+    assert scheme.replies.shape == (tw.q, len(scheme.mu))
+    assert not scheme.replies.flags.writeable
+    # every helper of the small codes; the large ones' end helpers and a sample
+    sample = st.lists(st.sampled_from(scheme.helpers), max_size=6, unique=True)
+    helpers = scheme.helpers if n <= 64 else (
+        scheme.helpers[0], scheme.helpers[-1], *data.draw(sample, label="helpers"))
+    for j in helpers:
+        for x in range(tw.q):
+            got = repair.helper_response(scheme, j, x)
+            assert got == _scalar_replies(scheme, j, x)
+            assert all(type(v) is int for v in got)
 
 
 def _dual_cases():

@@ -105,12 +105,61 @@ def test_golden_stripe_fixture():
     assert decoded.symbols.tolist() == [0, 2, 3, 1]
 
 
+GOLDEN_BYTES = (
+    b'{"code": {"kind": "rs", "monomials": [0, 1], "p": 2, "points": [[0, 0], [1, 0], [0, 1], '
+    b'[1, 1]], "s": 1, "t": 2}, "failed": null, "nodes": [[[0, 0]], [[0, 1]], [[1, 1]], '
+    b'[[1, 0]]], "schema_version": 1, "seed": 0, "stripes": [[[0, 0], [0, 1]]], '
+    b'"withheld": null}\n'
+)
+
+
 def test_golden_stripe_round_trip_is_stable(tmp_path):
     src = DATA / "rs4_stripe.json"
     cl = sim.load_cluster(src)
     out = tmp_path / "copy.json"
     sim.save_cluster(out, cl)
+    assert out.read_bytes() == GOLDEN_BYTES
     assert json.loads(out.read_text()) == json.loads(src.read_text())
+    sim.save_cluster(out, sim.load_cluster(out))
+    assert out.read_bytes() == GOLDEN_BYTES
+
+
+def _reference_text(cl):
+    """The state file text as save_cluster wrote it before the word table:
+    the whole state as nested lists through one json.dumps."""
+    tw = cl.code.tower
+    state = {
+        "schema_version": sim.SCHEMA_VERSION,
+        "code": sim._code_payload(cl.code),
+        "seed": cl.seed,
+        "stripes": tw.digits_arr(cl.stripes).tolist(),
+        "nodes": tw.digits_arr(cl.nodes.T).tolist(),
+        "failed": cl.failed,
+        "withheld": None if cl.withheld is None else tw.digits_arr(cl.withheld).tolist(),
+    }
+    return json.dumps(state, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("failed", [None, 0, 5], ids=["live", "failed-0", "failed-5"])
+@pytest.mark.parametrize("stripes", [0, 1, 6])
+@pytest.mark.parametrize("code", [
+    codes.rs_code(tower(2, 2), k=2, n=4),
+    codes.rs_code(tower(3, 2), k=4),
+    codes.rs_code(tower(2, 8), k=9, n=40),
+    codes.hermitian_code(codes.hermitian_curve(tower(4, 2)), s=40),
+    codes.hermitian_code(codes.hermitian_curve(tower(3, 2)), s=9),
+], ids=["rs-q4", "rs-q9", "rs-q256", "hermitian-q16", "hermitian-q9"])
+def test_saved_bytes_match_json_dumps(tmp_path, code, stripes, failed):
+    cl = sim.make_cluster(code, stripes, seed=11)
+    if failed is not None:
+        sim.fail_node(cl, failed % code.n)
+    path = tmp_path / "state.json"
+    sim.save_cluster(path, cl)
+    assert path.read_bytes() == _reference_text(cl).encode()
+    back = sim.load_cluster(path)
+    sim.save_cluster(path, back)
+    assert path.read_bytes() == _reference_text(cl).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
 def _set(state, path, value):
