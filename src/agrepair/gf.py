@@ -10,8 +10,9 @@ codes below p.  That makes digit lists, subfield membership and serialization
 line up with no conversion tables.
 
 Scalar arithmetic is table-driven (discrete log / antilog over a fixed
-primitive element).  The *_arr methods are vectorised counterparts operating
-on numpy integer arrays; they are what the linear-algebra layer runs on.
+primitive element, and a trace table over all q codes).  The *_arr methods
+are vectorised counterparts operating on numpy integer arrays; they are what
+the linear-algebra layer runs on.
 
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.
@@ -261,6 +262,14 @@ class FieldTower:
             dig = (codes[:, None] // self._prime_pows[None, :]) % p0
             self._neg_table = (((-dig) % p0) * self._prime_pows).sum(axis=1)
 
+        # Tr(a) = a + a**p + ... + a**(p**(t-1)) for every code, so that a
+        # trace, scalar or array, is one lookup
+        acc = x = np.arange(q, dtype=np.int64)
+        for _ in range(self.t - 1):
+            x = self.pow_arr(x, self.p)
+            acc = self.add_arr(acc, x)
+        self._trace_table = acc
+
     # ------------------------------------------------------------------
     # scalar arithmetic on integer codes
     # ------------------------------------------------------------------
@@ -303,11 +312,7 @@ class FieldTower:
 
     def trace(self, a: int) -> int:
         """Trace into GF(p): a + a**p + ... + a**(p**(t-1)).  Returns a code < p."""
-        acc, x = a, a
-        for _ in range(self.t - 1):
-            x = self.frob(x)
-            acc = self.add(acc, x)
-        return acc
+        return int(self._trace_table[a])
 
     # ------------------------------------------------------------------
     # vectorised arithmetic on numpy arrays of codes
@@ -347,11 +352,7 @@ class FieldTower:
         return self.pow_arr(a, self.p)
 
     def trace_arr(self, a):
-        acc, x = np.asarray(a), np.asarray(a)
-        for _ in range(self.t - 1):
-            x = self.frob_arr(x)
-            acc = self.add_arr(acc, x)
-        return acc
+        return self._trace_table[a]
 
     # ------------------------------------------------------------------
     # digit views and elements

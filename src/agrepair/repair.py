@@ -31,12 +31,6 @@ its u, and column k of lam (t, D) its GF(p) weight in every row u.  The
 offsets start (n + 1,) delimit each node's run, so node j's sub-symbols are
 start[j]:start[j+1], empty for pruned helpers and non-helpers alike.
 
-For a fixed scheme each sub-symbol's reply Tr(mu[k] * x) depends only on
-the stored code x, so the scheme tabulates it once: replies (q, D) holds
-Tr(x * mu[k]) at [x, k], and a helper's response is row x of its run of
-columns, a lookup instead of t scalar products and Frobenius powers per
-sub-symbol.
-
 Variants:
   "rs"              h_i = x - a_i; every b_j = t - l (strong).
   "hermitian-line"  h_i = the vanishing line at P_i; strong.  With the full
@@ -78,14 +72,6 @@ class RepairPreconditionError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class RepairScheme:
-    """One repair plan, laid out flat over its D downloaded sub-symbols.
-
-    Node j's sub-symbols are start[j]:start[j+1].  Sub-symbol k has the
-    coefficient mu[k] and the GF(p) weights lam[:, k]; replies[x, k] is
-    Tr(x * mu[k]), what node j sends for sub-symbol k when it stores the
-    code x, derived from mu when the scheme is built (read-only).
-    """
-
     code: EvalCode
     target: int
     helpers: tuple           # requested helper set S
@@ -100,7 +86,6 @@ class RepairScheme:
     lam: np.ndarray          # (t, D) GF(p) codes writing row u over its helper's chosen rows
     start: np.ndarray        # (n + 1,) node j's sub-symbols are start[j]:start[j+1]
     extra_zeros: tuple       # weak variant: helpers where h_i vanishes
-    replies: np.ndarray      # (q, D) GF(p) codes Tr(x * mu[k]) at [x, k]
 
     @property
     def t(self) -> int:
@@ -294,11 +279,6 @@ def build_scheme(
     helper_of = np.repeat(np.arange(n), per_node)
     chosen_arr = np.nonzero(pivot_mask)[1]
     pivot_rows = np.arange(tw.t)[None, :] < counts[:, None]
-    mu = tw.mul_arr(w[helper_of], table[chosen_arr, helper_of])
-    # every reply any helper can send: Tr(x * mu[k]) for each code x
-    replies = tw.trace_arr(tw.mul_arr(np.arange(tw.q)[:, None], mu[None, :]))
-    replies = replies.astype(np.min_scalar_type(tw.p - 1))
-    replies.setflags(write=False)
 
     return RepairScheme(
         code=code,
@@ -310,12 +290,11 @@ def build_scheme(
         active=active,
         pruned=pruned,
         table=table,
-        mu=mu,
+        mu=tw.mul_arr(w[helper_of], table[chosen_arr, helper_of]),
         chosen_u=chosen_arr,
         lam=reduced[pivot_rows].T,
         start=start,
         extra_zeros=extra_zeros,
-        replies=replies,
     )
 
 
@@ -323,8 +302,7 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
     """The GF(p) sub-symbols node j sends for its stored symbol.
 
     Deterministic order (ascending chosen index): Tr(mu[k] * symbol) for
-    each of j's sub-symbols k, read off row `symbol` of the scheme's reply
-    table.  Pruned helpers are asked for nothing and return an empty tuple.
+    each of j's sub-symbols k.  Pruned helpers are asked for nothing and return an empty tuple.
     Raises ValueError when j is not a helper, or when the symbol is not a
     FieldElement or an integer (a Python int or a numpy integer; bool is
     not one), or its code lies outside [0, q).
@@ -338,10 +316,11 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
         sym = int(symbol)
     else:
         raise ValueError(f"node {j} stores {symbol!r}, not an integer")
-    q = scheme.code.tower.q
-    if not 0 <= sym < q:
-        raise ValueError(f"node {j} stores {sym}, outside GF({q})")
-    return tuple(scheme.replies[sym, scheme.start[j]:scheme.start[j + 1]].tolist())
+    tw = scheme.code.tower
+    if not 0 <= sym < tw.q:
+        raise ValueError(f"node {j} stores {sym}, outside GF({tw.q})")
+    mu = scheme.mu[scheme.start[j]:scheme.start[j + 1]]
+    return tuple(tw.trace(tw.mul(m, sym)) for m in mu.tolist())
 
 
 def reconstruct(scheme: RepairScheme, responses) -> FieldElement:

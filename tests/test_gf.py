@@ -163,6 +163,7 @@ def test_trace_against_frobenius_sum(p, t):
             acc = tw.add(acc, tw.pow(a, p ** i))
         assert tw.trace(a) == acc
         assert tw.trace(a) < p
+        assert tw.trace_arr(np.array([a]))[0] == acc
 
 
 def test_trace_basics():
