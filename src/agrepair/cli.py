@@ -10,7 +10,8 @@ Subcommands:
 
 Configs are JSON objects; see README for the schema.  The only environment
 override is AGREPAIR_OUTPUT_DIR, which re-roots relative output paths.
-Exit status: 0 success, 1 verification mismatch, 2 bad config/state/preconditions.
+Exit status: 0 success, 1 verification mismatch, 2 bad config/state/preconditions
+(including too few live nodes left to verify against).
 """
 
 from __future__ import annotations
@@ -52,31 +53,35 @@ def _out_path(path) -> Path:
     return path
 
 
+def _int(cfg: dict, key: str, default=None):
+    """Config field `key` as a JSON integer (bool is not one), or `default`
+    when it is absent or null."""
+    if cfg.get(key) is None:
+        return default
+    return sim._field(cfg, key, "config", integer=True)
+
+
 def code_from_config(cfg: dict) -> codes.EvalCode:
     kind = cfg.get("kind")
     if kind not in ("rs", "hermitian"):
         raise ConfigError(f"kind must be 'rs' or 'hermitian', got {kind!r}")
-    try:
-        p, t = int(cfg["p"]), int(cfg["t"])
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}") from exc
+    p, t = (sim._field(cfg, key, "config", integer=True) for key in ("p", "t"))
     tw = tower(p, t)
+    k, s, n, r = (_int(cfg, key) for key in ("k", "s", "n", "r"))
+    if n is not None and n < 1:
+        raise ConfigError(f"config field 'n' must be at least 1, got {n}")
     if kind == "rs":
-        if cfg.get("k") is not None:
-            k = int(cfg["k"])
-        elif cfg.get("s") is not None:
-            k = int(cfg["s"]) + 1
-        else:
+        if k is None and s is None:
             raise ConfigError("rs config needs 'k' (or 's')")
-        n = int(cfg.get("n") or tw.q)
-        return codes.rs_code(tw, k=k, n=n)
-    if cfg.get("r") is not None and int(cfg["r"]) ** 2 != tw.q:
-        raise ConfigError(f"r={cfg['r']} does not square to q={tw.q}")
-    if cfg.get("s") is None:
+        return codes.rs_code(tw, k=s + 1 if k is None else k, n=tw.q if n is None else n)
+    if r is not None and r ** 2 != tw.q:
+        raise ConfigError(f"r={r} does not square to q={tw.q}")
+    if s is None:
         raise ConfigError("hermitian config needs 's'")
     curve = codes.hermitian_curve(tw)
-    n = int(cfg["n"]) if cfg.get("n") is not None else None
-    return codes.hermitian_code(curve, s=int(cfg["s"]), n=n)
+    if n is not None and n > len(curve.points):
+        raise ConfigError(f"config field 'n' exceeds the curve's {len(curve.points)} points, got {n}")
+    return codes.hermitian_code(curve, s=s, n=n)
 
 
 def _helper_set(cfg: dict, code: codes.EvalCode, target: int, rng) -> list | None:
@@ -84,7 +89,7 @@ def _helper_set(cfg: dict, code: codes.EvalCode, target: int, rng) -> list | Non
     if policy == "full":
         return None
     if isinstance(policy, dict) and policy.get("policy") == "random":
-        d = int(policy["d"])
+        d = sim._field(policy, "d", "config helpers", integer=True)
         others = np.asarray([j for j in range(code.n) if j != target])
         if d > others.size:
             raise ConfigError(f"helper count d={d} exceeds n-1={others.size}")
@@ -122,7 +127,7 @@ def cmd_params(args) -> int:
 def cmd_encode(args) -> int:
     cfg = _load_config(args.config)
     code = code_from_config(cfg)
-    cluster = sim.make_cluster(code, int(cfg.get("stripes", 1)), int(cfg.get("seed", 0)))
+    cluster = sim.make_cluster(code, _int(cfg, "stripes", 1), _int(cfg, "seed", 0))
     sim.save_cluster(_out_path(args.state), cluster)
     print(f"encoded {cluster.num_stripes} stripe(s) across {cluster.n} nodes -> {args.state}")
     return 0
@@ -181,9 +186,8 @@ def cmd_bench(args) -> int:
 
     cfg = _load_config(args.config)
     code = code_from_config(cfg)
-    trials = int(cfg.get("trials", 10))
-    seed = int(cfg.get("seed", 0))
-    l = int(cfg.get("l", 1))
+    trials, seed, l = (_int(cfg, key, default) for key, default in
+                       (("trials", 10), ("seed", 0), ("l", 1)))
     variant = cfg.get("variant")
     rows = []
     for trial in range(trials):

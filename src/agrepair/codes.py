@@ -207,6 +207,8 @@ def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCo
         raise ValueError("evaluation points must be pairwise distinct")
     if n > tw.q:
         raise ValueError(f"cannot place {n} distinct points in GF({tw.q})")
+    if n and (points.min() < 0 or points.max() >= tw.q):
+        raise ValueError(f"evaluation points must be codes in [0, {tw.q})")
     if k < 1:
         raise ValueError("dimension k must be >= 1")
     if k > n:
@@ -261,22 +263,29 @@ def encode(code: EvalCode, message) -> Codeword:
     return Codeword(code, encode_many(code, msg[None, :])[0])
 
 
-def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:
-    """(m, k) message block -> (m, n) codeword block.
+def _field_codes(q: int, block, what: str, positions=None) -> np.ndarray:
+    """A 2-D block of element codes as int64, checked.
 
     Raises ValueError when the block's dtype is not an integer dtype (float,
     bool and object blocks are refused, not cast), or naming the row, the
-    position and the value of the first code outside [0, q).
+    position (column c is position positions[c], or c) and the value of the
+    first code outside [0, q).
     """
-    messages = np.asarray(messages)
-    if messages.dtype.kind not in "iu":
-        raise ValueError(f"message codes have dtype {messages.dtype}, not an integer dtype")
-    q = code.tower.q
-    if messages.size and (messages.min() < 0 or messages.max() >= q):
-        row, pos = np.argwhere((messages < 0) | (messages >= q))[0]
-        raise ValueError(
-            f"message row {row}, position {pos} holds {messages[row, pos]}, outside GF({q})")
-    return linalg.matmul(code.tower, messages.astype(np.int64, copy=False), code.generator)
+    block = np.asarray(block)
+    if block.dtype.kind not in "iu":
+        raise ValueError(f"{what} codes have dtype {block.dtype}, not an integer dtype")
+    if block.size and (block.min() < 0 or block.max() >= q):
+        row, col = np.argwhere((block < 0) | (block >= q))[0]
+        pos = col if positions is None else positions[col]
+        raise ValueError(f"{what} row {row}, position {pos} holds {block[row, col]}, outside GF({q})")
+    return block.astype(np.int64, copy=False)
+
+
+def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:
+    """(m, k) message block -> (m, n) codeword block; see `_field_codes`
+    for the checks on the block."""
+    messages = _field_codes(code.tower.q, messages, "message")
+    return linalg.matmul(code.tower, messages, code.generator)
 
 
 def erasure_decode(code: EvalCode, known) -> Codeword:
@@ -284,34 +293,42 @@ def erasure_decode(code: EvalCode, known) -> Codeword:
 
     Needs at least threshold = s + 1 distinct coordinates, which always pin
     the message down; raises UnderdeterminedError below that and
-    InconsistentError when the values match no codeword.
+    InconsistentError when the values match no codeword.  A value is a
+    FieldElement or an integer (a Python int or a numpy integer; bool is
+    not one) with its code in [0, q); anything else is a ValueError.
     """
     known = list(known)
     positions = np.asarray([p for p, _ in known], dtype=np.int64)
-    values = np.asarray(
-        [v.code if isinstance(v, FieldElement) else int(v) for _, v in known], dtype=np.int64
-    )
+    values = []
+    for p, v in known:
+        if isinstance(v, FieldElement):
+            v = v.code
+        elif type(v) is not int and not isinstance(v, np.integer):
+            raise ValueError(f"position {p} holds {v!r}, not an integer")
+        values.append(int(v))
     if not distinct(positions):
         raise ValueError("duplicate positions")
     if positions.size and (positions.min() < 0 or positions.max() >= code.n):
         raise ValueError("position out of range")
-    return Codeword(code, erasure_decode_many(code, positions, values[None, :])[0])
+    return Codeword(code, erasure_decode_many(code, positions, np.asarray([values]))[0])
 
 
 def erasure_decode_many(code: EvalCode, positions, value_rows: np.ndarray) -> np.ndarray:
     """Batched erasure decoding against one fixed known-position set.
 
-    value_rows has one codeword's known values per row; returns the decoded
-    (m, n) codeword block from one elimination for the whole batch.
+    value_rows has one codeword's known values per row, checked as
+    `encode_many` checks messages; returns the decoded (m, n) codeword
+    block from one elimination for the whole batch.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size < code.threshold:
         raise UnderdeterminedError(
             f"{positions.size} coordinates given, {code.threshold} needed"
         )
+    value_rows = _field_codes(code.tower.q, value_rows, "value", positions)
     tw = code.tower
     mat = code.generator[:, positions].T
-    msgs = linalg.solve(tw, mat, np.asarray(value_rows, dtype=np.int64).T)
+    msgs = linalg.solve(tw, mat, value_rows.T)
     if msgs is None:
         raise InconsistentError("coordinates match no codeword")
     return encode_many(code, msgs.T)
@@ -386,22 +403,16 @@ def vanishing_function(code: EvalCode, i: int):
 # ----------------------------------------------------------------------
 
 
-def dual_support_vector(
-    code_aug_generator: np.ndarray,
-    tw: FieldTower,
-    i: int,
-    helpers,
-    densify: bool = True,
-) -> np.ndarray:
+def dual_support_vector(code_aug_generator: np.ndarray, tw: FieldTower, i: int, helpers) -> np.ndarray:
     """A vector w orthogonal to every row of code_aug_generator with
     w_i != 0 and support inside helpers + {i}, normalised to w_i = 1.
 
     Found as a nullspace vector of the column-restricted generator: the
     first basis vector nonzero at i.  Any matrix with the same row space
     gives the same vector, because the nullspace basis is read off the
-    unique reduced form of the restriction.  With `densify`, see `_densify`:
-    zeros inside the allowed support are filled greedily, which need not
-    reach every helper; helpers that stay at zero cost nothing and download
+    unique reduced form of the restriction.  Its zeros inside the allowed
+    support are then filled greedily (see `_densify`), which need not reach
+    every helper; helpers that stay at zero cost nothing and download
     nothing.
     """
     helpers = sorted(int(j) for j in helpers)
@@ -416,9 +427,7 @@ def dual_support_vector(
     pick = next((row for row in basis if row[pos_i] != 0), None)
     if pick is None:
         raise DualVectorError("no dual vector is nonzero at the repair position")
-    w = pick.copy()
-    if densify:
-        w = _densify(tw, w, basis)
+    w = _densify(tw, pick.copy(), basis)
     w = tw.mul_arr(w, tw.inv(int(w[pos_i])))
     out = np.zeros(code_aug_generator.shape[1], dtype=np.int64)
     out[cols] = w

@@ -31,14 +31,14 @@ its u, and column k of lam (t, D) its GF(p) weight in every row u.  The
 offsets start (n + 1,) delimit each node's run, so node j's sub-symbols are
 start[j]:start[j+1], empty for pruned helpers and non-helpers alike.
 
-Variants:
+Variants differ only in h_i and so in its pole order (see _check_precondition):
   "rs"              h_i = x - a_i; every b_j = t - l (strong).
-  "hermitian-line"  h_i = the vanishing line at P_i; strong.  With the full
-                    helper set on all r**3 points the all-ones dual vector
-                    is used, which relaxes the pole-degree precondition.
+  "hermitian-line"  h_i = the vanishing line at P_i; strong.
   "hermitian-weak"  h_i = a generic vanishing function with pole budget
                     genus+1; helpers at its extra zeros send full symbols,
                     so only the total bandwidth is bounded (weak).
+With every other node helping on the complete point set, the strong variants
+use the all-ones dual vector.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class RepairTranscript:
 
 
 def _pole_step(code: EvalCode, variant: str) -> int:
-    """Pole degree consumed by one factor of the linearized product."""
+    """Pole order of h_i, the pole degree each linearized factor adds."""
     if variant == VARIANT_RS:
         return 1
     if variant == VARIANT_LINE:
@@ -119,46 +119,40 @@ def _pole_step(code: EvalCode, variant: str) -> int:
     return code.genus + 1
 
 
-def _check_precondition(code: EvalCode, d: int, l: int, variant: str, full_support: bool):
-    p = code.tower.p
-    rho = (p ** l - 1) * _pole_step(code, variant)
-    s = code.s
-    if variant == VARIANT_RS:
-        if s > d - (p ** l - 1):
-            raise RepairPreconditionError(
-                f"requires s <= d - (p**l - 1): s={s}, d={d}, p**l-1={p ** l - 1}"
-            )
-    elif variant == VARIANT_LINE and full_support:
-        # full helper set over all r**3 points: the all-ones dual vector
-        # (residues of dx/(x**q - x)) relaxes the degree budget
-        bound = code.n + 2 * code.genus - 2 - rho
-        if s > bound:
-            raise RepairPreconditionError(
-                f"requires s <= n + 2*genus - 2 - (p**l - 1)*(r + 1): s={s}, bound={bound}"
-            )
-    elif variant == VARIANT_LINE:
-        if s > d - rho:
-            raise RepairPreconditionError(
-                f"requires s <= d - (p**l - 1)*(r + 1): s={s}, d={d}, rho={rho}"
-            )
+# the code kind each variant plans for, and its pole order as error messages name it
+_CODE_KIND = {VARIANT_RS: "rs", VARIANT_LINE: "hermitian", VARIANT_WEAK: "hermitian"}
+_POLE_NAME = {VARIANT_LINE: "(r + 1)", VARIANT_WEAK: "(genus + 1)"}
+
+
+def _check_precondition(code: EvalCode, d: int, l: int, variant: str, all_ones: bool) -> int:
+    """Require s + rho <= budget, and return rho = (p**l - 1) * pole order of h_i.
+
+    The dual vector is orthogonal to the code of pole degree s + rho, on
+    S + {i} or, for the all-ones vector, on every point.  The budget is
+    d - 1 at genus 0 (pole degree d already fills all d + 1 coordinates),
+    n + 2*genus - 2 for the all-ones vector (the residues of
+    dx/(x**q - x)), and d otherwise.
+    """
+    rho = (code.tower.p ** l - 1) * _pole_step(code, variant)
+    if code.genus == 0:  # RS; with the full point set d - 1 = n + 2*genus - 2
+        budget, rule = d - 1, "d - p**l"
+    elif all_ones:
+        budget = code.n + 2 * code.genus - 2
+        rule = f"n + 2*genus - 2 - (p**l - 1)*{_POLE_NAME[variant]}"
     else:
-        if s > d - rho:
-            raise RepairPreconditionError(
-                f"requires s <= d - (p**l - 1)*(genus + 1): s={s}, d={d}, rho={rho}"
-            )
+        budget, rule = d, f"d - (p**l - 1)*{_POLE_NAME[variant]}"
+    if code.s + rho > budget:
+        raise RepairPreconditionError(
+            f"requires s <= {rule}: s={code.s}, d={d}, rho={rho}, bound={budget - rho}")
     return rho
 
 
 def _full_support(code: EvalCode, helpers) -> bool:
-    """True when every other node helps and the point set is complete
-    (all r**3 affine points, or the whole field for RS)."""
-    if len(helpers) != code.n - 1:
-        return False
-    if code.kind == "hermitian":
-        return code.n == code.curve.r ** 3
-    return code.n == code.tower.q and np.array_equal(
-        np.sort(code.points), np.arange(code.tower.q)
-    )
+    """True when every other node helps and the point set is complete: all
+    r**3 affine points, or for RS the whole field (rs_code refuses repeated
+    and out-of-field points, so n == q says so)."""
+    complete = code.tower.q if code.kind == "rs" else code.curve.r ** 3
+    return len(helpers) == code.n - 1 and code.n == complete
 
 
 @functools.lru_cache(maxsize=8)
@@ -184,7 +178,6 @@ def build_scheme(
     helpers=None,
     l: int = 1,
     variant: str | None = None,
-    v_basis=None,
     dual_vector=None,
 ) -> RepairScheme:
     """Plan the repair of `target` from `helpers` (default: all other nodes)."""
@@ -205,27 +198,14 @@ def build_scheme(
 
     if variant is None:
         variant = VARIANT_RS if code.kind == "rs" else VARIANT_LINE
-    if variant not in (VARIANT_RS, VARIANT_LINE, VARIANT_WEAK):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == VARIANT_RS and code.kind != "rs":
-        raise ValueError("rs variant needs an RS code")
-    if variant != VARIANT_RS and code.kind != "hermitian":
-        raise ValueError(f"{variant} needs a Hermitian code")
+    if _CODE_KIND.get(variant) != code.kind:
+        raise ValueError(f"{variant!r} is not a variant for a {code.kind} code")
+    if not 0 <= l <= tw.t:
+        raise ValueError(f"l={l} must satisfy 0 <= l <= t={tw.t}")
+    lin = LinearizedMap(tw, tw.theta[:l])
 
-    if v_basis is None:
-        v_basis = tw.theta[:l]
-    lin = LinearizedMap(tw, v_basis)
-    if lin.l != l:
-        raise ValueError("v_basis dimension disagrees with l")
-
-    d = len(helpers)
-    full_support = _full_support(code, helpers)
-    all_ones = (variant == VARIANT_LINE and full_support) or (
-        variant == VARIANT_RS
-        and full_support
-        and code.s + (tw.p ** l - 1) <= code.n - 2
-    )
-    rho = _check_precondition(code, d, l, variant, full_support)
+    all_ones = _full_support(code, helpers) and variant != VARIANT_WEAK
+    rho = _check_precondition(code, len(helpers), l, variant, all_ones)
 
     # h_i values at every position
     extra_zeros: tuple = ()

@@ -150,14 +150,17 @@ def verify_cluster(cluster: Cluster) -> bool:
     """Cross-check every stored stripe against erasure decoding.
 
     Decodes each stripe from a threshold-sized coordinate subset avoiding
-    the failed node (if any) and compares with what the nodes hold.
+    the failed node (if any) and compares with what the nodes hold.  Raises
+    UnderdeterminedError when fewer live nodes than the threshold remain,
+    as then there is nothing to decode from.
     """
-    avoid = cluster.failed
-    positions = [j for j in range(cluster.n) if j != avoid][: max(cluster.code.threshold, 1)]
-    if len(positions) < cluster.code.threshold:
-        return False
+    live = [j for j in range(cluster.n) if j != cluster.failed]
+    threshold = cluster.code.threshold
+    if len(live) < threshold:
+        raise codes.UnderdeterminedError(
+            f"{len(live)} live nodes, fewer than the decoding threshold {threshold}")
+    positions = live[:threshold]
     decoded = codes.erasure_decode_many(cluster.code, positions, cluster.nodes[:, positions])
-    live = [j for j in range(cluster.n) if j != avoid]
     return bool(np.array_equal(decoded[:, live], cluster.nodes[:, live]))
 
 

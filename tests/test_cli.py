@@ -184,6 +184,66 @@ def test_config_errors(tmp_path, capsys):
     assert cli.main(["encode", "--config", cfg, "--state", str(tmp_path / "s.json")]) == 2
 
 
+@pytest.mark.parametrize("config,key,value", [
+    (RS_CONFIG, "stripes", 2.9), (RS_CONFIG, "stripes", True), (RS_CONFIG, "seed", "11"),
+    (RS_CONFIG, "k", 8.0), (RS_CONFIG, "n", 16.5), (RS_CONFIG, "p", 2.0), (RS_CONFIG, "t", "4"),
+    (HERM_CONFIG, "s", 8.5), (HERM_CONFIG, "r", 4.0), (HERM_CONFIG, "trials", 6.0),
+    (HERM_CONFIG, "l", True),
+])
+def test_config_integer_fields_must_be_json_integers(tmp_path, capsys, config, key, value):
+    cfg = write_config(tmp_path, dict(config, **{key: value}))
+    cmd = ["bench", "--config", cfg] if key in ("trials", "l") else \
+        ["encode", "--config", cfg, "--state", str(tmp_path / "s.json")]
+    assert cli.main(cmd) == 2
+    assert f"config field {key!r} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_config_helper_count_must_be_a_json_integer(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(HERM_CONFIG, helpers={"policy": "random", "d": 14.0}))
+    assert cli.main(["bench", "--config", cfg]) == 2
+    assert "config helpers field 'd' must be an integer, got 14.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,n,named", [
+    (RS_CONFIG, 0, "config field 'n' must be at least 1, got 0"),
+    (HERM_CONFIG, -1, "config field 'n' must be at least 1, got -1"),
+    (HERM_CONFIG, 65, "config field 'n' exceeds the curve's 64 points, got 65"),
+    (RS_CONFIG, 17, "cannot place 17 distinct points in GF(16)"),
+])
+def test_config_n_is_used_as_given(tmp_path, capsys, config, n, named):
+    cfg = write_config(tmp_path, dict(config, n=n))
+    assert cli.main(["encode", "--config", cfg, "--state", str(tmp_path / "s.json")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_verify_with_fewer_live_nodes_than_the_threshold_exits_2(tmp_path, capsys):
+    """k = n leaves no redundancy: with one node failed there is nothing to
+    decode from, which is a usage error, not a mismatch."""
+    cfg = write_config(tmp_path, dict(RS_CONFIG, k=16))
+    state = str(tmp_path / "state.json")
+    assert cli.main(["encode", "--config", cfg, "--state", state]) == 0
+    assert cli.main(["verify", "--state", state]) == 0
+    assert cli.main(["fail", "--state", state, "--node", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert "15 live nodes, fewer than the decoding threshold 16" in captured.err
+    assert "MISMATCH" not in captured.out
+
+
+def test_repair_errors_name_l_and_the_genus_0_bound(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(RS_CONFIG, k=15))
+    state = str(tmp_path / "state.json")
+    assert cli.main(["encode", "--config", cfg, "--state", state]) == 0
+    assert cli.main(["fail", "--state", state, "--node", "3"]) == 0
+    for l, named in (("5", "l=5 must satisfy 0 <= l <= t=4"),
+                     ("-1", "l=-1 must satisfy 0 <= l <= t=4"),
+                     ("1", "requires s <= d - p**l: s=14, d=15")):
+        capsys.readouterr()
+        assert cli.main(["repair", "--state", state, "--l", l]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_unsatisfiable_precondition_exits_nonzero(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

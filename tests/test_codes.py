@@ -254,6 +254,35 @@ def test_decode_error_types():
         codes.erasure_decode(hc, [(0, 1), (0, 1), (1, 0), (2, 0), (3, 0), (4, 0)])
 
 
+def test_decode_refuses_values_that_are_not_field_codes():
+    rs = codes.rs_code(tower(2, 4), k=2, n=16)
+    cw = codes.encode(rs, [3, 7])
+    known = [(0, int(cw.symbols[0])), (5, int(cw.symbols[5]))]
+    for bad, why in ((2.7, r"position 5 holds 2.7, not an integer"),
+                     (True, r"position 5 holds True, not an integer"),
+                     ("3", r"position 5 holds '3', not an integer"),
+                     (-1, r"value row 0, position 5 holds -1, outside GF\(16\)"),
+                     (16, r"value row 0, position 5 holds 16, outside GF\(16\)")):
+        with pytest.raises(ValueError, match=why):
+            codes.erasure_decode(rs, [known[0], (5, bad)])
+    assert codes.erasure_decode(rs, [known[0], (5, np.uint8(cw.symbols[5]))]) == cw
+    assert codes.erasure_decode(rs, [known[0], (5, rs.tower.element(int(cw.symbols[5])))]) == cw
+    rows = codes.encode_many(rs, np.array([[3, 7], [1, 2]]))[:, [0, 5]]
+    for dtype in (np.float64, bool, object):
+        with pytest.raises(ValueError, match=rf"value codes have dtype {np.dtype(dtype)}, not an integer dtype"):
+            codes.erasure_decode_many(rs, [0, 5], rows.astype(dtype))
+    rows[1, 1] = 16
+    with pytest.raises(ValueError, match=r"value row 1, position 5 holds 16, outside GF\(16\)"):
+        codes.erasure_decode_many(rs, [0, 5], rows)
+
+
+def test_rs_points_must_be_field_codes():
+    f4 = tower(2, 2)
+    for points in ([0, 1, 2, 4], [-1, 0, 1, 2]):
+        with pytest.raises(ValueError, match=r"evaluation points must be codes in \[0, 4\)"):
+            codes.rs_code(f4, k=2, points=points)
+
+
 def test_decode_many_matches_single():
     f16 = tower(2, 4)
     hc = codes.hermitian_code(codes.hermitian_curve(f16), s=12)

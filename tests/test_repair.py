@@ -248,7 +248,7 @@ def test_bandwidth_survey_full_and_sampled():
 def test_precondition_errors_name_the_inequality():
     f4 = tower(2, 2)
     rs = codes.rs_code(f4, k=2, n=4)
-    with pytest.raises(repair.RepairPreconditionError, match=r"s <= d - \(p\*\*l - 1\)"):
+    with pytest.raises(repair.RepairPreconditionError, match=r"requires s <= d - p\*\*l: s=1, d=3"):
         repair.build_scheme(rs, 0, l=2)
     hc = herm_code(2, 4, s=8)
     with pytest.raises(repair.RepairPreconditionError, match=r"r \+ 1"):
@@ -258,6 +258,31 @@ def test_precondition_errors_name_the_inequality():
     big = herm_code(2, 2, s=6)
     with pytest.raises(repair.RepairPreconditionError, match=r"n \+ 2\*genus"):
         repair.build_scheme(big, 0, l=1)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_rs_precondition_boundary(l):
+    """Genus 0: s = d - p**l builds and repairs, one more is refused up front
+    (the augmented code then fills all d + 1 coordinates)."""
+    tw = tower(2, 4)
+    rng = np.random.default_rng(l)
+    for n, d in ((16, 15), (16, 11), (13, 12)):
+        code = codes.rs_code(tw, k=d - 2 ** l + 1, n=n)
+        cw = codes.encode(code, rng.integers(0, tw.q, size=code.k))
+        helpers = list(range(1, d + 1))
+        scheme = repair.build_scheme(code, 0, helpers=helpers, l=l)
+        value, _ = repair.run_repair(scheme, cw.symbols)
+        assert value.code == cw.symbols[0]
+        over = codes.rs_code(tw, k=code.k + 1, n=n)
+        with pytest.raises(repair.RepairPreconditionError, match=r"requires s <= d - p\*\*l"):
+            repair.build_scheme(over, 0, helpers=helpers, l=l)
+
+
+def test_l_outside_zero_to_t_names_l_and_t():
+    rs = codes.rs_code(tower(2, 4), k=2, n=16)
+    for l in (-1, 5):
+        with pytest.raises(ValueError, match=rf"l={l} must satisfy 0 <= l <= t=4"):
+            repair.build_scheme(rs, 0, l=l)
 
 
 def test_variant_code_kind_mismatch():
@@ -630,3 +655,40 @@ def test_scheme_dual_vector_matches_raw_augmented_generator(case):
     basis = linalg.nullspace(tw, reduced[:, cols])
     assert basis.dtype == np.int64
     assert np.array_equal(basis, linalg.nullspace(tw, raw[:, cols]))
+
+
+def _pinned_cases():
+    rng = np.random.default_rng(8)
+    rs16 = codes.rs_code(tower(2, 4), k=4, n=16)
+    short = codes.rs_code(tower(2, 4), k=6, n=13)
+    rs27 = codes.rs_code(tower(3, 3), k=10, n=27)
+    hc16 = herm_code(2, 4, s=8)
+    hc9 = herm_code(3, 2, s=5, n=27)
+    flagship = herm_code(8, 2, s=300)
+    grid = [(rs16, None, l, d) for l in (1, 2, 3) for d in (None, 12)]
+    grid += [(short, None, 1, 10), (rs27, None, 1, 20), (rs27, None, 2, 22),
+             (hc16, repair.VARIANT_LINE, 1, None), (hc16, repair.VARIANT_LINE, 1, 14),
+             (hc16, repair.VARIANT_WEAK, 1, None), (hc16, repair.VARIANT_WEAK, 1, 30),
+             (hc9, repair.VARIANT_LINE, 1, 20), (hc9, repair.VARIANT_WEAK, 1, 22),
+             (flagship, repair.VARIANT_LINE, 1, 400), (flagship, repair.VARIANT_WEAK, 1, 505)]
+    for code, variant, l, d in grid:
+        target = int(rng.integers(code.n))
+        others = [j for j in range(code.n) if j != target]
+        helpers = None if d is None else sorted(rng.choice(others, size=d, replace=False).tolist())
+        yield code, variant, l, target, helpers, rng.integers(0, code.tower.q, size=code.k)
+
+
+def test_scheme_bytes_pinned():
+    """Scheme and transcript JSON over a grid of every variant, full and
+    sub-helper sets, all-ones and searched dual vectors, hash to a digest
+    recorded before build_scheme's variant rules were folded together."""
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for code, variant, l, target, helpers, msg in _pinned_cases():
+        scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
+        _, transcript = repair.run_repair(scheme, codes.encode(code, msg).symbols)
+        blob = [repair.scheme_to_json(scheme), repair.transcript_to_json(transcript)]
+        digest.update(json.dumps(blob, sort_keys=True).encode())
+    assert digest.hexdigest() == "2dcd337d8034c2a03aad59b6aed482916ac0788877f18a4c570d2173f606711b"
