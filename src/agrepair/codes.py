@@ -225,6 +225,11 @@ def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCo
 
 
 def hermitian_code(curve: HermitianCurve, s: int, n: int | None = None) -> EvalCode:
+    """The code of pole degree s on the first n affine points (default all
+    r**3 of them); n outside 1..r**3 is refused."""
+    total = curve.points.shape[0]
+    if n is not None and not 1 <= n <= total:
+        raise ValueError(f"length n={n} must be in 1..{total}, the curve's affine point count")
     pts = curve.points if n is None else curve.points[:n]
     n = pts.shape[0]
     if s >= n:
@@ -256,8 +261,22 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
     return _hermitian_rows(code.tower, code.points, rr_basis(code.curve.r, s_aug))
 
 
+def _symbol_code(position, value) -> int:
+    """The code of one symbol: a FieldElement, or an integer (a Python int
+    or a numpy integer; bool is not one).  Anything else is a ValueError
+    naming the position; the range check against q is the caller's."""
+    if isinstance(value, FieldElement):
+        return value.code
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"position {position} holds {value!r}, not an integer: "
+                         f"its type {type(value).__name__} is not an integer dtype")
+    return int(value)
+
+
 def encode(code: EvalCode, message) -> Codeword:
-    msg = np.asarray([m.code if isinstance(m, FieldElement) else m for m in message])
+    """Encode one message of k symbols, each accepted as `erasure_decode`
+    accepts a value (see `_symbol_code`) and checked by `encode_many`."""
+    msg = np.asarray([_symbol_code(p, m) for p, m in enumerate(message)])
     if msg.shape[0] != code.k:
         raise ValueError(f"message length {msg.shape[0]} != dimension {code.k}")
     return Codeword(code, encode_many(code, msg[None, :])[0])
@@ -299,13 +318,7 @@ def erasure_decode(code: EvalCode, known) -> Codeword:
     """
     known = list(known)
     positions = np.asarray([p for p, _ in known], dtype=np.int64)
-    values = []
-    for p, v in known:
-        if isinstance(v, FieldElement):
-            v = v.code
-        elif type(v) is not int and not isinstance(v, np.integer):
-            raise ValueError(f"position {p} holds {v!r}, not an integer")
-        values.append(int(v))
+    values = [_symbol_code(p, v) for p, v in known]
     if not distinct(positions):
         raise ValueError("duplicate positions")
     if positions.size and (positions.min() < 0 or positions.max() >= code.n):
@@ -407,21 +420,35 @@ def dual_support_vector(code_aug_generator: np.ndarray, tw: FieldTower, i: int, 
     """A vector w orthogonal to every row of code_aug_generator with
     w_i != 0 and support inside helpers + {i}, normalised to w_i = 1.
 
-    Found as a nullspace vector of the column-restricted generator: the
-    first basis vector nonzero at i.  Any matrix with the same row space
-    gives the same vector, because the nullspace basis is read off the
-    unique reduced form of the restriction.  Its zeros inside the allowed
-    support are then filled greedily (see `_densify`), which need not reach
-    every helper; helpers that stay at zero cost nothing and download
-    nothing.
+    Found as a nullspace vector of the generator restricted to the columns
+    helpers + {i}: the first basis vector nonzero at i.  The basis is
+    `linalg.nullspace_of_columns`, byte for byte the nullspace of the
+    restriction; given a generator already in reduced form with no zero
+    rows (as planning passes it), only the rows whose pivot column the
+    helper set drops are reduced.  Any matrix with the same row space gives
+    the same vector, because the basis is read off the unique reduced form
+    of the restriction.  Its zeros inside the allowed support are then
+    filled greedily (see `_densify`), which need not reach every helper;
+    helpers that stay at zero cost nothing and download nothing.
+
+    Raises ValueError naming the index when i or a helper lies outside
+    [0, n), a helper equals i, or a helper appears twice.
     """
+    n = code_aug_generator.shape[1]
+    if not 0 <= i < n:
+        raise ValueError(f"target {i} is outside [0, {n})")
     helpers = sorted(int(j) for j in helpers)
+    for j in helpers:
+        if not 0 <= j < n:
+            raise ValueError(f"helper {j} is outside [0, {n})")
     if i in helpers:
-        raise ValueError("target cannot be its own helper")
+        raise ValueError(f"helper {i} is the target: the target cannot be its own helper")
+    repeated = [a for a, b in zip(helpers, helpers[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"helper {repeated[0]} appears more than once")
     cols = sorted(helpers + [i])
     pos_i = cols.index(i)
-    sub = code_aug_generator[:, cols]
-    basis = linalg.nullspace(tw, sub)
+    basis = linalg.nullspace_of_columns(tw, code_aug_generator, cols)
     if basis.shape[0] == 0:
         raise DualVectorError("restricted dual code is trivial")
     pick = next((row for row in basis if row[pos_i] != 0), None)

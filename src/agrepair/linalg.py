@@ -20,6 +20,20 @@ copy is uint8 (q <= 256) or uint16, so the gather moves bytes, not int64
 words.  The reduced row echelon form is unique, so the pivot rule and every
 output are unchanged: R is returned as int64, as before.
 
+`nullspace_of_columns(tw, mat, cols)` returns `nullspace(tw, mat[:, cols])`
+byte for byte without reducing the whole restriction.  When mat is in
+reduced row echelon form with no zero rows (checked exactly, on mat as it
+is, without an int64 copy), a row whose pivot column is in cols keeps its
+unit column there, and the rows whose pivot is dropped are zero on every
+kept pivot column.  So only those dropped-pivot rows are reduced, over the
+columns of cols that are no kept pivot; each of their new pivots is
+eliminated from the kept rows with one `matmul` on the free columns; and
+the kept rows, the reduced dropped rows and the free columns are the
+reduced form of the restriction, which is unique.  A matrix not in that
+form is reduced once with `rref` first (its row space, hence every
+restriction's, is unchanged).  Scheme planning restricts a cached reduced
+generator this way to each helper set.
+
 `rref_blocks` reduces a (B, m, k) stack of small matrices with the same
 pivot rule, one column step for all blocks at once.
 
@@ -149,6 +163,78 @@ def nullspace(tw, mat) -> np.ndarray:
     basis = np.zeros((free.size, ncols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = tw.neg_arr(r[: len(pivots)][:, free].T)
+    return basis
+
+
+def _reduced_pivots(mat):
+    """Pivot columns of mat when it is in reduced row echelon form with no
+    zero rows (every row's first nonzero is a 1, these leads move strictly
+    right, and each lead's column is zero elsewhere), else None.
+
+    Reads mat in its own dtype; the largest temporaries are a boolean
+    matrix of mat's shape and the rows x rows block of the pivot columns.
+    """
+    nrows = mat.shape[0]
+    if nrows == 0:
+        return np.zeros(0, dtype=np.int64)
+    if mat.shape[1] == 0:
+        return None
+    pivots = (mat != 0).argmax(axis=1)
+    if not (mat[np.arange(nrows), pivots] == 1).all() or (np.diff(pivots) <= 0).any():
+        return None
+    if np.count_nonzero(mat[:, pivots]) != nrows:
+        return None
+    return pivots
+
+
+def _column_indices(cols, ncols: int) -> np.ndarray:
+    """cols as int64, refused unless strictly increasing inside [0, ncols)."""
+    idx = np.asarray(cols)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError("columns must be a 1-D sequence of integer indices")
+    idx = idx.astype(np.int64)
+    outside = idx[(idx < 0) | (idx >= ncols)]
+    if outside.size:
+        raise ValueError(f"column {outside[0]} is outside [0, {ncols})")
+    unordered = np.flatnonzero(np.diff(idx) <= 0)
+    if unordered.size:
+        raise ValueError(f"columns must be strictly increasing: {idx[unordered[0] + 1]} "
+                         f"follows {idx[unordered[0]]}")
+    return idx
+
+
+def nullspace_of_columns(tw, mat, cols) -> np.ndarray:
+    """nullspace(tw, mat[:, cols]), byte for byte, for strictly increasing
+    column indices cols; reduces only the rows of mat's reduced form whose
+    pivot column cols leaves out (see the module docstring).  mat is not
+    written to."""
+    m = np.asarray(mat)
+    if m.dtype.kind not in "iu":
+        m = as_matrix(m)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    idx = _column_indices(cols, m.shape[1])
+    pivots = _reduced_pivots(m)
+    if pivots is None:
+        r, pivot_list = rref(tw, m)
+        m, pivots = r[: len(pivot_list)], np.asarray(pivot_list, dtype=np.int64)
+    local = np.full(m.shape[1], -1, dtype=np.int64)  # position in cols, or -1
+    local[idx] = np.arange(idx.size)
+    kept = local[pivots] >= 0
+    is_rest = np.ones(idx.size, dtype=bool)
+    is_rest[local[pivots[kept]]] = False
+    rest = idx[is_rest]  # columns of cols that are no kept row's pivot
+    low, low_pivots = rref(tw, m[~kept][:, rest])
+    low = low[: len(low_pivots)]
+    is_free = np.ones(rest.size, dtype=bool)
+    is_free[low_pivots] = False
+    free = rest[is_free]
+    top = tw.sub_arr(m[kept][:, free],
+                     matmul(tw, m[kept][:, rest[low_pivots]], low[:, is_free]))
+    basis = np.zeros((free.size, idx.size), dtype=np.int64)
+    basis[np.arange(free.size), local[free]] = 1
+    basis[:, local[pivots[kept]]] = tw.neg_arr(top.T)
+    basis[:, local[rest[low_pivots]]] = tw.neg_arr(low[:, is_free].T)
     return basis
 
 

@@ -160,10 +160,13 @@ def _reduced_augmented(code: EvalCode, rho: int) -> np.ndarray:
     """The nonzero rows of the reduced augmented generator, read-only.
 
     They span the same row space as `augmented_generator(code, rho)`, so
-    every column restriction has the same reduced form and nullspace basis;
-    and most of the restriction's pivot columns are already unit columns,
-    which `rref` passes over.  Cached per (code, extra pole), as repeated
-    repairs against one code reuse it.
+    every column restriction has the same reduced form and nullspace basis.
+    Being in reduced form with no zero rows, they let
+    `linalg.nullspace_of_columns` keep every row whose pivot column a helper
+    set keeps and reduce only the rest: about 70 of 336 rows on the
+    flagship's s=300, d=400 line plan and about 6 of 476 on its d=505 weak
+    plan.  Cached per (code, extra pole), as repeated repairs against one
+    code reuse it.
     """
     tw = code.tower
     reduced, pivots = linalg.rref(tw, augmented_generator(code, rho))

@@ -232,11 +232,12 @@ def _code_from_payload(payload) -> codes.EvalCode:
                   (None,) if curve is None else (None, 2))
     if curve is None and not codes.distinct(pts):
         raise StateFormatError("code points are not pairwise distinct")
+    if curve is not None and not (0 < len(pts) <= len(curve.points)
+                                  and np.array_equal(curve.points[: len(pts)], pts)):
+        raise StateFormatError("stored point list does not match the canonical enumeration")
     with _naming("field 's'"):
         code = (codes.rs_code(tw, k=s + 1, points=pts) if curve is None
                 else codes.hermitian_code(curve, s=s, n=len(pts)))
-    if curve is not None and not np.array_equal(code.points, pts):
-        raise StateFormatError("stored point list does not match the canonical enumeration")
     for key, want in _derived_fields(code).items():
         if json.dumps(_field(payload, key, "code")) != json.dumps(want):
             raise StateFormatError(

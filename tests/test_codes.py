@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,11 @@ def test_encode_rejects_non_integer_codes():
             codes.encode(rs, message)
     expected = codes.encode_many(rs, block)
     assert np.array_equal(codes.encode_many(rs, block.astype(np.uint8)), expected)
+    for message, pos in (([True, 0, 0, 5], 0), ([1, 0, np.bool_(False), 5], 2),
+                         ([1, 0, 0, 5.0], 3), ([1, "2", 0, 5], 1)):
+        bad = re.escape(repr(message[pos]))
+        with pytest.raises(ValueError, match=rf"position {pos} holds {bad}, not an integer"):
+            codes.encode(rs, message)
     f16 = rs.tower
     assert codes.encode(rs, [f16.element(int(c)) for c in block[3]]).symbols.tolist() == expected[3].tolist()
     assert codes.encode(rs, block[3].tolist()).symbols.tolist() == expected[3].tolist()
@@ -204,6 +211,15 @@ def test_hermitian_sub_support():
     hc = codes.hermitian_code(cv, s=9, n=20)
     assert hc.n == 20
     assert np.array_equal(hc.points, cv.points[:20])
+
+
+def test_hermitian_code_refuses_lengths_outside_the_point_count():
+    cv = codes.hermitian_curve(tower(2, 2))  # 8 affine points
+    for n in (-1, 0, 9, 100):
+        with pytest.raises(ValueError, match=rf"length n={n} must be in 1\.\.8, the curve's affine point count"):
+            codes.hermitian_code(cv, s=0, n=n)
+    assert codes.hermitian_code(cv, s=0, n=1).n == 1
+    assert codes.hermitian_code(cv, s=3, n=8).n == 8
 
 
 # ----------------------------------------------------------------------
@@ -438,6 +454,20 @@ def test_dual_support_densify_fills_support():
         assert all(w[j] != 0 for j in helpers)
 
 
+def test_dual_support_vector_refuses_bad_helpers():
+    f16 = tower(2, 4)
+    hc = codes.hermitian_code(codes.hermitian_curve(f16), s=8)
+    aug = codes.augmented_generator(hc, 5)
+    for i, helpers, why in ((2, [-1] + list(range(20, 33)), r"helper -1 is outside \[0, 64\)"),
+                            (2, list(range(20, 33)) + [67], r"helper 67 is outside \[0, 64\)"),
+                            (2, [21] + list(range(20, 33)), "helper 21 appears more than once"),
+                            (2, [2] + list(range(20, 33)), "helper 2 is the target"),
+                            (64, list(range(20, 34)), r"target 64 is outside \[0, 64\)"),
+                            (-1, list(range(20, 34)), r"target -1 is outside \[0, 64\)")):
+        with pytest.raises(ValueError, match=why):
+            codes.dual_support_vector(aug, f16, i, helpers)
+
+
 def test_dual_support_error_when_impossible():
     f4 = tower(2, 2)
     rs_full = codes.rs_code(f4, k=4, n=4)  # dual code is trivial
@@ -517,3 +547,34 @@ def test_dual_support_vector_matches_reference_on_flagship(flagship_s300, seed, 
         assert ((dense == 0) & reachable).sum() > 10  # skipped positions
     got = codes.dual_support_vector(aug, tw, i, helpers)
     assert np.array_equal(got, _reference_dual_support_vector(aug, tw, i, helpers))
+
+
+def _sub_helper_cases():
+    """(code, extra pole, target, helpers): RS over GF(16) and GF(64), one
+    of them shortened, and Hermitian over GF(9) with rho = 8, which is
+    (p - 1)(r + 1) for the line and (p - 1)(genus + 1) for the weak path."""
+    rng = np.random.default_rng(9)
+    herm9 = codes.hermitian_code(codes.hermitian_curve(tower(3, 2)), s=6)
+    for code, rho, d in ((codes.rs_code(tower(2, 4), k=4, n=16), 3, 10),
+                         (codes.rs_code(tower(8, 2), k=20, n=64), 7, 40),
+                         (codes.rs_code(tower(8, 2), k=20, n=50), 7, 27),
+                         (herm9, 8, 14), (herm9, 8, 18), (herm9, 8, 25)):
+        i = int(rng.integers(code.n))
+        helpers = sorted(rng.choice(np.delete(np.arange(code.n), i), size=d, replace=False).tolist())
+        yield code, rho, i, helpers
+
+
+@pytest.mark.parametrize("case", list(_sub_helper_cases()),
+                         ids=lambda c: f"{c[0].kind}-q{c[0].tower.q}-n{c[0].n}-d{len(c[3])}")
+def test_dual_support_vector_matches_reference_on_rs_and_gf9(case):
+    """Sub-helper sets on RS and GF(9) codes, from the raw augmented
+    generator and from its reduced nonzero rows as planning caches them."""
+    code, rho, i, helpers = case
+    tw = code.tower
+    aug = codes.augmented_generator(code, rho)
+    reduced, pivots = linalg.rref(tw, aug)
+    reduced = reduced[: len(pivots)].astype(np.uint8)
+    reduced.setflags(write=False)
+    want = _reference_dual_support_vector(aug, tw, i, helpers)
+    assert np.array_equal(codes.dual_support_vector(aug, tw, i, helpers), want)
+    assert np.array_equal(codes.dual_support_vector(reduced, tw, i, helpers), want)

@@ -1,7 +1,8 @@
 """Differential tests: the table-driven `linalg.rref` against the plain
 row-by-row elimination it replaced, the batched `rref_blocks` against
-`rref` on each block, and the split-table `matmul` against the row-by-row
-product it replaced.
+`rref` on each block, the split-table `matmul` against the row-by-row
+product it replaced, and `nullspace_of_columns` against `nullspace` of the
+column restriction.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.
@@ -285,3 +286,80 @@ def test_matmul_split_tables_on_every_code(p, t):
         a = np.concatenate([codes, np.full((nrows, 1), tw.q - 1), np.zeros((nrows, 1), int)], axis=1)
         b = rng.integers(0, tw.q, size=(a.shape[1], 7))
         assert _same(linalg.matmul(tw, a, b), _reference_matmul(tw, a, b))
+
+
+# towers of the planning paths: char 2 square fields and odd characteristic
+COLUMN_TOWERS = [(2, 4), (4, 2), (8, 2), (3, 2), (9, 2)]
+
+
+@st.composite
+def column_restrictions(draw):
+    """A tower, a matrix and a strictly increasing column set.
+
+    The matrix is raw (random, possibly rank-deficient, with zero rows);
+    reduced the way planning caches it (the nonzero rows of its reduced
+    form, in the smallest unsigned dtype); or nearly reduced, which must
+    take the `rref` fallback: the reduced form with its zero rows, with
+    each row scaled by a nonzero scalar, or with a lower row added to an
+    upper one (echelon, but a pivot column is no longer a unit column).
+    Always read-only.  Enough rows that both the table path of `rref` and
+    the split-table `matmul` run.  The column set is every column, none of
+    the reduced form's pivot columns, one column, no column, or a random
+    subset."""
+    p, t = draw(st.sampled_from(COLUMN_TOWERS))
+    tw = tower(p, t)
+    nrows, ncols = draw(st.integers(0, 24)), draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = int(rng.integers(0, min(nrows, ncols) + 1))
+    m = linalg.matmul(tw, rng.integers(0, tw.q, size=(nrows, rank)),
+                      rng.integers(0, tw.q, size=(rank, ncols)))
+    if draw(st.booleans()):
+        m[rng.random(m.shape) < 0.5] = 0
+    reduced, pivots = _reference_rref(tw, m)
+    nonzero = reduced[: len(pivots)]
+    form = draw(st.sampled_from(["raw", "reduced", "with zero rows", "scaled", "echelon"]))
+    if form == "reduced":
+        m = nonzero.astype(np.min_scalar_type(tw.q - 1))
+    elif form == "with zero rows":
+        m = reduced
+    elif form == "scaled":
+        m = tw.mul_arr(nonzero, rng.integers(1, tw.q, size=(len(pivots), 1)))
+    elif form == "echelon" and len(pivots) > 1:
+        m = nonzero.copy()
+        m[0] = tw.add_arr(m[0], m[1])
+    m.setflags(write=False)
+    kind = draw(st.sampled_from(["all", "no pivots", "one", "none", "random"]))
+    if kind == "all":
+        cols = list(range(ncols))
+    elif kind == "no pivots":
+        cols = [c for c in range(ncols) if c not in pivots]
+    elif kind == "one" and ncols:
+        cols = [int(rng.integers(ncols))]
+    elif kind == "random":
+        cols = sorted(rng.choice(ncols, size=int(rng.integers(0, ncols + 1)), replace=False).tolist())
+    else:
+        cols = []
+    return tw, m, cols
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(column_restrictions())
+def test_nullspace_of_columns_matches_restricted_nullspace(case):
+    tw, m, cols = case
+    before = m.copy()
+    got = linalg.nullspace_of_columns(tw, m, cols)
+    assert _same(got, linalg.nullspace(tw, m[:, cols]))
+    assert np.array_equal(m, before) and m.dtype == before.dtype
+
+
+def test_nullspace_of_columns_refuses_bad_columns():
+    tw = tower(2, 4)
+    m = np.eye(3, 5, dtype=np.int64)
+    for cols, why in (([0, 5], r"column 5 is outside \[0, 5\)"),
+                      ([-1, 2], r"column -1 is outside \[0, 5\)"),
+                      ([1, 1, 3], "strictly increasing: 1 follows 1"),
+                      ([3, 2], "strictly increasing: 2 follows 3"),
+                      ([[0, 1]], "1-D sequence of integer"),
+                      ([0.0, 1.0], "1-D sequence of integer")):
+        with pytest.raises(ValueError, match=why):
+            linalg.nullspace_of_columns(tw, m, cols)

@@ -655,6 +655,7 @@ def test_scheme_dual_vector_matches_raw_augmented_generator(case):
     basis = linalg.nullspace(tw, reduced[:, cols])
     assert basis.dtype == np.int64
     assert np.array_equal(basis, linalg.nullspace(tw, raw[:, cols]))
+    assert np.array_equal(linalg.nullspace_of_columns(tw, reduced, cols), basis)
 
 
 def _pinned_cases():

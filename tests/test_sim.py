@@ -265,6 +265,21 @@ def test_array_codec_matches_per_symbol_reference(tmp_path, code, node):
         assert back.failed == node
 
 
+def test_hermitian_points_must_prefix_the_canonical_enumeration(tmp_path):
+    code = codes.hermitian_code(codes.hermitian_curve(tower(2, 2)), s=3)
+    path = tmp_path / "state.json"
+    sim.save_cluster(path, sim.make_cluster(code, 1, seed=3))
+    good = json.loads(path.read_text())
+    for points in (good["code"]["points"] + good["code"]["points"][:1],  # 9 of 8
+                   [], good["code"]["points"][::-1]):
+        state = json.loads(json.dumps(good))
+        state["code"]["points"] = points
+        path.write_text(json.dumps(state))
+        with pytest.raises(sim.StateFormatError,
+                           match="stored point list does not match the canonical enumeration"):
+            sim.load_cluster(path)
+
+
 def test_schema_version_mismatch(tmp_path):
     cl = small_cluster(stripes=1)
     path = tmp_path / "state.json"
