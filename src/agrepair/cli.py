@@ -53,12 +53,12 @@ def _out_path(path) -> Path:
     return path
 
 
-def _int(cfg: dict, key: str, default=None):
-    """Config field `key` as a JSON integer (bool is not one), or `default`
-    when it is absent or null."""
+def _int(cfg: dict, key: str, default=None, low=None):
+    """Config field `key` as a JSON integer (bool is not one) of at least
+    `low`, or `default` when it is absent or null."""
     if cfg.get(key) is None:
         return default
-    return sim._field(cfg, key, "config", integer=True)
+    return sim._field(cfg, key, "config", integer=True, low=low)
 
 
 def code_from_config(cfg: dict) -> codes.EvalCode:
@@ -67,9 +67,8 @@ def code_from_config(cfg: dict) -> codes.EvalCode:
         raise ConfigError(f"kind must be 'rs' or 'hermitian', got {kind!r}")
     p, t = (sim._field(cfg, key, "config", integer=True) for key in ("p", "t"))
     tw = tower(p, t)
-    k, s, n, r = (_int(cfg, key) for key in ("k", "s", "n", "r"))
-    if n is not None and n < 1:
-        raise ConfigError(f"config field 'n' must be at least 1, got {n}")
+    k, s, r = (_int(cfg, key) for key in ("k", "s", "r"))
+    n = _int(cfg, "n", low=1)
     if kind == "rs":
         if k is None and s is None:
             raise ConfigError("rs config needs 'k' (or 's')")
@@ -89,7 +88,7 @@ def _helper_set(cfg: dict, code: codes.EvalCode, target: int, rng) -> list | Non
     if policy == "full":
         return None
     if isinstance(policy, dict) and policy.get("policy") == "random":
-        d = sim._field(policy, "d", "config helpers", integer=True)
+        d = sim._field(policy, "d", "config helpers", integer=True, low=1)
         others = np.asarray([j for j in range(code.n) if j != target])
         if d > others.size:
             raise ConfigError(f"helper count d={d} exceeds n-1={others.size}")
@@ -127,7 +126,7 @@ def cmd_params(args) -> int:
 def cmd_encode(args) -> int:
     cfg = _load_config(args.config)
     code = code_from_config(cfg)
-    cluster = sim.make_cluster(code, _int(cfg, "stripes", 1), _int(cfg, "seed", 0))
+    cluster = sim.make_cluster(code, _int(cfg, "stripes", 1, low=0), _int(cfg, "seed", 0, low=0))
     sim.save_cluster(_out_path(args.state), cluster)
     print(f"encoded {cluster.num_stripes} stripe(s) across {cluster.n} nodes -> {args.state}")
     return 0
@@ -186,8 +185,8 @@ def cmd_bench(args) -> int:
 
     cfg = _load_config(args.config)
     code = code_from_config(cfg)
-    trials, seed, l = (_int(cfg, key, default) for key, default in
-                       (("trials", 10), ("seed", 0), ("l", 1)))
+    trials, seed = _int(cfg, "trials", 10, low=0), _int(cfg, "seed", 0, low=0)
+    l = _int(cfg, "l", 1)
     variant = cfg.get("variant")
     rows = []
     for trial in range(trials):

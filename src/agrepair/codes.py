@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .gf import FieldElement, FieldTower
+from .gf import FieldTower, checked
 
 
 class DecodeError(Exception):
@@ -198,17 +198,13 @@ def distinct(values) -> bool:
 
 def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCode:
     if points is None:
-        if n is None:
-            n = tw.q
-        points = np.arange(n, dtype=np.int64)
-    points = np.asarray(points, dtype=np.int64)
-    n = points.shape[0]
-    if not distinct(points):
-        raise ValueError("evaluation points must be pairwise distinct")
+        points = np.arange(tw.q if n is None else n)
+    n = len(points)
     if n > tw.q:
         raise ValueError(f"cannot place {n} distinct points in GF({tw.q})")
-    if n and (points.min() < 0 or points.max() >= tw.q):
-        raise ValueError(f"evaluation points must be codes in [0, {tw.q})")
+    points = checked(points, tw.q, f"evaluation points must be codes in [0, {tw.q}), got {{value}}")
+    if not distinct(points):
+        raise ValueError("evaluation points must be pairwise distinct")
     if k < 1:
         raise ValueError("dimension k must be >= 1")
     if k > n:
@@ -228,9 +224,8 @@ def hermitian_code(curve: HermitianCurve, s: int, n: int | None = None) -> EvalC
     """The code of pole degree s on the first n affine points (default all
     r**3 of them); n outside 1..r**3 is refused."""
     total = curve.points.shape[0]
-    if n is not None and not 1 <= n <= total:
-        raise ValueError(f"length n={n} must be in 1..{total}, the curve's affine point count")
-    pts = curve.points if n is None else curve.points[:n]
+    label = f"length n={{value}} must be in 1..{total}, the curve's affine point count"
+    pts = curve.points if n is None else curve.points[:checked(n, total + 1, label, low=1)]
     n = pts.shape[0]
     if s >= n:
         raise ValueError(f"pole degree s={s} must be below the length n={n}")
@@ -261,49 +256,33 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
     return _hermitian_rows(code.tower, code.points, rr_basis(code.curve.r, s_aug))
 
 
-def _symbol_code(position, value) -> int:
-    """The code of one symbol: a FieldElement, or an integer (a Python int
-    or a numpy integer; bool is not one).  Anything else is a ValueError
-    naming the position; the range check against q is the caller's."""
-    if isinstance(value, FieldElement):
-        return value.code
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise ValueError(f"position {position} holds {value!r}, not an integer: "
-                         f"its type {type(value).__name__} is not an integer dtype")
-    return int(value)
+def _block_label(what: str, positions=None):
+    """The `checked` label of a block of symbols, one codeword per row (a
+    single row when indexed by an int): an entry names its row and its
+    position, positions[c] for column c when given."""
+    def label(index):
+        if index is None:
+            return what + " codes have {value}, {reason}"
+        row, col = (0, index) if isinstance(index, int) else index
+        pos = col if positions is None else positions[col]
+        return f"{what} row {row}, position {pos} holds {{value}}, {{reason}}"
+    return label
 
 
 def encode(code: EvalCode, message) -> Codeword:
-    """Encode one message of k symbols, each accepted as `erasure_decode`
-    accepts a value (see `_symbol_code`) and checked by `encode_many`."""
-    msg = np.asarray([_symbol_code(p, m) for p, m in enumerate(message)])
+    """Encode one message of k symbols.  See "Library inputs" in the README
+    for the symbols accepted."""
+    msg = code.tower.checked(message, _block_label("message"))
     if msg.shape[0] != code.k:
         raise ValueError(f"message length {msg.shape[0]} != dimension {code.k}")
     return Codeword(code, encode_many(code, msg[None, :])[0])
 
 
-def _field_codes(q: int, block, what: str, positions=None) -> np.ndarray:
-    """A 2-D block of element codes as int64, checked.
-
-    Raises ValueError when the block's dtype is not an integer dtype (float,
-    bool and object blocks are refused, not cast), or naming the row, the
-    position (column c is position positions[c], or c) and the value of the
-    first code outside [0, q).
-    """
-    block = np.asarray(block)
-    if block.dtype.kind not in "iu":
-        raise ValueError(f"{what} codes have dtype {block.dtype}, not an integer dtype")
-    if block.size and (block.min() < 0 or block.max() >= q):
-        row, col = np.argwhere((block < 0) | (block >= q))[0]
-        pos = col if positions is None else positions[col]
-        raise ValueError(f"{what} row {row}, position {pos} holds {block[row, col]}, outside GF({q})")
-    return block.astype(np.int64, copy=False)
-
-
 def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:
-    """(m, k) message block -> (m, n) codeword block; see `_field_codes`
-    for the checks on the block."""
-    messages = _field_codes(code.tower.q, messages, "message")
+    """(m, k) message block -> (m, n) codeword block.  A block of another
+    dtype is refused, not cast, and a code outside the field is named by
+    its row and position."""
+    messages = code.tower.checked(messages, _block_label("message"))
     return linalg.matmul(code.tower, messages, code.generator)
 
 
@@ -312,33 +291,31 @@ def erasure_decode(code: EvalCode, known) -> Codeword:
 
     Needs at least threshold = s + 1 distinct coordinates, which always pin
     the message down; raises UnderdeterminedError below that and
-    InconsistentError when the values match no codeword.  A value is a
-    FieldElement or an integer (a Python int or a numpy integer; bool is
-    not one) with its code in [0, q); anything else is a ValueError.
+    InconsistentError when the values match no codeword.  See "Library
+    inputs" in the README for the positions and values accepted.
     """
     known = list(known)
-    positions = np.asarray([p for p, _ in known], dtype=np.int64)
-    values = [_symbol_code(p, v) for p, v in known]
-    if not distinct(positions):
-        raise ValueError("duplicate positions")
-    if positions.size and (positions.min() < 0 or positions.max() >= code.n):
-        raise ValueError("position out of range")
-    return Codeword(code, erasure_decode_many(code, positions, np.asarray([values]))[0])
+    positions = [p for p, _ in known]
+    values = code.tower.checked([v for _, v in known], _block_label("value", positions))
+    return Codeword(code, erasure_decode_many(code, positions, values[None, :])[0])
 
 
 def erasure_decode_many(code: EvalCode, positions, value_rows: np.ndarray) -> np.ndarray:
-    """Batched erasure decoding against one fixed known-position set.
+    """Batched erasure decoding against one fixed set of distinct known
+    positions.
 
     value_rows has one codeword's known values per row, checked as
     `encode_many` checks messages; returns the decoded (m, n) codeword
     block from one elimination for the whole batch.
     """
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = checked(positions, code.n, "position {value} is {reason}")
+    if not distinct(positions):
+        raise ValueError("duplicate positions")
     if positions.size < code.threshold:
         raise UnderdeterminedError(
             f"{positions.size} coordinates given, {code.threshold} needed"
         )
-    value_rows = _field_codes(code.tower.q, value_rows, "value", positions)
+    value_rows = code.tower.checked(value_rows, _block_label("value", positions))
     tw = code.tower
     mat = code.generator[:, positions].T
     msgs = linalg.solve(tw, mat, value_rows.T)
@@ -378,8 +355,8 @@ def vanishing_line(curve: HermitianCurve, point) -> VanishingLine:
     (alpha = (-a)**r), and gamma = b - alpha**(r+1); this works in every
     characteristic.
     """
-    a, b = (int(point[0]), int(point[1]))
     tw = curve.tower
+    a, b = tw.checked(point, "point coordinate {value} is {reason}").tolist()
     if not curve.on_curve(a, b):
         raise ValueError(f"({a}, {b}) is not on the curve")
     alpha = tw.pow(tw.neg(a), curve.r)
@@ -416,6 +393,25 @@ def vanishing_function(code: EvalCode, i: int):
 # ----------------------------------------------------------------------
 
 
+def repair_set(n: int, target, helpers) -> tuple[int, list]:
+    """The target and its helpers (default: every other node), as an int
+    and a sorted list, checked by `checked` against [0, n).  Also raises
+    ValueError naming the index when a helper is the target or appears
+    twice, or when there are no helpers."""
+    target = checked(target, n, "target {value} is {reason}")
+    if helpers is None:
+        helpers = [j for j in range(n) if j != target]
+    helpers = sorted(checked(helpers, n, "helper {value} is {reason}").tolist())
+    if not helpers:
+        raise ValueError("helper set is empty")
+    if target in helpers:
+        raise ValueError(f"helper {target} is the target: the target cannot be its own helper")
+    repeated = [a for a, b in zip(helpers, helpers[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"helper {repeated[0]} appears more than once")
+    return target, helpers
+
+
 def dual_support_vector(code_aug_generator: np.ndarray, tw: FieldTower, i: int, helpers) -> np.ndarray:
     """A vector w orthogonal to every row of code_aug_generator with
     w_i != 0 and support inside helpers + {i}, normalised to w_i = 1.
@@ -431,21 +427,9 @@ def dual_support_vector(code_aug_generator: np.ndarray, tw: FieldTower, i: int, 
     filled greedily (see `_densify`), which need not reach every helper;
     helpers that stay at zero cost nothing and download nothing.
 
-    Raises ValueError naming the index when i or a helper lies outside
-    [0, n), a helper equals i, or a helper appears twice.
+    The target and helpers are checked by `repair_set`.
     """
-    n = code_aug_generator.shape[1]
-    if not 0 <= i < n:
-        raise ValueError(f"target {i} is outside [0, {n})")
-    helpers = sorted(int(j) for j in helpers)
-    for j in helpers:
-        if not 0 <= j < n:
-            raise ValueError(f"helper {j} is outside [0, {n})")
-    if i in helpers:
-        raise ValueError(f"helper {i} is the target: the target cannot be its own helper")
-    repeated = [a for a, b in zip(helpers, helpers[1:]) if a == b]
-    if repeated:
-        raise ValueError(f"helper {repeated[0]} appears more than once")
+    i, helpers = repair_set(code_aug_generator.shape[1], i, helpers)
     cols = sorted(helpers + [i])
     pos_i = cols.index(i)
     basis = linalg.nullspace_of_columns(tw, code_aug_generator, cols)

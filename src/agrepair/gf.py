@@ -21,6 +21,7 @@ instances can be shared freely between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,6 +72,63 @@ def _factor(n: int) -> list[int]:
     return out
 
 
+def checked(value, bound, label, low=0, domain=None):
+    """The one input rule for element codes and indices: integers in
+    [low, bound), with no limit on a side given as None.
+
+    Accepts a Python int or a numpy integer (bool and np.bool_ are not
+    integers), returned as an int; an integer-dtype array; or a list or
+    tuple of such ints, type-checked before it becomes an array, as
+    np.asarray([True, 0]) would silently be int64.  Arrays come back as
+    int64.  Anything else, or a value out of range, is a ValueError whose
+    text is `label`, a str.format template, or a function of the offending
+    index returning one (None for a scalar or a whole array, an int or a
+    tuple for an entry).  Its fields are {value}, {reason} ("not an
+    integer...", "outside <domain>", by default "[low, bound)") and {rule}.
+    """
+    if type(value) is int or isinstance(value, np.integer):
+        if (low is None or low <= value) and (bound is None or value < bound):
+            return int(value)
+        _refuse_range(label, None, value, low, bound, domain)
+    if isinstance(value, (list, tuple)):
+        if not all(k is int or issubclass(k, np.integer) for k in set(map(type, value))):
+            k = next(k for k, v in enumerate(value)
+                     if type(v) is not int and not isinstance(v, np.integer))
+            _refuse_type(label, k, value[k])
+        try:
+            value = np.array(value, dtype=np.int64)
+        except OverflowError:
+            k = next(k for k, v in enumerate(value) if not -2 ** 63 <= v < 2 ** 63)
+            _refuse_range(label, k, value[k], low, bound, domain, ", not an integer dtype value")
+    elif not isinstance(value, np.ndarray):
+        _refuse_type(label, None, value)
+    if value.dtype.kind not in "iu":
+        _refuse(label, None, f"dtype {value.dtype}", "not an integer dtype", "of an integer dtype")
+    lo, hi = -math.inf if low is None else low, math.inf if bound is None else bound
+    if value.size and (value.min() < lo or value.max() >= hi):
+        index = tuple(np.argwhere((value < lo) | (value >= hi))[0].tolist())
+        _refuse_range(label, index[0] if value.ndim == 1 else index, value[index], low, bound, domain)
+    return value.astype(np.int64, copy=False)
+
+
+def _refuse(label, index, shown: str, reason: str, rule: str):
+    """Raise the ValueError `checked` describes, `shown` being the value's text."""
+    template = label(index) if callable(label) else label
+    raise ValueError(template.format(value=shown, reason=reason, rule=rule))
+
+
+def _refuse_type(label, index, value):
+    _refuse(label, index, repr(value), f"not an integer: its type {type(value).__name__} "
+           "is not an integer dtype", "an integer")
+
+
+def _refuse_range(label, index, value, low, bound, domain, note=""):
+    if domain is None and bound is None:
+        _refuse(label, index, str(int(value)), f"below {low}", f"at least {low}")
+    domain = domain or f"[{low}, {bound})"
+    _refuse(label, index, str(int(value)), f"outside {domain}{note}", f"in {domain}")
+
+
 class FieldTower:
     """GF(q) = GF(p**t) presented as a degree-t extension of GF(p).
 
@@ -97,17 +155,16 @@ class FieldTower:
         self.p = p
         self.t = t
         self.q = q
+        self.name = f"GF({q})"
         self.char, base_deg = pp
         self.degree = base_deg * t  # total degree over the prime field
         self.base = None if is_prime(p) else FieldTower(self.char, base_deg)
 
         if modulus is None:
             modulus = self._least_irreducible()
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(checked(modulus, p, "modulus coefficient {value} is {reason}").tolist())
         if len(modulus) != t + 1 or modulus[t] != 1:
             raise ValueError("modulus must be monic of degree t")
-        if any(not 0 <= c < p for c in modulus):
-            raise ValueError("modulus coefficients must be codes in [0, p)")
         if not self._poly_is_irreducible(modulus):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
@@ -357,11 +414,27 @@ class FieldTower:
     # ------------------------------------------------------------------
     # digit views and elements
     # ------------------------------------------------------------------
+    def checked(self, value, label):
+        """`checked` against this field: the codes of a value, a list or a
+        tuple, any FieldElement in it unwrapped to its code, or an array.  A
+        FieldElement of another tower is refused."""
+        if isinstance(value, FieldElement):
+            return self._code(value, label, None)
+        if type(value) is list or type(value) is tuple:
+            value = [self._code(v, label, k) for k, v in enumerate(value)]
+        return checked(value, self.q, label, 0, self.name)
+
+    def _code(self, value, label, index):
+        if not isinstance(value, FieldElement):
+            return value
+        if value.tower != self:
+            _refuse(label, index, repr(value), f"an element of {value.tower!r}, not of {self!r}",
+                   f"an element of {self!r}")
+        return value.code
+
     def digits(self, code: int) -> tuple:
         """Base-p digit vector, least-significant first, length t."""
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for GF({self.q})")
-        return self._digits(code)
+        return self._digits(self.checked(code, "code {value} is {reason}"))
 
     def from_digits(self, digits) -> int:
         return int(self.from_digits_arr([int(d) for d in digits]))
@@ -384,16 +457,11 @@ class FieldTower:
         return dig @ (self.p ** np.arange(self.t, dtype=np.int64))
 
     def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.tower != self:
-                raise ValueError("element belongs to a different tower")
-            return value
+        """The element of a code or a FieldElement (see `checked`), or of a
+        digit vector given as a list, tuple or array."""
         if isinstance(value, (list, tuple, np.ndarray)):
             return FieldElement(self, self.from_digits(value))
-        code = int(value)
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for GF({self.q})")
-        return FieldElement(self, code)
+        return FieldElement(self, self.checked(value, "code {value} is {reason}"))
 
     @property
     def zero(self):
@@ -467,11 +535,7 @@ class FieldElement:
         return self.tower.digits(self.code)
 
     def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.tower != self.tower:
-                raise ValueError("operands belong to different towers")
-            return other.code
-        return self.tower.element(other).code
+        return self.tower.checked(other, "operand {value} is {reason}")
 
     def __add__(self, other):
         return FieldElement(self.tower, self.tower.add(self.code, self._coerce(other)))
@@ -525,11 +589,9 @@ def trace_reconstruct(traces, tw: FieldTower) -> FieldElement:
     traces = list(traces)
     if len(traces) != tw.t:
         raise ValueError(f"expected {tw.t} trace values, got {len(traces)}")
+    vals = checked(traces, tw.p, "trace value {value} is {reason}", domain=f"GF({tw.p})")
     acc = 0
-    for val, th in zip(traces, tw.theta):
-        val = int(val)
-        if not 0 <= val < tw.p:
-            raise ValueError(f"trace value {val} outside the base subfield")
+    for val, th in zip(vals.tolist(), tw.theta):
         acc = tw.add(acc, tw.mul(val, th))
     return FieldElement(tw, acc)
 
@@ -586,10 +648,8 @@ class LinearizedMap:
         return acc
 
     def __call__(self, x) -> int:
-        tw = self.tower
-        if isinstance(x, FieldElement):
-            x = x.code
-        return tw.mul(x, self.quotient(x))
+        x = self.tower.checked(x, "x={value} is {reason}")
+        return self.tower.mul(x, self.quotient(x))
 
     def quotient_arr(self, xs):
         tw = self.tower

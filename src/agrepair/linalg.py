@@ -56,6 +56,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gf import checked
+
 
 def as_matrix(mat) -> np.ndarray:
     m = np.asarray(mat, dtype=np.int64)
@@ -189,13 +191,10 @@ def _reduced_pivots(mat):
 
 def _column_indices(cols, ncols: int) -> np.ndarray:
     """cols as int64, refused unless strictly increasing inside [0, ncols)."""
-    idx = np.asarray(cols)
-    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+    idx = checked(cols, ncols,
+                  "column {value} is {reason}; columns must be a 1-D sequence of integer indices")
+    if idx.ndim != 1:
         raise ValueError("columns must be a 1-D sequence of integer indices")
-    idx = idx.astype(np.int64)
-    outside = idx[(idx < 0) | (idx >= ncols)]
-    if outside.size:
-        raise ValueError(f"column {outside[0]} is outside [0, {ncols})")
     unordered = np.flatnonzero(np.diff(idx) <= 0)
     if unordered.size:
         raise ValueError(f"columns must be strictly increasing: {idx[unordered[0] + 1]} "

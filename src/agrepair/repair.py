@@ -52,14 +52,14 @@ import numpy as np
 
 from . import linalg
 from .codes import (
-    DualVectorError,
     EvalCode,
     augmented_generator,
     dual_support_vector,
+    repair_set,
     vanishing_function,
     vanishing_line,
 )
-from .gf import FieldElement, LinearizedMap, trace_reconstruct
+from .gf import FieldElement, LinearizedMap, checked, trace_reconstruct
 
 VARIANT_RS = "rs"
 VARIANT_LINE = "hermitian-line"
@@ -181,30 +181,19 @@ def build_scheme(
     helpers=None,
     l: int = 1,
     variant: str | None = None,
-    dual_vector=None,
 ) -> RepairScheme:
-    """Plan the repair of `target` from `helpers` (default: all other nodes)."""
+    """Plan the repair of `target` from `helpers` (default: all other nodes),
+    both checked by `codes.repair_set`."""
     tw = code.tower
     n = code.n
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range")
-    if helpers is None:
-        helpers = [j for j in range(n) if j != target]
-    helpers = sorted(int(j) for j in helpers)
+    target, helpers = repair_set(n, target, helpers)
     helper_set = set(helpers)
-    if not helpers:
-        raise ValueError("helper set is empty")
-    if target in helper_set or len(helper_set) != len(helpers):
-        raise ValueError("helpers must be distinct and exclude the target")
-    if max(helpers) >= n or min(helpers) < 0:
-        raise ValueError("helper index out of range")
 
     if variant is None:
         variant = VARIANT_RS if code.kind == "rs" else VARIANT_LINE
     if _CODE_KIND.get(variant) != code.kind:
         raise ValueError(f"{variant!r} is not a variant for a {code.kind} code")
-    if not 0 <= l <= tw.t:
-        raise ValueError(f"l={l} must satisfy 0 <= l <= t={tw.t}")
+    l = checked(l, tw.t + 1, f"l={{value}} must satisfy 0 <= l <= t={tw.t}")
     lin = LinearizedMap(tw, tw.theta[:l])
 
     all_ones = _full_support(code, helpers) and variant != VARIANT_WEAK
@@ -215,8 +204,7 @@ def build_scheme(
     if variant == VARIANT_RS:
         h_vals = tw.sub_arr(code.points, int(code.points[target]))
     elif variant == VARIANT_LINE:
-        a, b = code.points[target]
-        h_vals = vanishing_line(code.curve, (int(a), int(b))).values(code.points)
+        h_vals = vanishing_line(code.curve, code.points[target]).values(code.points)
     else:
         h_vals, zero_set = vanishing_function(code, target)
         extra_zeros = tuple(j for j in zero_set if j in helper_set)
@@ -230,21 +218,11 @@ def build_scheme(
     if not np.array_equal(table[:, target], np.asarray(tw.zeta)):
         raise AssertionError("normalisation failed: h_(i,u)(P_i) != zeta_u")
 
-    # dual vector, scaled to w[target] = 1
-    if dual_vector is not None:
-        w = np.asarray(dual_vector, dtype=np.int64).copy()
-        if w[target] == 0:
-            raise DualVectorError("supplied dual vector vanishes at the target")
-        outside = [j for j in range(n) if j != target and j not in helper_set and w[j] != 0]
-        if outside:
-            raise DualVectorError(f"supplied dual vector has support outside S+{{i}}: {outside}")
-    elif all_ones:
+    # dual vector, w[target] = 1
+    if all_ones:
         w = np.ones(n, dtype=np.int64)
     else:
         w = dual_support_vector(_reduced_augmented(code, rho), tw, target, helpers)
-    w_i = int(w[target])
-    if w_i != 1:
-        w = tw.mul_arr(w, tw.inv(w_i))
 
     active = tuple(j for j in helpers if w[j] != 0)
     pruned = tuple(j for j in helpers if w[j] == 0)
@@ -286,22 +264,15 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
 
     Deterministic order (ascending chosen index): Tr(mu[k] * symbol) for
     each of j's sub-symbols k.  Pruned helpers are asked for nothing and return an empty tuple.
-    Raises ValueError when j is not a helper, or when the symbol is not a
-    FieldElement or an integer (a Python int or a numpy integer; bool is
-    not one), or its code lies outside [0, q).
+    Raises ValueError when j is not a helper; see "Library inputs" in the
+    README for the symbols accepted.
     """
+    j = checked(j, None, "node {value} is not in the helper set", None)
     k = bisect.bisect_left(scheme.helpers, j)
     if k == len(scheme.helpers) or scheme.helpers[k] != j:
         raise ValueError(f"node {j} is not in the helper set")
-    if isinstance(symbol, FieldElement):
-        sym = symbol.code
-    elif type(symbol) is int or isinstance(symbol, np.integer):
-        sym = int(symbol)
-    else:
-        raise ValueError(f"node {j} stores {symbol!r}, not an integer")
     tw = scheme.code.tower
-    if not 0 <= sym < tw.q:
-        raise ValueError(f"node {j} stores {sym}, outside GF({tw.q})")
+    sym = tw.checked(symbol, f"node {j} stores {{value}}, {{reason}}")
     mu = scheme.mu[scheme.start[j]:scheme.start[j + 1]]
     return tuple(tw.trace(tw.mul(m, sym)) for m in mu.tolist())
 
@@ -309,11 +280,9 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
 def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
     """Rebuild the lost symbol from the helpers' sub-symbol lists.
 
-    Raises ValueError when an active helper's response is missing, has the
-    wrong length, or holds a value that is not an integer (a Python int or
-    a numpy integer; bool is not one) or lies outside the base subfield
-    GF(p).  The checks run once over all responses, laid out flat in the
-    scheme's sub-symbol order.
+    Raises ValueError when an active helper's response is missing or has
+    the wrong length; see "Library inputs" in the README for the values
+    accepted, which lie in the base subfield GF(p).
     """
     tw = scheme.code.tower
     missing = [j for j in scheme.active if j not in responses]
@@ -327,19 +296,9 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
         raise ValueError(
             f"helper {scheme.active[k]} sent {sent[k]} symbols, expected {expected[k]}")
     # the lengths match, so flat index k is sub-symbol k of the scheme
-    flat = [v for r in resps for v in r]
-    if not all(c is int or issubclass(c, np.integer) for c in set(map(type, flat))):
-        k = next(k for k, v in enumerate(flat)
-                 if type(v) is not int and not isinstance(v, np.integer))
-        raise ValueError(f"helper {_sender(scheme, k)} sent {flat[k]!r}, not an integer")
-    try:
-        vals = np.array(flat, dtype=np.int64)
-    except OverflowError:  # a value beyond int64 lies outside GF(p) too
-        vals = np.array([v if 0 <= v < tw.p else -1 for v in flat], dtype=np.int64)
-    outside = (vals < 0) | (vals >= tw.p)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ValueError(f"helper {_sender(scheme, k)} sent {flat[k]}, outside GF({tw.p})")
+    vals = checked([v for r in resps for v in r], tw.p,
+                   lambda k: f"helper {_sender(scheme, k)} sent {{value}}, {{reason}}",
+                   domain=f"GF({tw.p})")
     # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
     terms = tw.mul_arr(scheme.lam, vals)
     return trace_reconstruct(tw.neg_arr(_sum_columns(tw, terms)), tw)
@@ -364,20 +323,13 @@ def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTrans
     """Execute the protocol against a stored codeword (symbol codes, length n).
 
     Each helper sees only its own coordinate; the target coordinate is never
-    read.  Returns the rebuilt symbol and the download transcript.  Raises
-    ValueError when the codeword's dtype is not an integer dtype (float,
-    bool and object arrays are refused, not cast), or naming the first
-    active helper whose symbol code lies outside [0, q).
+    read.  Returns the rebuilt symbol and the download transcript.  See
+    "Library inputs" in the README for the codewords accepted; only the
+    active helpers' symbols are checked.
     """
-    symbols = np.asarray(symbols)
-    if symbols.dtype.kind not in "iu":
-        raise ValueError(f"codeword has dtype {symbols.dtype}, not an integer dtype")
-    read = symbols[list(scheme.active)]
-    outside = (read < 0) | (read >= scheme.code.tower.q)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ValueError(
-            f"node {scheme.active[k]} stores {read[k]}, outside GF({scheme.code.tower.q})")
+    read = scheme.code.tower.checked(np.asarray(symbols)[list(scheme.active)], lambda k: (
+        "codeword has {value}, {reason}" if k is None
+        else f"node {scheme.active[k]} stores {{value}}, {{reason}}"))
     responses = {j: helper_response(scheme, j, x) for j, x in zip(scheme.active, read.tolist())}
     value = reconstruct(scheme, responses)
     counts = {j: len(r) for j, r in responses.items()}

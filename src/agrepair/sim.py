@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codes, repair
-from .gf import FieldTower, tower
+from .gf import FieldTower, checked, tower
 
 SCHEMA_VERSION = 1
 
@@ -85,6 +85,7 @@ class ExperimentRecord:
 
 
 def make_cluster(code: codes.EvalCode, num_stripes: int, seed: int) -> Cluster:
+    seed = checked(seed, None, "seed {value} is {reason}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     msgs = rng.integers(0, code.tower.q, size=(num_stripes, code.k), dtype=np.int64)
     return Cluster(
@@ -98,8 +99,7 @@ def make_cluster(code: codes.EvalCode, num_stripes: int, seed: int) -> Cluster:
 def fail_node(cluster: Cluster, node: int) -> None:
     if cluster.failed is not None:
         raise ValueError(f"node {cluster.failed} is already failed")
-    if not 0 <= node < cluster.n:
-        raise ValueError(f"node {node} out of range")
+    node = checked(node, cluster.n, "node {value} is {reason}")
     cluster.withheld = cluster.nodes[:, node].copy()
     cluster.nodes[:, node] = 0
     cluster.failed = node
@@ -189,12 +189,15 @@ def _code_payload(code: codes.EvalCode) -> dict:
     }
 
 
-def _field(obj, key: str, where: str, integer: bool = False):
+def _field(obj, key: str, where: str, integer: bool = False, low=None):
+    """obj[key]; with `integer`, a JSON integer (bool is not one) of at
+    least `low`, checked by `checked`."""
     if not isinstance(obj, dict) or key not in obj:
         raise StateFormatError(f"{where} has no {key!r} field")
-    if integer and type(obj[key]) is not int:
-        raise StateFormatError(f"{where} field {key!r} must be an integer, got {obj[key]!r}")
-    return obj[key]
+    if not integer:
+        return obj[key]
+    with _naming():
+        return checked(obj[key], None, f"{where} field {key!r} must be {{rule}}, got {{value}}", low)
 
 
 def _decode(tw: FieldTower, value, name: str, shape: tuple) -> np.ndarray:
@@ -225,7 +228,7 @@ def _code_from_payload(payload) -> codes.EvalCode:
     if kind not in ("rs", "hermitian"):
         raise StateFormatError(f"code kind must be 'rs' or 'hermitian', got {kind!r}")
     p, t, s = (_field(payload, key, "code", integer=True) for key in ("p", "t", "s"))
-    with _naming("fields 'p' and 't'"):
+    with _naming("code fields 'p' and 't': "):
         tw = tower(p, t)
         curve = codes.hermitian_curve(tw) if kind == "hermitian" else None
     pts = _decode(tw, _field(payload, "points", "code"), "code points",
@@ -235,7 +238,7 @@ def _code_from_payload(payload) -> codes.EvalCode:
     if curve is not None and not (0 < len(pts) <= len(curve.points)
                                   and np.array_equal(curve.points[: len(pts)], pts)):
         raise StateFormatError("stored point list does not match the canonical enumeration")
-    with _naming("field 's'"):
+    with _naming("code field 's': "):
         code = (codes.rs_code(tw, k=s + 1, points=pts) if curve is None
                 else codes.hermitian_code(curve, s=s, n=len(pts)))
     for key, want in _derived_fields(code).items():
@@ -247,13 +250,13 @@ def _code_from_payload(payload) -> codes.EvalCode:
 
 
 @contextmanager
-def _naming(fields: str):
-    """Re-raise a constructor's ValueError as a StateFormatError naming the
-    state fields it was built from, keeping the original text."""
+def _naming(prefix: str = ""):
+    """Re-raise a ValueError as a StateFormatError, its text after `prefix`
+    (the state fields a constructor was built from)."""
     try:
         yield
     except ValueError as exc:
-        raise StateFormatError(f"code {fields}: {exc}") from None
+        raise StateFormatError(f"{prefix}{exc}") from None
 
 
 def _json_codes(words: np.ndarray, a: np.ndarray) -> str:
@@ -315,8 +318,9 @@ def load_cluster(path) -> Cluster:
     stripes = _decode(tw, _field(state, "stripes", "state"), "stripes", (None, code.k))
     nodes = _decode(tw, _field(state, "nodes", "state"), "nodes", (code.n, len(stripes))).T
     failed = state.get("failed")
-    if failed is not None and (type(failed) is not int or not 0 <= failed < code.n):
-        raise StateFormatError(f"failed node {failed!r} out of range for n={code.n}")
+    if failed is not None:
+        with _naming():
+            failed = checked(failed, code.n, f"failed node {{value}} out of range for n={code.n}")
     seed = _field(state, "seed", "state", integer=True) if "seed" in state else 0
     withheld = state.get("withheld")
     if withheld is not None:

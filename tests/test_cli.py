@@ -216,6 +216,23 @@ def test_config_n_is_used_as_given(tmp_path, capsys, config, n, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,where,value,named", [
+    (RS_CONFIG, "stripes", -1, "config field 'stripes' must be at least 0, got -1"),
+    (RS_CONFIG, "trials", -2, "config field 'trials' must be at least 0, got -2"),
+    (RS_CONFIG, "seed", -1, "config field 'seed' must be at least 0, got -1"),
+    (HERM_CONFIG, "d", -3, "config helpers field 'd' must be at least 1, got -3"),
+    (HERM_CONFIG, "d", 0, "config helpers field 'd' must be at least 1, got 0"),
+])
+def test_config_counts_are_range_checked(tmp_path, capsys, config, where, value, named):
+    config = (dict(config, helpers={"policy": "random", "d": value}) if where == "d"
+              else dict(config, **{where: value}))
+    cfg = write_config(tmp_path, config)
+    cmd = (["encode", "--config", cfg, "--state", str(tmp_path / "s.json")] if where == "stripes"
+           else ["bench", "--config", cfg])
+    assert cli.main(cmd) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_verify_with_fewer_live_nodes_than_the_threshold_exits_2(tmp_path, capsys):
     """k = n leaves no redundancy: with one node failed there is nothing to
     decode from, which is a usage error, not a mismatch."""

@@ -45,6 +45,37 @@ def test_save_load_with_failure(tmp_path):
     assert (back.nodes[:, 2] == 0).all()
 
 
+def _failed(node, repaired=False):
+    cl = small_cluster()
+    sim.fail_node(cl, node)
+    if repaired:
+        sim.repair_failed(cl)
+    return cl
+
+
+LIBRARY_CALLS = {  # each builds a cluster, or is refused with a ValueError
+    "fail-np.int64": lambda: _failed(np.int64(3)),
+    "fail-np.int64-repaired": lambda: _failed(np.int64(3), repaired=True),
+    "fail-True": lambda: _failed(True),
+    "fail-np.True_": lambda: _failed(np.True_),
+    "fail-1.0": lambda: _failed(1.0),
+    "seed-np.int64": lambda: small_cluster(seed=np.int64(9)),
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS.values(), ids=LIBRARY_CALLS.keys())
+def test_every_state_an_accepted_call_leaves_loads(tmp_path, call):
+    try:
+        cl = call()
+    except ValueError:
+        return  # refused: there is no state to save
+    path = tmp_path / "state.json"
+    sim.save_cluster(path, cl)
+    back = sim.load_cluster(path)
+    assert back.failed == cl.failed and back.seed == cl.seed
+    assert np.array_equal(back.nodes, cl.nodes) and np.array_equal(back.stripes, cl.stripes)
+
+
 def test_save_is_atomic_when_the_write_fails(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
     sim.save_cluster(path, small_cluster())
