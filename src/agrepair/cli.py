@@ -54,8 +54,7 @@ def _out_path(path) -> Path:
 
 
 def _int(cfg: dict, key: str, default=None, low=None):
-    """Config field `key` as a JSON integer (bool is not one) of at least
-    `low`, or `default` when it is absent or null."""
+    """Config field `key` as a JSON integer of at least `low`; `default` when absent or null."""
     if cfg.get(key) is None:
         return default
     return sim._field(cfg, key, "config", integer=True, low=low)

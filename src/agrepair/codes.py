@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .gf import FieldTower, checked
+from .gf import FieldTower, integer, integers
 
 
 class DecodeError(Exception):
@@ -202,7 +202,7 @@ def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCo
     n = len(points)
     if n > tw.q:
         raise ValueError(f"cannot place {n} distinct points in GF({tw.q})")
-    points = checked(points, tw.q, f"evaluation points must be codes in [0, {tw.q}), got {{value}}")
+    points = integers(points, tw.q, f"evaluation points must be codes in [0, {tw.q}), got {{0}}")
     if not distinct(points):
         raise ValueError("evaluation points must be pairwise distinct")
     if k < 1:
@@ -224,8 +224,8 @@ def hermitian_code(curve: HermitianCurve, s: int, n: int | None = None) -> EvalC
     """The code of pole degree s on the first n affine points (default all
     r**3 of them); n outside 1..r**3 is refused."""
     total = curve.points.shape[0]
-    label = f"length n={{value}} must be in 1..{total}, the curve's affine point count"
-    pts = curve.points if n is None else curve.points[:checked(n, total + 1, label, low=1)]
+    label = f"length n={{0}} must be in 1..{total}, the curve's affine point count"
+    pts = curve.points if n is None else curve.points[:integer(n, total + 1, label, low=1)]
     n = pts.shape[0]
     if s >= n:
         raise ValueError(f"pole degree s={s} must be below the length n={n}")
@@ -256,33 +256,21 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
     return _hermitian_rows(code.tower, code.points, rr_basis(code.curve.r, s_aug))
 
 
-def _block_label(what: str, positions=None):
-    """The `checked` label of a block of symbols, one codeword per row (a
-    single row when indexed by an int): an entry names its row and its
-    position, positions[c] for column c when given."""
-    def label(index):
-        if index is None:
-            return what + " codes have {value}, {reason}"
-        row, col = (0, index) if isinstance(index, int) else index
-        pos = col if positions is None else positions[col]
-        return f"{what} row {row}, position {pos} holds {{value}}, {{reason}}"
-    return label
-
-
 def encode(code: EvalCode, message) -> Codeword:
     """Encode one message of k symbols.  See "Library inputs" in the README
     for the symbols accepted."""
-    msg = code.tower.checked(message, _block_label("message"))
+    msg = code.tower.codes_of(list(message), "message row 0, position {2} holds {0}, {1}",
+                              "message codes have")
     if msg.shape[0] != code.k:
         raise ValueError(f"message length {msg.shape[0]} != dimension {code.k}")
     return Codeword(code, encode_many(code, msg[None, :])[0])
 
 
 def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:
-    """(m, k) message block -> (m, n) codeword block.  A block of another
-    dtype is refused, not cast, and a code outside the field is named by
-    its row and position."""
-    messages = code.tower.checked(messages, _block_label("message"))
+    """(m, k) message block -> (m, n) codeword block; a block of another
+    dtype is refused, not cast (see "Library inputs" in the README)."""
+    messages = code.tower.codes_of(messages, "message row {2}, position {3} holds {0}, {1}",
+                                   "message codes have")
     return linalg.matmul(code.tower, messages, code.generator)
 
 
@@ -295,27 +283,28 @@ def erasure_decode(code: EvalCode, known) -> Codeword:
     inputs" in the README for the positions and values accepted.
     """
     known = list(known)
-    positions = [p for p, _ in known]
-    values = code.tower.checked([v for _, v in known], _block_label("value", positions))
+    positions = integers([p for p, _ in known], code.n, "position {0} is {1}")
+    values = code.tower.codes_of([v for _, v in known], "value row 0, position {2} holds {0}, {1}",
+                                 "value codes have", positions)
+    if not distinct(positions):
+        raise ValueError("duplicate positions")
     return Codeword(code, erasure_decode_many(code, positions, values[None, :])[0])
 
 
 def erasure_decode_many(code: EvalCode, positions, value_rows: np.ndarray) -> np.ndarray:
-    """Batched erasure decoding against one fixed set of distinct known
-    positions.
+    """Batched erasure decoding against one fixed known-position set.
 
     value_rows has one codeword's known values per row, checked as
     `encode_many` checks messages; returns the decoded (m, n) codeword
     block from one elimination for the whole batch.
     """
-    positions = checked(positions, code.n, "position {value} is {reason}")
-    if not distinct(positions):
-        raise ValueError("duplicate positions")
+    positions = integers(positions, code.n, "position {0} is {1}")
     if positions.size < code.threshold:
         raise UnderdeterminedError(
             f"{positions.size} coordinates given, {code.threshold} needed"
         )
-    value_rows = code.tower.checked(value_rows, _block_label("value", positions))
+    value_rows = code.tower.codes_of(value_rows, "value row {2}, position {3} holds {0}, {1}",
+                                     "value codes have", positions)
     tw = code.tower
     mat = code.generator[:, positions].T
     msgs = linalg.solve(tw, mat, value_rows.T)
@@ -356,7 +345,7 @@ def vanishing_line(curve: HermitianCurve, point) -> VanishingLine:
     characteristic.
     """
     tw = curve.tower
-    a, b = tw.checked(point, "point coordinate {value} is {reason}").tolist()
+    a, b = tw.codes_of(point, "point coordinate {0} is {1}").tolist()
     if not curve.on_curve(a, b):
         raise ValueError(f"({a}, {b}) is not on the curve")
     alpha = tw.pow(tw.neg(a), curve.r)
@@ -394,14 +383,13 @@ def vanishing_function(code: EvalCode, i: int):
 
 
 def repair_set(n: int, target, helpers) -> tuple[int, list]:
-    """The target and its helpers (default: every other node), as an int
-    and a sorted list, checked by `checked` against [0, n).  Also raises
-    ValueError naming the index when a helper is the target or appears
-    twice, or when there are no helpers."""
-    target = checked(target, n, "target {value} is {reason}")
+    """The target and its helpers (any iterable; default: every other node)
+    as an int and a sorted list, checked against [0, n); a helper that is
+    the target or appears twice, or no helpers, is a ValueError too."""
+    target = integer(target, n, "target {0} is {1}")
     if helpers is None:
         helpers = [j for j in range(n) if j != target]
-    helpers = sorted(checked(helpers, n, "helper {value} is {reason}").tolist())
+    helpers = sorted(integers(list(helpers), n, "helper {0} is {1}").tolist())
     if not helpers:
         raise ValueError("helper set is empty")
     if target in helpers:

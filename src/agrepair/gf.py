@@ -21,7 +21,6 @@ instances can be shared freely between threads.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,61 +71,78 @@ def _factor(n: int) -> list[int]:
     return out
 
 
-def checked(value, bound, label, low=0, domain=None):
-    """The one input rule for element codes and indices: integers in
-    [low, bound), with no limit on a side given as None.
+def _integers_only(entries) -> bool:
+    """Whether every entry is a Python int or a numpy integer (bool and
+    np.bool_ are not integers)."""
+    return all(k is int or issubclass(k, np.integer) for k in set(map(type, entries)))
 
-    Accepts a Python int or a numpy integer (bool and np.bool_ are not
-    integers), returned as an int; an integer-dtype array; or a list or
-    tuple of such ints, type-checked before it becomes an array, as
-    np.asarray([True, 0]) would silently be int64.  Arrays come back as
-    int64.  Anything else, or a value out of range, is a ValueError whose
-    text is `label`, a str.format template, or a function of the offending
-    index returning one (None for a scalar or a whole array, an int or a
-    tuple for an entry).  Its fields are {value}, {reason} ("not an
-    integer...", "outside <domain>", by default "[low, bound)") and {rule}.
+
+def _not_integer(value) -> str:
+    return f"not an integer: its type {type(value).__name__} is not an integer dtype"
+
+
+def _outside(low, bound, domain) -> str:
+    return f"outside {domain or f'[{low}, {bound})'}" if bound is not None else f"below {low}"
+
+
+def integer(value, bound, what: str, where=None, low=0, domain=None) -> int:
+    """The input rule for one index or element code: an integer in
+    [low, bound) (no upper limit when bound is None), returned as an int.
+
+    Anything else is a ValueError whose text is what.format(value, reason,
+    where): the value as given (its repr when it is no integer), then
+    "not an integer: ..." or "outside <domain>" (by default the range),
+    then the caller's index.  Wording that leaves out the reason names
+    both failures alike.
     """
     if type(value) is int or isinstance(value, np.integer):
-        if (low is None or low <= value) and (bound is None or value < bound):
-            return int(value)
-        _refuse_range(label, None, value, low, bound, domain)
-    if isinstance(value, (list, tuple)):
-        if not all(k is int or issubclass(k, np.integer) for k in set(map(type, value))):
-            k = next(k for k, v in enumerate(value)
-                     if type(v) is not int and not isinstance(v, np.integer))
-            _refuse_type(label, k, value[k])
+        if low <= value and (bound is None or value < bound):
+            return value if type(value) is int else int(value)
+        raise ValueError(what.format(int(value), _outside(low, bound, domain), where))
+    raise ValueError(what.format(repr(value), _not_integer(value), where))
+
+
+def integers(values, bound, what: str, block=None, at=None, domain=None) -> np.ndarray:
+    """The same rule for a block, as an int64 array: an integer-dtype array,
+    or a list or tuple (nested for rows) of values `integer` accepts, their
+    types checked first, as np.asarray([True, 0]) would silently be int64.
+
+    An entry is named as `integer` names a value, the index fields being
+    its row (in a 2-D block) and its column c, read as at[c] when given.
+    A block of another dtype is refused as "<block> dtype <dtype>, not an
+    integer dtype" (with `what` when no `block` is given).
+    """
+    if isinstance(values, (list, tuple)):
+        if not _integers_only(values):  # the rows of a block, or a bad entry
+            entries = np.array(values, dtype=object)
+            if not _integers_only(entries.flat):
+                index = next(i for i, v in np.ndenumerate(entries) if not _integers_only([v]))
+                if entries.ndim == 1 and all(isinstance(v, (list, tuple, np.ndarray))
+                                             for v in values):
+                    np.array(values)  # ragged rows: numpy names the shape
+                raise _entry_error(what, repr(entries[index]), _not_integer(entries[index]),
+                                   index, at)
         try:
-            value = np.array(value, dtype=np.int64)
+            values = np.array(values, dtype=np.int64)
         except OverflowError:
-            k = next(k for k, v in enumerate(value) if not -2 ** 63 <= v < 2 ** 63)
-            _refuse_range(label, k, value[k], low, bound, domain, ", not an integer dtype value")
-    elif not isinstance(value, np.ndarray):
-        _refuse_type(label, None, value)
-    if value.dtype.kind not in "iu":
-        _refuse(label, None, f"dtype {value.dtype}", "not an integer dtype", "of an integer dtype")
-    lo, hi = -math.inf if low is None else low, math.inf if bound is None else bound
-    if value.size and (value.min() < lo or value.max() >= hi):
-        index = tuple(np.argwhere((value < lo) | (value >= hi))[0].tolist())
-        _refuse_range(label, index[0] if value.ndim == 1 else index, value[index], low, bound, domain)
-    return value.astype(np.int64, copy=False)
+            entries = np.array(values, dtype=object)
+            index = next(i for i, v in np.ndenumerate(entries) if not -2 ** 63 <= v < 2 ** 63)
+            reason = f"{_outside(0, bound, domain)}: beyond int64, not an integer dtype"
+            raise _entry_error(what, entries[index], reason, index, at) from None
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        shown = f"dtype {values.dtype}"
+        raise ValueError(f"{block} {shown}, not an integer dtype" if block
+                         else what.format(shown, "not an integer dtype"))
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        index = tuple(np.argwhere((values < 0) | (values >= bound))[0].tolist())
+        raise _entry_error(what, int(values[index]), _outside(0, bound, domain), index, at)
+    return values.astype(np.int64, copy=False)
 
 
-def _refuse(label, index, shown: str, reason: str, rule: str):
-    """Raise the ValueError `checked` describes, `shown` being the value's text."""
-    template = label(index) if callable(label) else label
-    raise ValueError(template.format(value=shown, reason=reason, rule=rule))
-
-
-def _refuse_type(label, index, value):
-    _refuse(label, index, repr(value), f"not an integer: its type {type(value).__name__} "
-           "is not an integer dtype", "an integer")
-
-
-def _refuse_range(label, index, value, low, bound, domain, note=""):
-    if domain is None and bound is None:
-        _refuse(label, index, str(int(value)), f"below {low}", f"at least {low}")
-    domain = domain or f"[{low}, {bound})"
-    _refuse(label, index, str(int(value)), f"outside {domain}{note}", f"in {domain}")
+def _entry_error(what, shown, reason, index, at) -> ValueError:
+    where = index if at is None or not index else index[:-1] + (at[index[-1]],)
+    return ValueError(what.format(shown, reason, *where))
 
 
 class FieldTower:
@@ -162,7 +178,8 @@ class FieldTower:
 
         if modulus is None:
             modulus = self._least_irreducible()
-        modulus = tuple(checked(modulus, p, "modulus coefficient {value} is {reason}").tolist())
+        modulus = tuple(integers(modulus, p, "modulus coefficients must be codes in [0, p), got {0}")
+                        .tolist())
         if len(modulus) != t + 1 or modulus[t] != 1:
             raise ValueError("modulus must be monic of degree t")
         if not self._poly_is_irreducible(modulus):
@@ -414,27 +431,26 @@ class FieldTower:
     # ------------------------------------------------------------------
     # digit views and elements
     # ------------------------------------------------------------------
-    def checked(self, value, label):
-        """`checked` against this field: the codes of a value, a list or a
-        tuple, any FieldElement in it unwrapped to its code, or an array.  A
-        FieldElement of another tower is refused."""
+    def code_of(self, value, what: str, where=None) -> int:
+        """`integer` against this field: an element code, or a FieldElement
+        of this tower unwrapped to its code; one of another tower is refused
+        as "an element of a different tower"."""
         if isinstance(value, FieldElement):
-            return self._code(value, label, None)
-        if type(value) is list or type(value) is tuple:
-            value = [self._code(v, label, k) for k, v in enumerate(value)]
-        return checked(value, self.q, label, 0, self.name)
+            if value.tower != self:
+                raise ValueError(what.format(repr(value), "an element of a different tower", where))
+            return value.code
+        return integer(value, self.q, what, where, 0, self.name)
 
-    def _code(self, value, label, index):
-        if not isinstance(value, FieldElement):
-            return value
-        if value.tower != self:
-            _refuse(label, index, repr(value), f"an element of {value.tower!r}, not of {self!r}",
-                   f"an element of {self!r}")
-        return value.code
+    def codes_of(self, values, what: str, block=None, at=None) -> np.ndarray:
+        """`integers` against this field, a list's FieldElements read by `code_of`."""
+        if isinstance(values, (list, tuple)) and any(isinstance(v, FieldElement) for v in values):
+            values = [self.code_of(v, what, k if at is None else at[k])
+                      if isinstance(v, FieldElement) else v for k, v in enumerate(values)]
+        return integers(values, self.q, what, block, at, domain=self.name)
 
     def digits(self, code: int) -> tuple:
         """Base-p digit vector, least-significant first, length t."""
-        return self._digits(self.checked(code, "code {value} is {reason}"))
+        return self._digits(self.code_of(code, "code {0} is {1}"))
 
     def from_digits(self, digits) -> int:
         return int(self.from_digits_arr([int(d) for d in digits]))
@@ -457,11 +473,11 @@ class FieldTower:
         return dig @ (self.p ** np.arange(self.t, dtype=np.int64))
 
     def element(self, value) -> "FieldElement":
-        """The element of a code or a FieldElement (see `checked`), or of a
+        """The element of a code or a FieldElement (see `code_of`), or of a
         digit vector given as a list, tuple or array."""
         if isinstance(value, (list, tuple, np.ndarray)):
             return FieldElement(self, self.from_digits(value))
-        return FieldElement(self, self.checked(value, "code {value} is {reason}"))
+        return FieldElement(self, self.code_of(value, "code {0} is {1}"))
 
     @property
     def zero(self):
@@ -535,7 +551,7 @@ class FieldElement:
         return self.tower.digits(self.code)
 
     def _coerce(self, other) -> int:
-        return self.tower.checked(other, "operand {value} is {reason}")
+        return self.tower.element(other).code
 
     def __add__(self, other):
         return FieldElement(self.tower, self.tower.add(self.code, self._coerce(other)))
@@ -589,9 +605,9 @@ def trace_reconstruct(traces, tw: FieldTower) -> FieldElement:
     traces = list(traces)
     if len(traces) != tw.t:
         raise ValueError(f"expected {tw.t} trace values, got {len(traces)}")
-    vals = checked(traces, tw.p, "trace value {value} is {reason}", domain=f"GF({tw.p})")
     acc = 0
-    for val, th in zip(vals.tolist(), tw.theta):
+    for val, th in zip(traces, tw.theta):
+        val = integer(val, tw.p, "trace value {0} {1}", domain="the base subfield")
         acc = tw.add(acc, tw.mul(val, th))
     return FieldElement(tw, acc)
 
@@ -648,7 +664,7 @@ class LinearizedMap:
         return acc
 
     def __call__(self, x) -> int:
-        x = self.tower.checked(x, "x={value} is {reason}")
+        x = self.tower.code_of(x, "x={0} is {1}")
         return self.tower.mul(x, self.quotient(x))
 
     def quotient_arr(self, xs):

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import checked
+from .gf import integers
 
 
 def as_matrix(mat) -> np.ndarray:
@@ -191,8 +191,10 @@ def _reduced_pivots(mat):
 
 def _column_indices(cols, ncols: int) -> np.ndarray:
     """cols as int64, refused unless strictly increasing inside [0, ncols)."""
-    idx = checked(cols, ncols,
-                  "column {value} is {reason}; columns must be a 1-D sequence of integer indices")
+    if isinstance(cols, np.ndarray) and cols.shape == (0,):
+        return np.empty(0, dtype=np.int64)  # no columns, whatever the dtype
+    idx = integers(cols, ncols,
+                   "column {0} is {1}; columns must be a 1-D sequence of integer indices")
     if idx.ndim != 1:
         raise ValueError("columns must be a 1-D sequence of integer indices")
     unordered = np.flatnonzero(np.diff(idx) <= 0)

@@ -59,7 +59,7 @@ from .codes import (
     vanishing_function,
     vanishing_line,
 )
-from .gf import FieldElement, LinearizedMap, checked, trace_reconstruct
+from .gf import FieldElement, LinearizedMap, integer, integers, trace_reconstruct
 
 VARIANT_RS = "rs"
 VARIANT_LINE = "hermitian-line"
@@ -182,8 +182,7 @@ def build_scheme(
     l: int = 1,
     variant: str | None = None,
 ) -> RepairScheme:
-    """Plan the repair of `target` from `helpers` (default: all other nodes),
-    both checked by `codes.repair_set`."""
+    """Plan the repair of `target` from `helpers` (see `codes.repair_set`)."""
     tw = code.tower
     n = code.n
     target, helpers = repair_set(n, target, helpers)
@@ -193,7 +192,7 @@ def build_scheme(
         variant = VARIANT_RS if code.kind == "rs" else VARIANT_LINE
     if _CODE_KIND.get(variant) != code.kind:
         raise ValueError(f"{variant!r} is not a variant for a {code.kind} code")
-    l = checked(l, tw.t + 1, f"l={{value}} must satisfy 0 <= l <= t={tw.t}")
+    l = integer(l, tw.t + 1, f"l={{0}} must satisfy 0 <= l <= t={tw.t}")
     lin = LinearizedMap(tw, tw.theta[:l])
 
     all_ones = _full_support(code, helpers) and variant != VARIANT_WEAK
@@ -267,12 +266,12 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
     Raises ValueError when j is not a helper; see "Library inputs" in the
     README for the symbols accepted.
     """
-    j = checked(j, None, "node {value} is not in the helper set", None)
+    j = integer(j, None, "node {0} is not in the helper set")
     k = bisect.bisect_left(scheme.helpers, j)
     if k == len(scheme.helpers) or scheme.helpers[k] != j:
         raise ValueError(f"node {j} is not in the helper set")
     tw = scheme.code.tower
-    sym = tw.checked(symbol, f"node {j} stores {{value}}, {{reason}}")
+    sym = tw.code_of(symbol, "node {2} stores {0}, {1}", j)
     mu = scheme.mu[scheme.start[j]:scheme.start[j + 1]]
     return tuple(tw.trace(tw.mul(m, sym)) for m in mu.tolist())
 
@@ -296,17 +295,12 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
         raise ValueError(
             f"helper {scheme.active[k]} sent {sent[k]} symbols, expected {expected[k]}")
     # the lengths match, so flat index k is sub-symbol k of the scheme
-    vals = checked([v for r in resps for v in r], tw.p,
-                   lambda k: f"helper {_sender(scheme, k)} sent {{value}}, {{reason}}",
-                   domain=f"GF({tw.p})")
+    senders = np.repeat(np.arange(len(scheme.start) - 1), np.diff(scheme.start))
+    vals = integers([v for r in resps for v in r], tw.p, "helper {2} sent {0}, {1}",
+                    at=senders, domain=f"GF({tw.p})")
     # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
     terms = tw.mul_arr(scheme.lam, vals)
     return trace_reconstruct(tw.neg_arr(_sum_columns(tw, terms)), tw)
-
-
-def _sender(scheme: RepairScheme, k: int) -> int:
-    """The node that sends sub-symbol k."""
-    return int(np.searchsorted(scheme.start, k, side="right")) - 1
 
 
 def _sum_columns(tw, m: np.ndarray) -> np.ndarray:
@@ -327,9 +321,8 @@ def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTrans
     "Library inputs" in the README for the codewords accepted; only the
     active helpers' symbols are checked.
     """
-    read = scheme.code.tower.checked(np.asarray(symbols)[list(scheme.active)], lambda k: (
-        "codeword has {value}, {reason}" if k is None
-        else f"node {scheme.active[k]} stores {{value}}, {{reason}}"))
+    read = scheme.code.tower.codes_of(np.asarray(symbols)[list(scheme.active)],
+                                      "node {2} stores {0}, {1}", "codeword has", scheme.active)
     responses = {j: helper_response(scheme, j, x) for j, x in zip(scheme.active, read.tolist())}
     value = reconstruct(scheme, responses)
     counts = {j: len(r) for j, r in responses.items()}

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codes, repair
-from .gf import FieldTower, checked, tower
+from . import codes, gf, repair
+from .gf import FieldTower, tower
 
 SCHEMA_VERSION = 1
 
@@ -85,7 +85,7 @@ class ExperimentRecord:
 
 
 def make_cluster(code: codes.EvalCode, num_stripes: int, seed: int) -> Cluster:
-    seed = checked(seed, None, "seed {value} is {reason}")
+    seed = gf.integer(seed, None, "seed {0} is {1}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     msgs = rng.integers(0, code.tower.q, size=(num_stripes, code.k), dtype=np.int64)
     return Cluster(
@@ -99,7 +99,7 @@ def make_cluster(code: codes.EvalCode, num_stripes: int, seed: int) -> Cluster:
 def fail_node(cluster: Cluster, node: int) -> None:
     if cluster.failed is not None:
         raise ValueError(f"node {cluster.failed} is already failed")
-    node = checked(node, cluster.n, "node {value} is {reason}")
+    node = gf.integer(node, cluster.n, "node {0} out of range")
     cluster.withheld = cluster.nodes[:, node].copy()
     cluster.nodes[:, node] = 0
     cluster.failed = node
@@ -190,14 +190,17 @@ def _code_payload(code: codes.EvalCode) -> dict:
 
 
 def _field(obj, key: str, where: str, integer: bool = False, low=None):
-    """obj[key]; with `integer`, a JSON integer (bool is not one) of at
-    least `low`, checked by `checked`."""
+    """obj[key]; with `integer`, a JSON integer of at least `low` (see `gf.integer`)."""
     if not isinstance(obj, dict) or key not in obj:
         raise StateFormatError(f"{where} has no {key!r} field")
     if not integer:
         return obj[key]
     with _naming():
-        return checked(obj[key], None, f"{where} field {key!r} must be {{rule}}, got {{value}}", low)
+        value = gf.integer(obj[key], None, f"{where} field {key!r} must be an integer, got {{0}}",
+                           low=-float("inf"))
+        if low is not None:
+            gf.integer(value, None, f"{where} field {key!r} must be at least {low}, got {{0}}", low=low)
+    return value
 
 
 def _decode(tw: FieldTower, value, name: str, shape: tuple) -> np.ndarray:
@@ -320,7 +323,7 @@ def load_cluster(path) -> Cluster:
     failed = state.get("failed")
     if failed is not None:
         with _naming():
-            failed = checked(failed, code.n, f"failed node {{value}} out of range for n={code.n}")
+            failed = gf.integer(failed, code.n, f"failed node {{0}} out of range for n={code.n}")
     seed = _field(state, "seed", "state", integer=True) if "seed" in state else 0
     withheld = state.get("withheld")
     if withheld is not None:

@@ -60,7 +60,7 @@ def test_out_of_range_failed_node_is_a_state_error(tmp_path, capsys):
     state = tmp_path / "state.json"
     assert cli.main(["encode", "--config", cfg, "--state", str(state)]) == 0
     payload = json.loads(state.read_text())
-    for bad in (RS_CONFIG["n"], -1, True, "3"):
+    for bad in (RS_CONFIG["n"], -1, True, "3", [1, 2]):
         state.write_text(json.dumps(dict(payload, failed=bad)))
         for cmd in (["verify"], ["repair", "--l", "3"]):
             assert cli.main([*cmd, "--state", str(state)]) == 2
@@ -81,6 +81,7 @@ DROP = object()
      "code kind must be 'rs' or 'hermitian', got 'reed-solomon'"),
     (RS_CONFIG, ("code", "s"), "7", "code field 's' must be an integer, got '7'"),
     (RS_CONFIG, ("seed",), None, "state field 'seed' must be an integer, got None"),
+    (RS_CONFIG, ("seed",), [1, 2], "state field 'seed' must be an integer, got [1, 2]"),
     (RS_CONFIG, ("code", "monomials"), [5, 6], "code field 'monomials' disagrees with the code"),
     (RS_CONFIG, ("code", "monomials"), DROP, "code has no 'monomials' field"),
     (HERM_CONFIG, ("code", "r"), 3, "code field 'r' disagrees with the code"),
@@ -94,7 +95,7 @@ DROP = object()
      "code field 's': pole degree s=64 must be below the length n=64"),
     (RS_CONFIG, ("code", "points", 1), [0, 0, 0, 0], "code points are not pairwise distinct"),
 ], ids=["no-nodes", "no-code", "no-code-p", "top-level-list", "null-digit", "nodes-int",
-        "unknown-kind", "string-s", "null-seed", "wrong-monomials", "no-monomials",
+        "unknown-kind", "string-s", "null-seed", "list-seed", "wrong-monomials", "no-monomials",
         "wrong-r", "swapped-monomial", "p-not-prime-power", "s-too-large",
         "non-square-field", "pole-too-large", "repeated-point"])
 def test_malformed_state_is_a_state_error(tmp_path, capsys, config, where, value, named):
@@ -188,7 +189,7 @@ def test_config_errors(tmp_path, capsys):
     (RS_CONFIG, "stripes", 2.9), (RS_CONFIG, "stripes", True), (RS_CONFIG, "seed", "11"),
     (RS_CONFIG, "k", 8.0), (RS_CONFIG, "n", 16.5), (RS_CONFIG, "p", 2.0), (RS_CONFIG, "t", "4"),
     (HERM_CONFIG, "s", 8.5), (HERM_CONFIG, "r", 4.0), (HERM_CONFIG, "trials", 6.0),
-    (HERM_CONFIG, "l", True),
+    (HERM_CONFIG, "l", True), (RS_CONFIG, "seed", [3]), (HERM_CONFIG, "trials", [3]),
 ])
 def test_config_integer_fields_must_be_json_integers(tmp_path, capsys, config, key, value):
     cfg = write_config(tmp_path, dict(config, **{key: value}))

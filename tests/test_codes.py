@@ -169,6 +169,8 @@ def test_encode_rejects_non_integer_codes():
     f16 = rs.tower
     assert codes.encode(rs, [f16.element(int(c)) for c in block[3]]).symbols.tolist() == expected[3].tolist()
     assert codes.encode(rs, block[3].tolist()).symbols.tolist() == expected[3].tolist()
+    assert np.array_equal(codes.encode_many(rs, block.tolist()), expected)
+    assert codes.encode(rs, iter(block[3].tolist())).symbols.tolist() == expected[3].tolist()
 
 
 def test_hermitian_code_monomial_rows():

@@ -75,6 +75,13 @@ def test_mismatched_towers_rejected():
         a + b
 
 
+def test_list_operand_is_a_digit_vector():
+    tw = tower(4, 2)
+    total = tw.element(1) + [1, 2]
+    assert type(total.code) is int
+    assert total == tw.element(1) + tw.element(tw.from_digits([1, 2]))
+
+
 @pytest.mark.parametrize("p,t", SMALL_TOWERS)
 def test_field_axioms_random(p, t):
     tw = tower(p, t)

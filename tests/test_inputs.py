@@ -16,8 +16,8 @@ RS = codes.rs_code(TW, k=4, n=16)
 SCHEME = repair.build_scheme(RS, 0, l=1)
 WORD = codes.encode(RS, [1, 2, 3, 4]).symbols
 CURVE = codes.hermitian_curve(TW)
-BAD = {"2.7": 2.7, "2.0": 2.0, "True": True, "np.True_": np.True_, "'3'": "3", "-1": -1,
-       "bound": None, "2**70": 2 ** 70, "foreign": FOREIGN}
+BAD = {"2.7": 2.7, "2.0": 2.0, "True": True, "np.True_": np.True_, "'3'": "3", "[3]": [3],
+       "-1": -1, "bound": None, "2**70": 2 ** 70, "foreign": FOREIGN}
 
 
 def _fail(node):
@@ -28,7 +28,8 @@ def _known(*positions):
     return [(j, int(WORD[j])) for j in positions]
 
 
-NON_INTEGERS = ["2.7", "2.0", "True", "np.True_", "'3'"]
+NON_INTEGERS = ["2.7", "2.0", "True", "np.True_", "'3'", "[3]"]
+SCALARS = NON_INTEGERS[:-1]  # where a list is a digit vector, not a code
 ALL = NON_INTEGERS + ["-1", "bound", "2**70", "foreign"]
 
 # entry point -> (call with the bad value, its bound, a pattern naming the
@@ -46,7 +47,7 @@ ENTRIES = {
         16, r"position", ALL),
     "helper_response-node": (lambda v: repair.helper_response(SCHEME, v, 3), 16,
                              r"node .+ is not in the helper set",
-                             ["2.0", "True", "np.True_", "'3'", "foreign"]),
+                             ["2.0", "True", "np.True_", "'3'", "[3]", "foreign"]),
     "helper_response-symbol": (lambda v: repair.helper_response(SCHEME, 1, v), 16,
                                r"node 1 stores", ["foreign"]),
     "build_scheme-target": (lambda v: repair.build_scheme(RS, v, l=1), 16, r"target",
@@ -54,12 +55,12 @@ ENTRIES = {
     "build_scheme-helper": (lambda v: repair.build_scheme(RS, 0, helpers=[v] + list(range(4, 14))),
                             16, r"helper", NON_INTEGERS + ["foreign"]),
     "build_scheme-l": (lambda v: repair.build_scheme(RS, 0, l=v), 3, r"l=",
-                       ["2.0", "True", "np.True_", "'3'", "foreign"]),
+                       ["2.0", "True", "np.True_", "'3'", "[3]", "foreign"]),
     "dual_support_vector-helper": (
         lambda v: codes.dual_support_vector(RS.generator, TW, 0, [v] + list(range(4, 14))),
         16, r"helper", NON_INTEGERS + ["foreign"]),
-    "element": (TW.element, 16, r"code", NON_INTEGERS + ["foreign"]),
-    "operand": (lambda v: TW.element(1) + v, 16, r"operand", NON_INTEGERS),
+    "element": (TW.element, 16, r"code", SCALARS + ["foreign"]),
+    "operand": (lambda v: TW.element(1) + v, 16, r"code", SCALARS),
     "trace_reconstruct": (lambda v: trace_reconstruct([v, 0], TW), 4, r"trace value",
                           NON_INTEGERS + ["foreign"]),
     "fail_node": (_fail, 16, r"node", NON_INTEGERS + ["foreign"]),
@@ -71,9 +72,9 @@ ENTRIES = {
                              r"point coordinate", NON_INTEGERS + ["bound", "2**70", "foreign"]),
     "nullspace_of_columns": (
         lambda v: linalg.nullspace_of_columns(TW, np.eye(3, 16, dtype=np.int64), [v, 15]),
-        16, r"column", ["True", "np.True_"]),
+        16, r"column", ["True", "np.True_", "[3]"]),
     "modulus": (lambda v: FieldTower(2, 2, modulus=(1, v, 1)), 2, r"modulus",
-                ["True", "np.True_", "foreign"]),
+                ["True", "np.True_", "[3]", "foreign"]),
     "linearized_map": (lambda v: LinearizedMap(TW, [1])(v), 16, r"x=", ALL),
 }
 

@@ -360,6 +360,9 @@ def test_nullspace_of_columns_refuses_bad_columns():
                       ([1, 1, 3], "strictly increasing: 1 follows 1"),
                       ([3, 2], "strictly increasing: 2 follows 3"),
                       ([[0, 1]], "1-D sequence of integer"),
-                      ([0.0, 1.0], "1-D sequence of integer")):
+                      ([0.0, 1.0], "1-D sequence of integer"),
+                      (3, "1-D sequence of integer")):
         with pytest.raises(ValueError, match=why):
             linalg.nullspace_of_columns(tw, m, cols)
+    for empty in ([], np.array([])):  # no columns, whatever the dtype
+        assert linalg.nullspace_of_columns(tw, m, empty).shape[1] == 0

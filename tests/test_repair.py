@@ -287,6 +287,14 @@ def test_variant_code_kind_mismatch():
         repair.build_scheme(hc, 0, l=1, variant="bogus")
 
 
+def test_helpers_may_be_any_iterable_of_integers():
+    hc = herm_code(2, 2, s=2)
+    want = repair.scheme_to_json(repair.build_scheme(hc, 0, helpers=[2, 3, 4, 5, 6], l=1))
+    for helpers in ({6, 5, 4, 3, 2}, (j for j in range(2, 7)), range(2, 7),
+                    np.arange(2, 7, dtype=np.uint8)):
+        assert repair.scheme_to_json(repair.build_scheme(hc, 0, helpers=helpers, l=1)) == want
+
+
 def test_helper_validation():
     hc = herm_code(2, 2, s=4)
     with pytest.raises(ValueError):

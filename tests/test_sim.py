@@ -59,6 +59,7 @@ LIBRARY_CALLS = {  # each builds a cluster, or is refused with a ValueError
     "fail-True": lambda: _failed(True),
     "fail-np.True_": lambda: _failed(np.True_),
     "fail-1.0": lambda: _failed(1.0),
+    "fail-list": lambda: _failed([1, 2]),
     "seed-np.int64": lambda: small_cluster(seed=np.int64(9)),
 }
 
