@@ -24,8 +24,11 @@ print(f"  RS over a growing field : {cmp['rs_bits_per_helper']:.3f} bits")
 print(f"  AG code over GF(25)     : {cmp['ag_bits_per_helper']:.3f} bits"
       f"  ({cmp['ratio']:.2f}x, but the alphabet never grows)")
 
-# the strong d-helper formula degenerates to the full-length one at d = n-1
-for q, p, l, n in [(64, 8, 1, 512), (16, 2, 2, 64)]:
-    a = bounds.strong_bandwidth(n - 1, q, l, p)
-    b = bounds.hermitian_full_bandwidth(n, q, l, p)
+# the strong d-helper row degenerates to the full-length one at d = n-1, and
+# each row is applicable exactly when the repair rule accepts s = m - 1
+for q, p, l, n, m in [(64, 8, 1, 512, 476), (16, 2, 2, 64, 40)]:
+    rep = bounds.bound_report(n=n, m=m, d=n - 1, q=q, p=p, l=l)
+    a, b = rep.values["hermitian_strong"], rep.values["hermitian_full"]
     print(f"\nq={q}, l={l}: d=(n-1) strong bound {a:g} == full-length bound {b:g}")
+rep = bounds.bound_report(n=512, m=301, d=362, q=64, p=8, l=1)
+print("s=300 from 362 helpers:", rep.inapplicable["hermitian_strong"])

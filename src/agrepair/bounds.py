@@ -7,10 +7,12 @@ its range.  Rational sub-expressions are evaluated with Fraction before any
 float enters, and logs are base-2 64-bit reals; callers comparing values
 should allow 1e-9.
 
-Symbols: n nodes, m the determination threshold (any m coordinates rebuild
-a codeword), d the helper count, q the symbol alphabet, p the subfield the
-downloads live in, l the dimension of the linearized map's kernel, bits
-= log2(q) the stored bits per node.
+Symbols: n nodes, m the determination threshold s + 1 (k for RS: any m
+coordinates rebuild a codeword), d the helper count, q the symbol alphabet,
+p the subfield the downloads live in, l the dimension of the linearized
+map's kernel, bits = log2(q) the stored bits per node.  A row a repair
+variant achieves is applicable exactly when `repair.check_precondition`
+accepts s = m - 1.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+
+from .gf import integer
+from .repair import (VARIANT_LINE, VARIANT_RS, VARIANT_WEAK, RepairPreconditionError,
+                     check_precondition)
 
 
 def cutset_bound(d: int, m: int, bits: float) -> float:
@@ -66,19 +72,6 @@ def weak_ag_bandwidth(d: int, q: int, genus: int, l: int, p: int) -> float:
     return d * math.log2(q) - (d - genus) * l * math.log2(p)
 
 
-def tower_bandwidth(d: int, q: int, e: int, l: int, p: int) -> float:
-    """Weak repair on the recursive-tower codes: genus term is q**(e/2)."""
-    g = _tower_genus(q, e)
-    return d * math.log2(q) - (d - g) * l * math.log2(p)
-
-
-def _tower_genus(q: int, e: int) -> int:
-    root = math.isqrt(q)
-    if root * root != q:
-        raise ValueError(f"tower codes need a square field size, got q={q}")
-    return root ** e
-
-
 def msr_storage(rate: Fraction | float, q: int) -> float:
     """Per-node storage an MSR code of the same length and rate needs:
     rate / (rate + 1/sqrt(q)) * log2 q.  Exact when sqrt(q) is an integer."""
@@ -110,17 +103,6 @@ def tower_full_interval(q: int, p: int) -> tuple[float, float]:
 def strong_bandwidth(d: int, q: int, l: int, p: int) -> float:
     """Strong repair (RS, or Hermitian from d helpers): B = d*(log2 q - l*log2 p)."""
     return d * (math.log2(q) - l * math.log2(p))
-
-
-def hermitian_full_bandwidth(n: int, q: int, l: int, p: int) -> float:
-    """Hermitian code on all r**3 points, full helper set:
-    B = (n-1)*(log2 q - l*log2 p)."""
-    return (n - 1) * (math.log2(q) - l * math.log2(p))
-
-
-def rs_subfield_bandwidth(n: int, p: int) -> float:
-    """Full-length RS with the largest proper kernel: B = (n-1)*log2 p."""
-    return (n - 1) * math.log2(p)
 
 
 def rs_ag_comparison(q: int, eps: float) -> dict:
@@ -173,41 +155,54 @@ _REPORT_INPUTS = (
     "n", "m", "d", "q", "p", "l", "genus", "e",
     "delta", "delta_perp", "eps", "tau", "rate", "k",
 )
+_REAL_INPUTS = ("eps", "tau", "rate")
 
 
 def bound_report(**config) -> BoundReport:
     """Evaluate every applicable bound for the given parameters.
 
     Accepted keys: n, m, d, q, p, l, genus, e, delta, delta_perp, eps, tau,
-    rate, k.  Unknown keys are rejected; each output is computed when its
-    inputs are present and its precondition holds.
+    rate, k.  Unknown keys are rejected, and so is a value that is not an
+    integer passing `gf.integer` (p and q at least 2, the rest at least 0)
+    or, for eps, tau and rate, an int, float or Fraction; None marks a key
+    as missing.  Each output is computed when its inputs are present and
+    its precondition holds.
     """
     unknown = set(config) - set(_REPORT_INPUTS)
     if unknown:
         raise ValueError(f"unknown parameters: {sorted(unknown)}")
     c = dict(config)
+    for key, value in c.items():
+        if value is None:
+            continue
+        if key not in _REAL_INPUTS:
+            c[key] = integer(value, None, f"parameter {key!r} is {{0}}, {{1}}",
+                             low=2 if key in ("p", "q") else 0)
+        elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+            raise ValueError(f"parameter {key!r} must be a real number, got {value!r}")
     report = BoundReport(inputs=c)
 
     def have(*keys):
         return all(c.get(k) is not None for k in keys)
 
-    def emit(name, fn, *keys, pre=None):
+    def emit(name, fn, *keys):
+        """values[name] = fn() once every key is present; a violated
+        precondition (fn raising) makes the reason inapplicable[name]."""
         if not have(*keys):
             report.inapplicable[name] = f"missing inputs: {[k for k in keys if c.get(k) is None]}"
             return
-        if pre is not None:
-            reason = pre()
-            if reason:
-                report.inapplicable[name] = reason
-                return
         try:
             report.values[name] = fn()
-        except ValueError as exc:
+        except (ValueError, RepairPreconditionError) as exc:
             report.inapplicable[name] = str(exc)
 
     bits = math.log2(c["q"]) if c.get("q") else None
     root = math.isqrt(c["q"]) if c.get("q") else 0
-    square = bool(c.get("q")) and root * root == c["q"]
+
+    def square():
+        if root * root != c["q"]:
+            raise ValueError(f"q={c['q']} is not a perfect square")
+        return root
 
     emit("cutset", lambda: cutset_bound(c["d"], c["m"], bits), "d", "m", "q")
     emit(
@@ -227,117 +222,55 @@ def bound_report(**config) -> BoundReport:
         lambda: linear_repair_lb_asymptotic(c["n"], c["q"], c["tau"]),
         "n", "q", "tau",
     )
-
-    def weak_pre():
-        rho = (c["p"] ** c["l"] - 1) * (c["genus"] + 1)
-        if not 2 * c["genus"] <= c["m"] <= c["d"] - rho:
-            return (
-                f"requires 2*genus <= m <= d - (p**l - 1)*(genus + 1): "
-                f"m={c['m']}, d={c['d']}, genus={c['genus']}, rho={rho}"
-            )
-        return None
-
-    emit(
-        "weak_ag",
-        lambda: weak_ag_bandwidth(c["d"], c["q"], c["genus"], c["l"], c["p"]),
-        "d", "q", "genus", "l", "p", "m",
-        pre=weak_pre,
-    )
-
-    def tower_pre():
-        if not square:
-            return f"q={c['q']} is not a perfect square"
-        g = root ** c["e"]
-        rho = (c["p"] ** c["l"] - 1) * (g + 1)
-        if c["p"] ** c["l"] > c["q"]:
-            return f"requires l <= log_p q: p**l={c['p'] ** c['l']}, q={c['q']}"
-        if not 2 * g <= c["m"] <= c["d"] - rho:
-            return (
-                f"requires 2*q**(e/2) <= m <= d - (p**l - 1)*(q**(e/2) + 1): "
-                f"m={c['m']}, d={c['d']}, q**(e/2)={g}"
-            )
-        return None
-
-    emit(
-        "tower",
-        lambda: tower_bandwidth(c["d"], c["q"], c["e"], c["l"], c["p"]),
-        "d", "q", "e", "l", "p", "m",
-        pre=tower_pre,
-    )
     emit("msr_storage_equiv", lambda: msr_storage(c["rate"], c["q"]), "rate", "q")
 
-    def tower_full_pre():
-        if not square:
-            return f"q={c['q']} is not a perfect square"
+    def tower_full():
         lo, hi = tower_full_interval(c["q"], c["p"])
         if not lo < c["eps"] < hi:
-            return f"eps={c['eps']} outside the validity interval ({lo:.4g}, {hi:.4g})"
-        return None
+            raise ValueError(f"eps={c['eps']} outside the validity interval ({lo:.4g}, {hi:.4g})")
+        return tower_full_bandwidth(c["n"], c["q"], c["eps"])
 
-    emit(
-        "tower_full",
-        lambda: tower_full_bandwidth(c["n"], c["q"], c["eps"]),
-        "n", "q", "eps", "p",
-        pre=tower_full_pre,
-    )
+    emit("tower_full", tower_full, "n", "q", "eps", "p")
 
-    def rs_strong_pre():
-        if c.get("n") is not None and c["n"] > c["q"]:
-            return f"RS length cannot exceed the alphabet: n={c['n']}, q={c['q']}"
-        if c["m"] > c["d"] - c["p"] ** c["l"] + 1:
-            return f"requires m <= d - p**l + 1: m={c['m']}, d={c['d']}, p**l={c['p'] ** c['l']}"
-        return None
+    # the rows a repair variant achieves: each asks the repair rule about s = m - 1
+    def repairable(variant, d, l, pole, genus, n=None, complete=None):
+        check_precondition(variant, c["m"] - 1, d, l, c["p"], pole, genus, n, complete)
+        if variant == VARIANT_WEAK:
+            return weak_ag_bandwidth(d, c["q"], genus, l, c["p"])
+        return strong_bandwidth(d, c["q"], l, c["p"])
 
-    emit(
-        "rs_strong",
-        lambda: strong_bandwidth(c["d"], c["q"], c["l"], c["p"]),
-        "d", "q", "l", "p", "m",
-        pre=rs_strong_pre,
-    )
+    def rs(d, l):
+        if have("n") and c["n"] > c["q"]:
+            raise ValueError(f"RS length cannot exceed the alphabet: n={c['n']}, q={c['q']}")
+        return repairable(VARIANT_RS, d, l, 1, 0, c.get("n"), c["q"])
 
-    def hermitian_strong_pre():
-        if not square:
-            return f"q={c['q']} is not a perfect square"
-        rho = (c["p"] ** c["l"] - 1) * (root + 1)
-        if c["m"] > c["d"] - rho:
-            return f"requires m <= d - (p**l - 1)*(r + 1): m={c['m']}, d={c['d']}, rho={rho}"
-        return None
+    def rs_subfield():  # full-length RS with the largest proper kernel, l = log_p(q) - 1
+        top = next((l for l in range(c["q"].bit_length()) if c["p"] ** (l + 1) == c["q"]), None)
+        if c["n"] != c["q"] or top is None:
+            raise ValueError(f"requires n = q, a power of p: n={c['n']}, q={c['q']}, p={c['p']}")
+        return rs(c["n"] - 1, top)
 
-    emit(
-        "hermitian_strong",
-        lambda: strong_bandwidth(c["d"], c["q"], c["l"], c["p"]),
-        "d", "q", "l", "p", "m",
-        pre=hermitian_strong_pre,
-    )
+    def hermitian(d, n):  # the vanishing line on the curve over GF(r**2), genus r*(r-1)/2
+        r = square()
+        return repairable(VARIANT_LINE, d, c["l"], r + 1, r * (r - 1) // 2, n, r ** 3)
 
-    def hermitian_full_pre():
-        if not square:
-            return f"q={c['q']} is not a perfect square"
-        rho = (c["p"] ** c["l"] - 1) * (root + 1)
-        bound = c["n"] + root * (root - 1) - 2 - rho
-        if c["m"] > bound:
-            return f"requires m <= n + r*(r-1) - 2 - (p**l - 1)*(r + 1): m={c['m']}, bound={bound}"
-        return None
+    def weak(genus, name):
+        if 2 * genus > c["m"]:
+            raise ValueError(f"requires 2*{name} <= m: m={c['m']}, {name}={genus}")
+        return repairable(VARIANT_WEAK, c["d"], c["l"], genus + 1, genus)
 
-    emit(
-        "hermitian_full",
-        lambda: hermitian_full_bandwidth(c["n"], c["q"], c["l"], c["p"]),
-        "n", "q", "l", "p", "m",
-        pre=hermitian_full_pre,
-    )
+    emit("rs_strong", lambda: rs(c["d"], c["l"]), "d", "q", "l", "p", "m")
+    emit("rs_subfield", rs_subfield, "n", "p", "q", "m")
+    emit("hermitian_strong", lambda: hermitian(c["d"], c.get("n")), "d", "q", "l", "p", "m")
+    emit("hermitian_full", lambda: hermitian(c["n"] - 1, c["n"]), "n", "q", "l", "p", "m")
+    emit("weak_ag", lambda: weak(c["genus"], "genus"), "d", "q", "genus", "l", "p", "m")
 
-    def rs_subfield_pre():
-        if c["n"] != c["q"]:
-            return f"requires n = q: n={c['n']}, q={c['q']}"
-        if c["m"] * c["p"] > c["n"] * (c["p"] - 1):
-            return f"requires m <= n*(1 - 1/p): m={c['m']}, n={c['n']}, p={c['p']}"
-        return None
+    def tower():  # the weak form on the recursive-tower codes, genus term q**(e/2)
+        genus = square() ** c["e"]
+        if c["p"] ** c["l"] > c["q"]:
+            raise ValueError(f"requires l <= log_p q: p**l={c['p'] ** c['l']}, q={c['q']}")
+        return weak(genus, "q**(e/2)")
 
-    emit(
-        "rs_subfield",
-        lambda: rs_subfield_bandwidth(c["n"], c["p"]),
-        "n", "p", "q", "m",
-        pre=rs_subfield_pre,
-    )
+    emit("tower", tower, "d", "q", "e", "l", "p", "m")
 
     return report

@@ -205,8 +205,7 @@ def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCo
     points = integers(points, tw.q, f"evaluation points must be codes in [0, {tw.q}), got {{0}}")
     if not distinct(points):
         raise ValueError("evaluation points must be pairwise distinct")
-    if k < 1:
-        raise ValueError("dimension k must be >= 1")
+    k = integer(k, None, "dimension k={0} is {1}", low=1)
     if k > n:
         raise ValueError(f"k={k} exceeds length n={n}")
     return EvalCode(
@@ -227,6 +226,7 @@ def hermitian_code(curve: HermitianCurve, s: int, n: int | None = None) -> EvalC
     label = f"length n={{0}} must be in 1..{total}, the curve's affine point count"
     pts = curve.points if n is None else curve.points[:integer(n, total + 1, label, low=1)]
     n = pts.shape[0]
+    s = integer(s, None, "pole degree s={0} is {1}")
     if s >= n:
         raise ValueError(f"pole degree s={s} must be below the length n={n}")
     mons = rr_basis(curve.r, s)
@@ -358,10 +358,12 @@ def vanishing_function(code: EvalCode, i: int):
 
     Generic replacement for `vanishing_line` when only the weak repair
     guarantee is needed: returns (values at all code points, extra zero
-    positions I_i).  The pole budget genus+1 caps len(I_i) at genus.
+    positions I_i).  The pole budget genus+1 caps len(I_i) at genus.  The
+    index i is checked against [0, n) by `integer`.
     """
     if code.kind != "hermitian":
         raise ValueError("generic vanishing functions are for Hermitian codes")
+    i = integer(i, code.n, "point {0} is {1}")
     tw = code.tower
     mons = rr_basis(code.curve.r, code.genus + 1)
     rows = _hermitian_rows(tw, code.points, mons)

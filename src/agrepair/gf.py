@@ -453,15 +453,22 @@ class FieldTower:
         return self._digits(self.code_of(code, "code {0} is {1}"))
 
     def from_digits(self, digits) -> int:
-        return int(self.from_digits_arr([int(d) for d in digits]))
+        """The code of one digit vector, its digits read by `integers` (so
+        1.9 or True is refused, not truncated) and in [0, p)."""
+        return int(self.from_digits_arr(integers(
+            list(digits), self.p, f"digit {{2}} is {{0}}, {{1}}; digits must lie in [0, {self.p})")))
 
     def digits_arr(self, a):
         """(..., t) array of base-p digit codes for an array of element codes."""
         return (np.asarray(a)[..., None] // (self.p ** np.arange(self.t, dtype=np.int64))) % self.p
 
     def from_digits_arr(self, dig):
-        """Inverse of digits_arr: a (..., t) digit array -> (...) element codes."""
-        dig = np.asarray(dig, dtype=np.int64)
+        """Inverse of digits_arr: a (..., t) digit array -> (...) element codes.
+        An array of another dtype than an integer one is refused, not cast."""
+        dig = np.asarray(dig)
+        if dig.dtype.kind not in "iu":
+            raise ValueError(f"digit array dtype {dig.dtype}, not an integer dtype")
+        dig = dig.astype(np.int64, copy=False)
         if dig.ndim == 0 or dig.shape[-1] != self.t:
             raise ValueError(f"expected {self.t} digits, got {dig.shape[-1] if dig.ndim else 0}")
         bad = ((dig < 0) | (dig >= self.p)).any(axis=-1)

@@ -31,7 +31,7 @@ its u, and column k of lam (t, D) its GF(p) weight in every row u.  The
 offsets start (n + 1,) delimit each node's run, so node j's sub-symbols are
 start[j]:start[j+1], empty for pruned helpers and non-helpers alike.
 
-Variants differ only in h_i and so in its pole order (see _check_precondition):
+Variants differ only in h_i and so in its pole order (see check_precondition):
   "rs"              h_i = x - a_i; every b_j = t - l (strong).
   "hermitian-line"  h_i = the vanishing line at P_i; strong.
   "hermitian-weak"  h_i = a generic vanishing function with pole budget
@@ -124,35 +124,35 @@ _CODE_KIND = {VARIANT_RS: "rs", VARIANT_LINE: "hermitian", VARIANT_WEAK: "hermit
 _POLE_NAME = {VARIANT_LINE: "(r + 1)", VARIANT_WEAK: "(genus + 1)"}
 
 
-def _check_precondition(code: EvalCode, d: int, l: int, variant: str, all_ones: bool) -> int:
-    """Require s + rho <= budget, and return rho = (p**l - 1) * pole order of h_i.
+def check_precondition(variant: str, s: int, d: int, l: int, p: int, pole: int, genus: int,
+                       n: int | None = None, complete: int | None = None) -> tuple[int, bool]:
+    """The repair rule, in integers alone: `variant` repairs a point of a
+    pole-degree-s code from d helpers with an l-dimensional kernel over
+    GF(p) when s + rho <= budget, rho = (p**l - 1) * pole and pole the pole
+    order of h_i.  Returns (rho, whether the all-ones dual vector serves);
+    raises RepairPreconditionError otherwise.
 
-    The dual vector is orthogonal to the code of pole degree s + rho, on
-    S + {i} or, for the all-ones vector, on every point.  The budget is
-    d - 1 at genus 0 (pole degree d already fills all d + 1 coordinates),
-    n + 2*genus - 2 for the all-ones vector (the residues of
-    dx/(x**q - x)), and d otherwise.
+    The all-ones vector serves a strong variant when every other node helps
+    (d = n - 1) on a complete point set (n = complete: q points for RS,
+    r**3 on the Hermitian curve).  The dual vector is orthogonal to the
+    code of pole degree s + rho, on S + {i} or, for the all-ones vector, on
+    every point.  The budget is d - 1 at genus 0 (pole degree d already
+    fills all d + 1 coordinates), n + 2*genus - 2 for the all-ones vector
+    (the residues of dx/(x**q - x)), and d otherwise.
     """
-    rho = (code.tower.p ** l - 1) * _pole_step(code, variant)
-    if code.genus == 0:  # RS; with the full point set d - 1 = n + 2*genus - 2
+    all_ones = variant != VARIANT_WEAK and d + 1 == n == complete
+    rho = (p ** l - 1) * pole
+    if genus == 0:  # RS; with the full point set d - 1 = n + 2*genus - 2
         budget, rule = d - 1, "d - p**l"
     elif all_ones:
-        budget = code.n + 2 * code.genus - 2
+        budget = n + 2 * genus - 2
         rule = f"n + 2*genus - 2 - (p**l - 1)*{_POLE_NAME[variant]}"
     else:
         budget, rule = d, f"d - (p**l - 1)*{_POLE_NAME[variant]}"
-    if code.s + rho > budget:
+    if s + rho > budget:
         raise RepairPreconditionError(
-            f"requires s <= {rule}: s={code.s}, d={d}, rho={rho}, bound={budget - rho}")
-    return rho
-
-
-def _full_support(code: EvalCode, helpers) -> bool:
-    """True when every other node helps and the point set is complete: all
-    r**3 affine points, or for RS the whole field (rs_code refuses repeated
-    and out-of-field points, so n == q says so)."""
-    complete = code.tower.q if code.kind == "rs" else code.curve.r ** 3
-    return len(helpers) == code.n - 1 and code.n == complete
+            f"requires s <= {rule}: s={s}, d={d}, rho={rho}, bound={budget - rho}")
+    return rho, all_ones
 
 
 @functools.lru_cache(maxsize=8)
@@ -190,13 +190,17 @@ def build_scheme(
 
     if variant is None:
         variant = VARIANT_RS if code.kind == "rs" else VARIANT_LINE
-    if _CODE_KIND.get(variant) != code.kind:
+    if variant not in (VARIANT_RS, VARIANT_LINE, VARIANT_WEAK):  # not _CODE_KIND: a list is unhashable
+        raise ValueError(f"unknown variant {variant!r}: expected one of {', '.join(_CODE_KIND)}")
+    if _CODE_KIND[variant] != code.kind:
         raise ValueError(f"{variant!r} is not a variant for a {code.kind} code")
     l = integer(l, tw.t + 1, f"l={{0}} must satisfy 0 <= l <= t={tw.t}")
     lin = LinearizedMap(tw, tw.theta[:l])
 
-    all_ones = _full_support(code, helpers) and variant != VARIANT_WEAK
-    rho = _check_precondition(code, len(helpers), l, variant, all_ones)
+    # rs_code refuses repeated and out-of-field points, so n == q says the set is complete
+    complete = tw.q if code.kind == "rs" else code.curve.r ** 3
+    rho, all_ones = check_precondition(variant, code.s, len(helpers), l, tw.p,
+                                       _pole_step(code, variant), code.genus, n, complete)
 
     # h_i values at every position
     extra_zeros: tuple = ()

@@ -149,10 +149,12 @@ def repair_failed(
 def verify_cluster(cluster: Cluster) -> bool:
     """Cross-check every stored stripe against erasure decoding.
 
-    Decodes each stripe from a threshold-sized coordinate subset avoiding
-    the failed node (if any) and compares with what the nodes hold.  Raises
-    UnderdeterminedError when fewer live nodes than the threshold remain,
-    as then there is nothing to decode from.
+    Decodes each stripe from the first threshold live coordinates (the
+    failed node, if any, left out) and compares with what the nodes hold.
+    False when they differ, or when those coordinates match no codeword,
+    as a corrupted one may on a Hermitian code (k < threshold there).
+    Raises UnderdeterminedError when fewer live nodes than the threshold
+    remain, as then there is nothing to decode from.
     """
     live = [j for j in range(cluster.n) if j != cluster.failed]
     threshold = cluster.code.threshold
@@ -160,7 +162,10 @@ def verify_cluster(cluster: Cluster) -> bool:
         raise codes.UnderdeterminedError(
             f"{len(live)} live nodes, fewer than the decoding threshold {threshold}")
     positions = live[:threshold]
-    decoded = codes.erasure_decode_many(cluster.code, positions, cluster.nodes[:, positions])
+    try:
+        decoded = codes.erasure_decode_many(cluster.code, positions, cluster.nodes[:, positions])
+    except codes.InconsistentError:
+        return False
     return bool(np.array_equal(decoded[:, live], cluster.nodes[:, live]))
 
 

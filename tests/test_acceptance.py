@@ -252,11 +252,13 @@ def test_criterion_7_params_reproduction():
     assert bounds.msr_storage(Fraction(7, 8), 64) == 5.25
     assert bounds.msr_storage(7 / 8, 64) == 5.25
 
-    # strong d-helper formula at d = n-1 coincides with the full-length formula
+    # strong d-helper row at d = n-1 coincides with the full-length row
     for q, p, l, n in [(64, 8, 1, 512), (16, 2, 1, 64), (16, 2, 2, 64),
                        (16, 4, 1, 64), (9, 3, 1, 27), (4, 2, 1, 8)]:
-        assert bounds.strong_bandwidth(n - 1, q, l, p) == pytest.approx(
-            bounds.hermitian_full_bandwidth(n, q, l, p), abs=1e-9
+        values = bounds.bound_report(n=n, m=1, d=n - 1, q=q, p=p, l=l).values
+        assert values["hermitian_strong"] == pytest.approx(values["hermitian_full"], abs=1e-9)
+        assert values["hermitian_full"] == pytest.approx(
+            (n - 1) * (math.log2(q) - l * math.log2(p)), abs=1e-9
         )
     report("criterion 7 (comparison value, 5.25-bit MSR storage, strong/full formula agreement)")
 

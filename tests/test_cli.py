@@ -37,6 +37,17 @@ def test_params_json_and_csv(tmp_path, capsys):
     assert any(line.startswith("rs_subfield,15.0,ok") for line in rows)
 
 
+@pytest.mark.parametrize("config,named", [
+    ({"q": "64"}, "parameter 'q' is '64', not an integer"),
+    ({"q": True, "d": 15, "m": 8}, "parameter 'q' is True, not an integer"),
+    ({"n": 2.5}, "parameter 'n' is 2.5, not an integer"),
+    ({"eps": "0.5"}, "parameter 'eps' must be a real number"),
+])
+def test_params_bad_values_exit_2(tmp_path, capsys, config, named):
+    assert cli.main(["params", "--config", write_config(tmp_path, config)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_encode_fail_repair_verify_flow(tmp_path, capsys):
     cfg = write_config(tmp_path, RS_CONFIG)
     state = str(tmp_path / "state.json")
@@ -270,6 +281,13 @@ def test_unsatisfiable_precondition_exits_nonzero(tmp_path, capsys):
     )
     assert cli.main(["bench", "--config", cfg]) == 2
     assert "requires s <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", [["rs"], "reed-solomon"])
+def test_bench_unknown_variant_exits_2(tmp_path, capsys, variant):
+    cfg = write_config(tmp_path, dict(RS_CONFIG, variant=variant))
+    assert cli.main(["bench", "--config", cfg]) == 2
+    assert f"unknown variant {variant!r}" in capsys.readouterr().err
 
 
 def test_bench_flagship_hermitian(tmp_path):

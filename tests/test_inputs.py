@@ -13,6 +13,7 @@ from agrepair.gf import FieldTower, LinearizedMap, tower, trace_reconstruct
 TW = tower(4, 2)                      # GF(4^2)
 FOREIGN = tower(2, 4).element(3)      # an element of GF(2^4): the same q, another tower
 RS = codes.rs_code(TW, k=4, n=16)
+HERM = codes.hermitian_code(codes.hermitian_curve(TW), 8)
 SCHEME = repair.build_scheme(RS, 0, l=1)
 WORD = codes.encode(RS, [1, 2, 3, 4]).symbols
 CURVE = codes.hermitian_curve(TW)
@@ -76,6 +77,14 @@ ENTRIES = {
     "modulus": (lambda v: FieldTower(2, 2, modulus=(1, v, 1)), 2, r"modulus",
                 ["True", "np.True_", "[3]", "foreign"]),
     "linearized_map": (lambda v: LinearizedMap(TW, [1])(v), 16, r"x=", ALL),
+    "rs_code-k": (lambda v: codes.rs_code(TW, v, n=16), 17, r"k=", NON_INTEGERS + ["foreign"]),
+    "hermitian_code-s": (lambda v: codes.hermitian_code(CURVE, v), 64, r"pole degree s=",
+                         NON_INTEGERS + ["foreign"]),
+    "from_digits": (lambda v: TW.from_digits([v, 0]), 4, r"digit 0 is",
+                    NON_INTEGERS + ["2**70", "foreign"]),
+    "element-digits": (lambda v: TW.element([1, v]), 4, r"digit 1 is", NON_INTEGERS + ["foreign"]),
+    "vanishing_function-i": (lambda v: codes.vanishing_function(HERM, v), 64, r"point",
+                             NON_INTEGERS + ["-1", "2**70", "foreign"]),
 }
 
 CASES = [(entry, bad) for entry, (_, _, _, bads) in ENTRIES.items() for bad in bads]
@@ -88,3 +97,10 @@ def test_bad_inputs_are_value_errors_naming_the_argument(entry, bad):
     with pytest.raises(ValueError) as info:
         call(value)
     assert re.search(named, str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("digits", [np.array([[1.9, 0.0]]), np.array([[True, False]]),
+                                    np.array([["1", "0"]])], ids=["float", "bool", "str"])
+def test_digit_arrays_of_another_dtype_are_refused(digits):
+    with pytest.raises(ValueError, match=f"digit array dtype {digits.dtype}, not an integer dtype"):
+        TW.from_digits_arr(digits)

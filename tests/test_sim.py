@@ -126,6 +126,18 @@ def test_hermitian_cluster_cycle():
     assert sim.verify_cluster(cl)
 
 
+@pytest.mark.parametrize("position", [0, 40, 41, 63])
+def test_verify_reports_a_corrupted_hermitian_symbol_as_a_mismatch(position):
+    """k < threshold on a Hermitian code, so a corrupted symbol among the
+    first threshold live positions makes them match no codeword: that is a
+    mismatch, as a corruption beyond them is, not an error."""
+    code = codes.hermitian_code(codes.hermitian_curve(tower(4, 2)), s=40)
+    cl = sim.make_cluster(code, 2, seed=3)
+    assert sim.verify_cluster(cl)
+    cl.nodes[1, position] ^= 1
+    assert sim.verify_cluster(cl) is False
+
+
 def test_golden_stripe_fixture():
     """Hand-written 4-node stripe for f = g*x over GF(4)."""
     cl = sim.load_cluster(DATA / "rs4_stripe.json")
