@@ -446,18 +446,27 @@ def _densify(tw: FieldTower, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     of GF(q)*, the position is skipped and stays zero.  Filling a zero never
     empties another, but a skipped position may be nonzero in some other
     vector of the span, so not every fillable helper is guaranteed weight.
+    With a product table (q <= 256) every -w_m / vec_m is one lookup over
+    all positions (0 where either is 0, and 0 is never a candidate).
     """
+    table = tw.mul_table
     nonzero = basis != 0
     first = nonzero.argmax(axis=0)  # first basis row nonzero at each position
+    if table is not None:  # -w_m / vec_m is entry (w_m, -1/vec_m) of the table
+        products, inverses = table.reshape(-1), tw.inv_table[tw.neg_arr(basis)]
     for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)):
         if w[pos] != 0:
             continue
         vec = basis[first[pos]]
-        common = np.flatnonzero((w != 0) & (vec != 0))
-        free = np.ones(tw.q, dtype=bool)
-        free[0] = False
-        free[tw.neg_arr(tw.mul_arr(w[common], tw.inv_arr(vec[common])))] = False
-        c = int(free.argmax())
+        taken = np.zeros(tw.q, dtype=bool)
+        taken[0] = True
+        if table is not None:
+            taken[products.take(w * tw.q + inverses[first[pos]])] = True
+        else:
+            common = np.flatnonzero((w != 0) & (vec != 0))
+            taken[tw.neg_arr(tw.mul_arr(w[common], tw.inv_arr(vec[common])))] = True
+        c = int(taken.argmin())  # the least scalar not taken, or 0 when all are
         if c:
-            w = tw.add_arr(w, tw.mul_arr(np.int64(c), vec))
+            w = tw.add_arr(w, table[c].take(vec) if table is not None
+                           else tw.mul_arr(np.int64(c), vec))
     return w

@@ -9,10 +9,15 @@ the encodings nest, so the copy of GF(p) inside GF(q) is exactly the set of
 codes below p.  That makes digit lists, subfield membership and serialization
 line up with no conversion tables.
 
-Scalar arithmetic is table-driven (discrete log / antilog over a fixed
-primitive element, and a trace table over all q codes).  The *_arr methods
-are vectorised counterparts operating on numpy integer arrays; they are what
-the linear-algebra layer runs on.
+Arithmetic is table-driven.  A field of at most PRODUCT_TABLE_MAX = 256
+elements keeps its whole q x q product table, one byte per entry (4 KB at
+GF(64), 64 KB at GF(256)), with the inverse of every code: scalar `mul`
+reads a row of it, and the elimination kernels in `linalg` and
+`codes._densify` multiply a whole vector by a scalar with one row lookup.
+Larger fields multiply through discrete log / antilog tables over a fixed
+primitive element.  Every field keeps a trace table over all q codes.  The
+*_arr methods are vectorised counterparts operating on numpy integer
+arrays; they are what the linear-algebra layer runs on.
 
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.
@@ -26,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_FIELD_SIZE = 1 << 16  # desk-scale cap; table construction is O(q)
+MAX_FIELD_SIZE = 1 << 16  # desk-scale cap; exp/log and trace tables are O(q)
+PRODUCT_TABLE_MAX = 256   # q x q uint8 product table up to here (q**2 bytes)
 _ADD_TABLE_MAX = 2048     # odd characteristic: dense q x q add table below this
 
 
@@ -316,6 +322,13 @@ class FieldTower:
         self._exp = exp
         self._log = log
         self._order = order
+        if q <= PRODUCT_TABLE_MAX:  # row a of mul_table is a * every code
+            self.mul_table = exp[log[:, None] + log[None, :]].astype(np.uint8)
+            self.inv_table = exp[order - log].astype(np.uint8)
+            self.inv_table[0] = 0
+            self._mul_rows = self.mul_table.tolist()
+        else:
+            self.mul_table = self.inv_table = self._mul_rows = None
 
         p0 = self.char
         e = self.degree
@@ -343,6 +356,7 @@ class FieldTower:
             x = self.pow_arr(x, self.p)
             acc = self.add_arr(acc, x)
         self._trace_table = acc
+        self._trace_list = acc.tolist()
 
     # ------------------------------------------------------------------
     # scalar arithmetic on integer codes
@@ -361,6 +375,8 @@ class FieldTower:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self._mul_rows is not None:
+            return self._mul_rows[a][b]
         return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
@@ -386,7 +402,7 @@ class FieldTower:
 
     def trace(self, a: int) -> int:
         """Trace into GF(p): a + a**p + ... + a**(p**(t-1)).  Returns a code < p."""
-        return int(self._trace_table[a])
+        return self._trace_list[a]
 
     # ------------------------------------------------------------------
     # vectorised arithmetic on numpy arrays of codes
@@ -464,7 +480,11 @@ class FieldTower:
 
     def from_digits_arr(self, dig):
         """Inverse of digits_arr: a (..., t) digit array -> (...) element codes.
-        An array of another dtype than an integer one is refused, not cast."""
+        A list or tuple is read by `integers` (so True or 1.9 is refused by
+        name); an array of another dtype than an integer one is refused, not
+        cast."""
+        if isinstance(dig, (list, tuple)):
+            dig = integers(dig, self.p, "digit {0} is {1}", domain=f"[0, {self.p})")
         dig = np.asarray(dig)
         if dig.dtype.kind not in "iu":
             raise ValueError(f"digit array dtype {dig.dtype}, not an integer dtype")

@@ -8,17 +8,22 @@ bases are reproducible byte for byte.  No floating point anywhere.
 `rref` is the one elimination kernel for whole matrices; `rank`,
 `nullspace` and `solve` read its output.  Per pivot it normalises the pivot
 row's tail (the columns from the pivot on; everything to their left is
-already zero), tabulates every scalar multiple of that tail once, and
-updates all other rows in one gather from the table: an in-place XOR in
-characteristic 2, `sub_arr` otherwise.  A field with more elements than the
-matrix has rows skips the table and multiplies each row's factor into the
-tail directly.  Steps that would change nothing are skipped: a pivot row
-whose lead is already 1 is not normalised, and a pivot column that is zero
-in every other row triggers no update, so reducing an already-reduced
-matrix costs one nonzero scan per column.  In characteristic 2 the working
-copy is uint8 (q <= 256) or uint16, so the gather moves bytes, not int64
-words.  The reduced row echelon form is unique, so the pivot rule and every
-output are unchanged: R is returned as int64, as before.
+already zero) and adds to every other row the tail's multiple by minus that
+row's factor: an in-place XOR in characteristic 2, `add_arr` otherwise.  In
+a field of at most 256 elements both steps read the tower's q x q product
+table (`FieldTower.mul_table`): the normalised tail is one row of it, read
+at the tail, and the multiples are one gather of its rows by factor and its
+columns by tail, the smaller of the two first.  A larger field tabulates
+every scalar multiple of the tail once when the matrix has at least q rows
+and gathers those by factor, and otherwise multiplies each row's factor
+into the tail directly.  Steps that would change nothing are skipped: a
+pivot row whose lead is already 1 is not normalised, and a pivot column
+that is zero in every other row triggers no update, so reducing an
+already-reduced matrix costs one nonzero scan per column.  In
+characteristic 2 the working copy is uint8 (q <= 256) or uint16, so the
+gather moves bytes, not int64 words.  The reduced row echelon form is
+unique, so the pivot rule and every output are unchanged: R is returned as
+int64, as before.
 
 `nullspace_of_columns(tw, mat, cols)` returns `nullspace(tw, mat[:, cols])`
 byte for byte without reducing the whole restriction.  When mat is in
@@ -79,6 +84,7 @@ def rref(tw, mat):
     work = _work_dtype(tw)
     r = as_matrix(mat).astype(work)
     nrows, ncols = r.shape
+    table = tw.mul_table
     scalars = np.arange(tw.q)[:, None]
     pivots = []
     row = 0
@@ -93,19 +99,23 @@ def rref(tw, mat):
             r[[row, piv], col:] = r[[piv, row], col:]
         tail = r[row, col:]
         if tail[0] != 1:
-            tail = tw.mul_arr(tail, tw.inv(int(tail[0])))
+            tail = (table[tw.inv_table[tail[0]]].take(tail) if table is not None
+                    else tw.mul_arr(tail, tw.inv(int(tail[0]))))
             r[row, col:] = tail
-        factors = r[:, col].copy()
+        factors = tw.neg_arr(r[:, col].copy())  # each row adds -factor * tail
         factors[row] = 0
         if factors.any():
-            if tw.q <= nrows:  # one table row per scalar, gathered by factor
+            if table is not None:  # the smaller of the two gathers first
+                multiples = (table.take(tail, axis=1).take(factors, axis=0) if tw.q <= nrows
+                             else table.take(factors, axis=0).take(tail, axis=1))
+            elif tw.q <= nrows:  # one table row per scalar, gathered by factor
                 multiples = tw.mul_arr(scalars, tail).astype(work)[factors]
             else:
                 multiples = tw.mul_arr(factors[:, None], tail).astype(work)
             if tw.char == 2:
                 r[:, col:] ^= multiples
             else:
-                r[:, col:] = tw.sub_arr(r[:, col:], multiples)
+                r[:, col:] = tw.add_arr(r[:, col:], multiples)
         pivots.append(col)
         row += 1
     return r.astype(np.int64, copy=False), pivots

@@ -123,6 +123,24 @@ def test_report_applicability():
         bounds.bound_report(bogus=1)
 
 
+def test_report_rows_need_room_for_the_helpers():
+    """A variant row whose helper count or length no code has is inapplicable."""
+    rep = bounds.bound_report(n=16, m=8, d=20, q=16, p=2, l=1)
+    assert rep.inapplicable["rs_strong"] == "requires d <= n - 1: d=20, n=16"
+    assert rep.inapplicable["hermitian_strong"] == "requires d <= n - 1: d=20, n=16"
+    assert bounds.bound_report(m=8, d=20, q=16, p=2, l=1).inapplicable["rs_strong"] == \
+        "requires d <= q - 1: d=20, q=16"
+    rep = bounds.bound_report(n=600, m=476, d=511, q=64, p=8, l=1)
+    for row in ("hermitian_full", "hermitian_strong"):
+        assert rep.inapplicable[row] == "requires n <= r**3: n=600, r**3=512"
+    assert rep.inapplicable["rs_strong"] == "requires n <= q: n=600, q=64"
+    # at the limits the rows stand
+    rep = bounds.bound_report(n=16, m=8, d=15, q=16, p=2, l=1)
+    assert rep.values["rs_strong"] == pytest.approx(45.0, abs=TOL)
+    rep = bounds.bound_report(n=512, m=476, d=511, q=64, p=8, l=1)
+    assert rep.values["hermitian_full"] == pytest.approx(1533.0, abs=TOL)
+
+
 def test_report_rows_and_json():
     rep = bounds.bound_report(n=16, m=8, d=15, q=16, p=2, l=3, genus=0)
     names = [r[0] for r in rep.rows()]
