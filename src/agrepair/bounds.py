@@ -12,9 +12,9 @@ coordinates rebuild a codeword), d the helper count, q the symbol alphabet,
 p the subfield the downloads live in, l the dimension of the linearized
 map's kernel, bits = log2(q) the stored bits per node.  A row a repair
 variant achieves is applicable exactly when `repair.check_precondition`
-accepts s = m - 1.  The RS and Hermitian rows also need a code with room
-for the helpers: d <= n - 1, with n <= q for RS and n <= r**3 on the curve
-over GF(r**2) (without n, q or r**3 stands in for it).
+accepts s = m - 1; for the RS and Hermitian rows that rule also asks for
+a code with room for the helpers (d <= n - 1, n <= q for RS and n <= r**3
+on the curve over GF(r**2)).
 """
 
 from __future__ import annotations
@@ -241,19 +241,7 @@ def bound_report(**config) -> BoundReport:
             return weak_ag_bandwidth(d, c["q"], genus, l, c["p"])
         return strong_bandwidth(d, c["q"], l, c["p"])
 
-    def fits(d, n, points, name):
-        """n <= points (named `name`) and d <= n - 1, points standing in
-        for a missing n."""
-        label = name if n is None else "n"
-        if n is None:
-            n = points
-        elif n > points:
-            raise ValueError(f"requires n <= {name}: n={n}, {name}={points}")
-        if d > n - 1:
-            raise ValueError(f"requires d <= {label} - 1: d={d}, {label}={n}")
-
     def rs(d, l):
-        fits(d, c.get("n"), c["q"], "q")
         return repairable(VARIANT_RS, d, l, 1, 0, c.get("n"), c["q"])
 
     def rs_subfield():  # full-length RS with the largest proper kernel, l = log_p(q) - 1
@@ -264,7 +252,6 @@ def bound_report(**config) -> BoundReport:
 
     def hermitian(d, n):  # the vanishing line on the curve over GF(r**2), genus r*(r-1)/2
         r = square()
-        fits(d, n, r ** 3, "r**3")
         return repairable(VARIANT_LINE, d, c["l"], r + 1, r * (r - 1) // 2, n, r ** 3)
 
     def weak(genus, name):

@@ -9,15 +9,16 @@ the encodings nest, so the copy of GF(p) inside GF(q) is exactly the set of
 codes below p.  That makes digit lists, subfield membership and serialization
 line up with no conversion tables.
 
-Arithmetic is table-driven.  A field of at most PRODUCT_TABLE_MAX = 256
-elements keeps its whole q x q product table, one byte per entry (4 KB at
-GF(64), 64 KB at GF(256)), with the inverse of every code: scalar `mul`
-reads a row of it, and the elimination kernels in `linalg` and
-`codes._densify` multiply a whole vector by a scalar with one row lookup.
-Larger fields multiply through discrete log / antilog tables over a fixed
-primitive element.  Every field keeps a trace table over all q codes.  The
-*_arr methods are vectorised counterparts operating on numpy integer
-arrays; they are what the linear-algebra layer runs on.
+Arithmetic is table-driven: discrete log / antilog tables over a fixed
+primitive element, and a trace table over all q codes.  Scalar `mul`, `inv`,
+`pow` and `trace` read them as Python lists.  The *_arr methods are
+vectorised counterparts operating on numpy integer arrays; they are what
+the linear-algebra layer runs on.  A field of at most PRODUCT_TABLE_MAX =
+256 elements also keeps its whole q x q product table, one byte per entry
+(4 KB at GF(64), 64 KB at GF(256)), with the inverse of every code: the
+elimination kernels in `linalg` and `codes._densify` multiply a whole
+vector by a scalar with one row lookup.  Larger fields multiply through
+exp/log there too.
 
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.
@@ -148,7 +149,7 @@ def integers(values, bound, what: str, block=None, at=None, domain=None) -> np.n
 
 def _entry_error(what, shown, reason, index, at) -> ValueError:
     where = index if at is None or not index else index[:-1] + (at[index[-1]],)
-    return ValueError(what.format(shown, reason, *where))
+    return ValueError(what.format(shown, reason, *where, index=list(where)))
 
 
 class FieldTower:
@@ -326,9 +327,10 @@ class FieldTower:
             self.mul_table = exp[log[:, None] + log[None, :]].astype(np.uint8)
             self.inv_table = exp[order - log].astype(np.uint8)
             self.inv_table[0] = 0
-            self._mul_rows = self.mul_table.tolist()
         else:
-            self.mul_table = self.inv_table = self._mul_rows = None
+            self.mul_table = self.inv_table = None
+        self._exp_list = exp.tolist()  # the scalar ops read Python lists
+        self._log_list = log.tolist()
 
         p0 = self.char
         e = self.degree
@@ -375,14 +377,12 @@ class FieldTower:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_rows is not None:
-            return self._mul_rows[a][b]
-        return int(self._exp[self._log[a] + self._log[b]])
+        return self._exp_list[self._log_list[a] + self._log_list[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return int(self._exp[self._order - self._log[a]])
+        return self._exp_list[self._order - self._log_list[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -394,7 +394,7 @@ class FieldTower:
             if k < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        return int(self._exp[(int(self._log[a]) * k) % self._order])
+        return self._exp_list[(self._log_list[a] * k) % self._order]
 
     def frob(self, a: int) -> int:
         """Frobenius relative to the base subfield: a -> a**p."""
@@ -484,7 +484,7 @@ class FieldTower:
         name); an array of another dtype than an integer one is refused, not
         cast."""
         if isinstance(dig, (list, tuple)):
-            dig = integers(dig, self.p, "digit {0} is {1}", domain=f"[0, {self.p})")
+            dig = integers(dig, self.p, "digit at {index} is {0}, {1}", domain=f"[0, {self.p})")
         dig = np.asarray(dig)
         if dig.dtype.kind not in "iu":
             raise ValueError(f"digit array dtype {dig.dtype}, not an integer dtype")

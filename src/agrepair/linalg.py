@@ -49,7 +49,8 @@ over GF(2), w = tw.degree, and field addition is XOR, so splitting it into
 its low h = ceil(w/2) bits and its high w - h bits writes it as a field sum
 a = a_lo + a_hi, and a*b = a_lo*b + a_hi*b exactly.  For each inner index
 the product tabulates the 2**h and 2**(w - h) multiples of that row of the
-right matrix, gathers one row of each table per output row and XORs them
+right matrix (read from the product table when q <= 256, through exp/log
+otherwise), gathers one row of each table per output row and XORs them
 into a uint8 (q <= 256) or uint16 accumulator.  The tables cost about as
 much as they save when they have as many rows as the output, so the path
 runs only when 2**h + 2**(w - h) <= m, for m output rows; a smaller m, and
@@ -278,7 +279,8 @@ def matmul(tw, a, b):
     h = ceil(w/2): when 2**h + 2**(w - h) <= m, each code of a splits into
     its low h bits and its high w - h bits, an exact field sum since
     addition is XOR, and each inner index k XORs one row of each of two
-    multiples tables of b[k] into every output row.  Otherwise, and in odd
+    multiples tables of b[k] into every output row; with a product table
+    those multiples are one gather of its split rows.  Otherwise, and in odd
     characteristic, the product accumulates one inner index at a time with
     `mul_arr` and `add_arr`.
     """
@@ -298,9 +300,12 @@ def matmul(tw, a, b):
     scalars = np.concatenate([np.arange(low), np.arange(1 << (tw.degree - h)) << h])[:, None]
     # rows of the stacked table that each (inner index, half, output row) reads
     picks = np.stack([a & (low - 1), low + (a >> h)]).transpose(2, 0, 1).copy()
+    split = None if tw.mul_table is None else tw.mul_table[scalars[:, 0]]
     out = np.zeros((nrows, b.shape[1]), dtype=work)
     for k in range(a.shape[1]):
-        lo_rows, hi_rows = tw.mul_arr(scalars, b[k]).astype(work)[picks[k]]
+        tables = (tw.mul_arr(scalars, b[k]).astype(work) if split is None
+                  else split.take(b[k], axis=1))
+        lo_rows, hi_rows = tables[picks[k]]
         out ^= lo_rows
         out ^= hi_rows
     return out.astype(np.int64)

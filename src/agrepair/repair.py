@@ -122,6 +122,7 @@ def _pole_step(code: EvalCode, variant: str) -> int:
 # the code kind each variant plans for, and its pole order as error messages name it
 _CODE_KIND = {VARIANT_RS: "rs", VARIANT_LINE: "hermitian", VARIANT_WEAK: "hermitian"}
 _POLE_NAME = {VARIANT_LINE: "(r + 1)", VARIANT_WEAK: "(genus + 1)"}
+_POINTS_NAME = {VARIANT_RS: "q", VARIANT_LINE: "r**3", VARIANT_WEAK: "r**3"}
 
 
 def check_precondition(variant: str, s: int, d: int, l: int, p: int, pole: int, genus: int,
@@ -139,7 +140,18 @@ def check_precondition(variant: str, s: int, d: int, l: int, p: int, pole: int, 
     every point.  The budget is d - 1 at genus 0 (pole degree d already
     fills all d + 1 coordinates), n + 2*genus - 2 for the all-ones vector
     (the residues of dx/(x**q - x)), and d otherwise.
+
+    Given a complete point set, the code must fit it and the helpers the
+    code: n <= complete and d <= n - 1, complete standing in for a missing
+    n.
     """
+    if complete is not None:
+        points = _POINTS_NAME[variant]
+        if n is not None and n > complete:
+            raise RepairPreconditionError(f"requires n <= {points}: n={n}, {points}={complete}")
+        size, name = (complete, points) if n is None else (n, "n")
+        if d > size - 1:
+            raise RepairPreconditionError(f"requires d <= {name} - 1: d={d}, {name}={size}")
     all_ones = variant != VARIANT_WEAK and d + 1 == n == complete
     rho = (p ** l - 1) * pole
     if genus == 0:  # RS; with the full point set d - 1 = n + 2*genus - 2

@@ -2,9 +2,8 @@
 row-by-row elimination it replaced, the batched `rref_blocks` against
 `rref` on each block, the split-table `matmul` against the row-by-row
 product it replaced, `nullspace_of_columns` against `nullspace` of the
-column restriction, the product-table scalar `mul`/`trace` against
-exp/log arithmetic, and the product-table `codes._densify` against the
-exp/log loop it replaced.
+column restriction, and a small field's product and inverse tables
+(which `rref` and `codes._densify` read) against scalar exp/log arithmetic.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrepair import codes, linalg
+from agrepair import linalg
 from agrepair.gf import PRODUCT_TABLE_MAX, tower
 
 # (p, t): char 2 with q <= 256 (uint8 work array and a product table,
@@ -279,10 +278,11 @@ def test_matmul_matches_reference(case):
     assert np.array_equal(a, before_a) and np.array_equal(b, before_b)
 
 
-@pytest.mark.parametrize("p,t", [(2, 4), (8, 2), (32, 2)])
+@pytest.mark.parametrize("p,t", [(2, 4), (8, 2), (16, 2), (32, 2)])
 def test_matmul_split_tables_on_every_code(p, t):
     """Every code of the field in every split position, at the threshold
-    row count and above it, including all-max and all-zero rows."""
+    row count and above it, including all-max and all-zero rows; the split
+    tables come from the product table up to GF(256), by exp/log above."""
     tw = tower(p, t)
     rng = np.random.default_rng(p + t)
     for nrows in (_split_rows(tw), _split_rows(tw) + 1):
@@ -372,9 +372,6 @@ def test_nullspace_of_columns_refuses_bad_columns():
         assert linalg.nullspace_of_columns(tw, m, empty).shape[1] == 0
 
 
-def _exp_log_mul(tw, a, b):
-    return int(tw._exp[tw._log[a] + tw._log[b]])
-
 
 def _exp_log_trace(tw, a):
     """a + a**p + ... + a**(p**(t-1)), each power by exp/log."""
@@ -385,87 +382,27 @@ def _exp_log_trace(tw, a):
 
 
 @pytest.mark.parametrize("p,t", [(2, 1), (2, 4), (4, 2), (2, 6), (8, 2), (4, 3), (3, 2), (3, 3)])
-def test_table_mul_and_trace_match_exp_log_on_every_pair(p, t):
+def test_product_table_matches_scalar_mul_on_every_pair(p, t):
     tw = tower(p, t)
     assert tw.q <= 64 and tw.mul_table.shape == (tw.q, tw.q)
     for a in range(tw.q):
-        assert [tw.mul(a, b) for b in range(tw.q)] == [_exp_log_mul(tw, a, b) for b in range(tw.q)]
-        assert tw.trace(a) == _exp_log_trace(tw, a)
+        assert tw.mul_table[a].tolist() == [tw.mul(a, b) for b in range(tw.q)]
         assert int(tw.inv_table[a]) == (tw.inv(a) if a else 0)
-    assert all(type(tw.mul(a, b)) is int for a in (0, 1, tw.q - 1) for b in (0, tw.q - 1))
+        assert tw.trace(a) == _exp_log_trace(tw, a)
+    assert all(type(f(tw.q - 1)) is int for f in (tw.inv, tw.trace, lambda a: tw.mul(a, a)))
 
 
 @pytest.mark.parametrize("p,t", [(16, 2), (2, 8), (3, 5), (32, 2), (2, 9)])
-def test_table_mul_and_trace_match_exp_log_on_a_sample(p, t):
-    """q = 256 and 243 read the product table; 1024 and 512 keep exp/log."""
+def test_product_table_matches_scalar_mul_on_a_sample(p, t):
+    """q = 256 and 243 hold a product table; 1024 and 512 have none."""
     tw = tower(p, t)
     assert (tw.mul_table is None) == (tw.q > PRODUCT_TABLE_MAX)
     rng = np.random.default_rng(tw.q)
-    pairs = rng.integers(0, tw.q, size=(3000, 2)).tolist() + [[0, 0], [tw.q - 1, tw.q - 1]]
-    assert [tw.mul(a, b) for a, b in pairs] == [_exp_log_mul(tw, a, b) for a, b in pairs]
-    assert [tw.trace(a) for a, _ in pairs[:300]] == [_exp_log_trace(tw, a) for a, _ in pairs[:300]]
+    a, b = rng.integers(0, tw.q, size=(2, 3000))
+    assert [tw.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == tw.mul_arr(a, b).tolist()
+    assert [tw.trace(x) for x in a[:300].tolist()] == [_exp_log_trace(tw, x) for x in a[:300].tolist()]
     if tw.mul_table is not None:
+        assert np.array_equal(tw.mul_table[a, b], tw.mul_arr(a, b))
         codes_ = np.arange(tw.q)
         assert np.array_equal(tw.mul_table, tw.mul_arr(codes_[:, None], codes_[None, :]))
         assert np.array_equal(tw.inv_table[1:], tw.inv_arr(codes_[1:]))
-
-
-def _reference_densify(tw, w, basis):
-    """The exp/log `_densify` loop: -w_m / vec_m only over the positions
-    where both are nonzero, and the fill multiplied in by `mul_arr`."""
-    nonzero = basis != 0
-    first = nonzero.argmax(axis=0)
-    for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)):
-        if w[pos] != 0:
-            continue
-        vec = basis[first[pos]]
-        common = np.flatnonzero((w != 0) & (vec != 0))
-        free = np.ones(tw.q, dtype=bool)
-        free[0] = False
-        free[tw.neg_arr(tw.mul_arr(w[common], tw.inv_arr(vec[common])))] = False
-        c = int(free.argmax())
-        if c:
-            w = tw.add_arr(w, tw.mul_arr(np.int64(c), vec))
-    return w
-
-
-def _dual_or_error(generator, tw, target, helpers):
-    try:
-        return codes.dual_support_vector(generator, tw, target, helpers)
-    except codes.DualVectorError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("p,t", [(2, 4), (4, 2), (8, 2), (3, 2), (9, 2), (2, 9)])
-def test_densify_matches_exp_log_reference(p, t, monkeypatch):
-    """Through `dual_support_vector`, on a shortened Hermitian code's
-    augmented generator (RS for the non-square GF(512), which keeps
-    exp/log), with random helper sets from barely above the generator's
-    rank, where filling stops short and helpers stay pruned, to n - 1."""
-    tw = tower(p, t)
-    r = round(tw.q ** 0.5)
-    if r * r == tw.q:
-        n = min(r ** 3, 60)
-        code = codes.hermitian_code(codes.hermitian_curve(tw), min(20, n // 2), n=n)
-        generator = codes.augmented_generator(code, (p - 1) * (r + 1))
-    else:
-        code = codes.rs_code(tw, k=13, n=60)
-        generator = codes.augmented_generator(code, p - 1)
-    rank = linalg.rank(tw, generator)
-    rng = np.random.default_rng(p * 100 + t)
-    sizes = [d for d in range(rank, min(rank + 6, code.n)) for _ in range(3)]
-    pruned = 0
-    for d in sizes + rng.integers(rank, code.n, 10).tolist():
-        target = int(rng.integers(code.n))
-        others = [j for j in range(code.n) if j != target]
-        helpers = sorted(rng.choice(others, size=d, replace=False).tolist())
-        got = _dual_or_error(generator, tw, target, helpers)
-        with monkeypatch.context() as patch:
-            patch.setattr(codes, "_densify", _reference_densify)
-            want = _dual_or_error(generator, tw, target, helpers)
-        if isinstance(want, str):
-            assert got == want
-            continue
-        assert _same(got, want)
-        pruned += int((want[helpers] == 0).sum())
-    assert pruned or code.kind == "rs"  # an MDS code's dual vectors have full support
