@@ -15,10 +15,10 @@ primitive element, and a trace table over all q codes.  Scalar `mul`, `inv`,
 vectorised counterparts operating on numpy integer arrays; they are what
 the linear-algebra layer runs on.  A field of at most PRODUCT_TABLE_MAX =
 256 elements also keeps its whole q x q product table, one byte per entry
-(4 KB at GF(64), 64 KB at GF(256)), with the inverse of every code: the
-elimination kernels in `linalg` and `codes._densify` multiply a whole
-vector by a scalar with one row lookup.  Larger fields multiply through
-exp/log there too.
+(4 KB at GF(64), 64 KB at GF(256)), with the inverse of every code:
+`linalg.rref`, the split tables of `linalg.matmul` and `codes._densify`
+multiply a whole vector by a scalar with one row lookup.  Larger fields
+multiply through exp/log there too.
 
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.
