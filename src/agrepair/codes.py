@@ -17,6 +17,7 @@ price of the generic (weak) repair path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,12 +198,16 @@ def distinct(values) -> bool:
 
 
 def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCode:
+    """The dimension-k code on `points`, by default the first n codes (all
+    q of them when n is None); n is read only without points."""
     if points is None:
-        points = np.arange(tw.q if n is None else n)
-    n = len(points)
+        n = tw.q if n is None else integer(n, None, "length n={0} is {1}", low=1)
+    else:
+        n = len(points)
     if n > tw.q:
         raise ValueError(f"cannot place {n} distinct points in GF({tw.q})")
-    points = integers(points, tw.q, f"evaluation points must be codes in [0, {tw.q}), got {{0}}")
+    points = integers(np.arange(n) if points is None else points, tw.q,
+                      f"evaluation points must be codes in [0, {tw.q}), got {{0}}")
     if not distinct(points):
         raise ValueError("evaluation points must be pairwise distinct")
     k = integer(k, None, "dimension k={0} is {1}", low=1)
@@ -254,6 +259,27 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
     if code.kind == "rs":
         return _rs_generator(code.tower, code.points, s_aug + 1)
     return _hermitian_rows(code.tower, code.points, rr_basis(code.curve.r, s_aug))
+
+
+@functools.lru_cache(maxsize=8)
+def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.ndarray]:
+    """`linalg.rref` of `augmented_generator(code, extra_pole)`: its nonzero
+    rows in the smallest unsigned dtype and its pivot columns, read-only.
+
+    Every column restriction of the augmented generator has its nullspace
+    read off this pair by `linalg.nullspace_of_columns`, which reduces only
+    the rows whose pivot column a helper set drops: about 70 of 336 rows on
+    the flagship's s=300, d=400 line plan and about 6 of 476 on its d=505
+    weak plan.  Cached per (code, extra pole), as repeated repairs against
+    one code reuse it.
+    """
+    tw = code.tower
+    reduced, pivots = linalg.rref(tw, augmented_generator(code, extra_pole))
+    rows = reduced[: len(pivots)].astype(np.min_scalar_type(tw.q - 1))
+    pivots = np.asarray(pivots, dtype=np.int64)
+    rows.setflags(write=False)
+    pivots.setflags(write=False)
+    return rows, pivots
 
 
 def encode(code: EvalCode, message) -> Codeword:
@@ -402,27 +428,29 @@ def repair_set(n: int, target, helpers) -> tuple[int, list]:
     return target, helpers
 
 
-def dual_support_vector(code_aug_generator: np.ndarray, tw: FieldTower, i: int, helpers) -> np.ndarray:
-    """A vector w orthogonal to every row of code_aug_generator with
-    w_i != 0 and support inside helpers + {i}, normalised to w_i = 1.
+def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.ndarray:
+    """A vector w orthogonal to the code of pole degree s + extra_pole
+    (`augmented_generator(code, extra_pole)`) with w_i != 0 and support
+    inside helpers + {i}, normalised to w_i = 1.
 
-    Found as a nullspace vector of the generator restricted to the columns
+    Found as a nullspace vector of that generator restricted to the columns
     helpers + {i}: the first basis vector nonzero at i.  The basis is
-    `linalg.nullspace_of_columns`, byte for byte the nullspace of the
-    restriction; given a generator already in reduced form with no zero
-    rows (as planning passes it), only the rows whose pivot column the
-    helper set drops are reduced.  Any matrix with the same row space gives
-    the same vector, because the basis is read off the unique reduced form
-    of the restriction.  Its zeros inside the allowed support are then
-    filled greedily (see `_densify`), which need not reach every helper;
-    helpers that stay at zero cost nothing and download nothing.
+    `linalg.nullspace_of_columns` of the generator's cached reduced form,
+    byte for byte the nullspace of the restriction, which reduces only the
+    rows whose pivot column the helper set drops.  Its zeros inside the
+    allowed support are then filled greedily (see `_densify`), which need
+    not reach every helper; helpers that stay at zero cost nothing and
+    download nothing.
 
-    The target and helpers are checked by `repair_set`.
+    The target and helpers are checked by `repair_set`, extra_pole by
+    `integer`.
     """
-    i, helpers = repair_set(code_aug_generator.shape[1], i, helpers)
+    i, helpers = repair_set(code.n, i, helpers)
+    extra_pole = integer(extra_pole, None, "extra pole {0} is {1}")
+    tw = code.tower
     cols = sorted(helpers + [i])
     pos_i = cols.index(i)
-    basis = linalg.nullspace_of_columns(tw, code_aug_generator, cols)
+    basis = linalg.nullspace_of_columns(tw, _reduced_augmented(code, extra_pole), cols)
     if basis.shape[0] == 0:
         raise DualVectorError("restricted dual code is trivial")
     pick = next((row for row in basis if row[pos_i] != 0), None)
@@ -430,7 +458,7 @@ def dual_support_vector(code_aug_generator: np.ndarray, tw: FieldTower, i: int, 
         raise DualVectorError("no dual vector is nonzero at the repair position")
     w = _densify(tw, pick.copy(), basis)
     w = tw.mul_arr(w, tw.inv(int(w[pos_i])))
-    out = np.zeros(code_aug_generator.shape[1], dtype=np.int64)
+    out = np.zeros(code.n, dtype=np.int64)
     out[cols] = w
     return out
 

@@ -435,11 +435,10 @@ class FieldTower:
         a = np.asarray(a)
         if k == 0:
             return np.ones_like(a)
+        if k < 0 and (a == 0).any():
+            raise ZeroDivisionError("negative power of zero")
         out = self._exp[(self._log[a] * (k % self._order)) % self._order]
         return np.where(a == 0, 0, out)
-
-    def frob_arr(self, a):
-        return self.pow_arr(a, self.p)
 
     def trace_arr(self, a):
         return self._trace_table[a]
@@ -671,11 +670,7 @@ class LinearizedMap:
         if len(kernel) != tw.p ** l:
             raise ValueError("v_basis is linearly dependent over the base subfield")
         self.kernel = tuple(kernel)
-        c = 1
-        for v in kernel:
-            if v:
-                c = tw.mul(c, tw.neg(v))
-        self.c = c
+        self.c = self.quotient(0)
 
     @property
     def image_dim(self) -> int:
@@ -683,16 +678,10 @@ class LinearizedMap:
 
     def quotient(self, x: int) -> int:
         """prod over nonzero v in V of (x - v); equals L(x)/x away from 0 and c at 0."""
-        tw = self.tower
-        acc = 1
-        for v in self.kernel:
-            if v:
-                acc = tw.mul(acc, tw.sub(x, v))
-        return acc
+        return int(self.quotient_arr(x))
 
     def __call__(self, x) -> int:
-        x = self.tower.code_of(x, "x={0} is {1}")
-        return self.tower.mul(x, self.quotient(x))
+        return int(self.eval_arr(self.tower.code_of(x, "x={0} is {1}")))
 
     def quotient_arr(self, xs):
         tw = self.tower

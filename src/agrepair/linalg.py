@@ -25,19 +25,16 @@ gather moves bytes, not int64 words.  The reduced row echelon form is
 unique, so the pivot rule and every output are unchanged: R is returned as
 int64, as before.
 
-`nullspace_of_columns(tw, mat, cols)` returns `nullspace(tw, mat[:, cols])`
-byte for byte without reducing the whole restriction.  When mat is in
-reduced row echelon form with no zero rows (checked exactly, on mat as it
-is, without an int64 copy), a row whose pivot column is in cols keeps its
-unit column there, and the rows whose pivot is dropped are zero on every
-kept pivot column.  So only those dropped-pivot rows are reduced, over the
-columns of cols that are no kept pivot; each of their new pivots is
-eliminated from the kept rows with one `matmul` on the free columns; and
-the kept rows, the reduced dropped rows and the free columns are the
-reduced form of the restriction, which is unique.  A matrix not in that
-form is reduced once with `rref` first (its row space, hence every
-restriction's, is unchanged).  Scheme planning restricts a cached reduced
-generator this way to each helper set.
+`nullspace_of_columns(tw, reduced, cols)` returns `nullspace(tw, mat[:, cols])`
+byte for byte without reducing the whole restriction, given the pair
+`reduced = rref(tw, mat)`.  A row of the reduced form whose pivot column is
+in cols keeps its unit column there, and the rows whose pivot is dropped
+are zero on every kept pivot column.  So only those dropped-pivot rows are
+reduced, over the columns of cols that are no kept pivot; each of their new
+pivots is eliminated from the kept rows with one `matmul` on the free
+columns; and the kept rows, the reduced dropped rows and the free columns
+are the reduced form of the restriction, which is unique.  Scheme planning
+restricts a cached reduced generator this way to each helper set.
 
 `rref_blocks` reduces a (B, m, k) stack of small matrices with the same
 pivot rule, one column step for all blocks at once.
@@ -179,27 +176,6 @@ def nullspace(tw, mat) -> np.ndarray:
     return basis
 
 
-def _reduced_pivots(mat):
-    """Pivot columns of mat when it is in reduced row echelon form with no
-    zero rows (every row's first nonzero is a 1, these leads move strictly
-    right, and each lead's column is zero elsewhere), else None.
-
-    Reads mat in its own dtype; the largest temporaries are a boolean
-    matrix of mat's shape and the rows x rows block of the pivot columns.
-    """
-    nrows = mat.shape[0]
-    if nrows == 0:
-        return np.zeros(0, dtype=np.int64)
-    if mat.shape[1] == 0:
-        return None
-    pivots = (mat != 0).argmax(axis=1)
-    if not (mat[np.arange(nrows), pivots] == 1).all() or (np.diff(pivots) <= 0).any():
-        return None
-    if np.count_nonzero(mat[:, pivots]) != nrows:
-        return None
-    return pivots
-
-
 def _column_indices(cols, ncols: int) -> np.ndarray:
     """cols as int64, refused unless strictly increasing inside [0, ncols)."""
     if isinstance(cols, np.ndarray) and cols.shape == (0,):
@@ -215,21 +191,16 @@ def _column_indices(cols, ncols: int) -> np.ndarray:
     return idx
 
 
-def nullspace_of_columns(tw, mat, cols) -> np.ndarray:
+def nullspace_of_columns(tw, reduced, cols) -> np.ndarray:
     """nullspace(tw, mat[:, cols]), byte for byte, for strictly increasing
-    column indices cols; reduces only the rows of mat's reduced form whose
-    pivot column cols leaves out (see the module docstring).  mat is not
-    written to."""
-    m = np.asarray(mat)
-    if m.dtype.kind not in "iu":
-        m = as_matrix(m)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
+    column indices cols, given reduced = rref(tw, mat): the reduced form
+    (zero rows past its pivots are ignored, any integer dtype) and its pivot
+    columns.  Reduces only the rows whose pivot column cols leaves out (see
+    the module docstring); the reduced form is not written to."""
+    r, pivots = reduced
+    m = r[: len(pivots)]
+    pivots = np.asarray(pivots, dtype=np.int64)
     idx = _column_indices(cols, m.shape[1])
-    pivots = _reduced_pivots(m)
-    if pivots is None:
-        r, pivot_list = rref(tw, m)
-        m, pivots = r[: len(pivot_list)], np.asarray(pivot_list, dtype=np.int64)
     local = np.full(m.shape[1], -1, dtype=np.int64)  # position in cols, or -1
     local[idx] = np.arange(idx.size)
     kept = local[pivots] >= 0

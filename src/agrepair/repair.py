@@ -44,7 +44,6 @@ use the all-ones dual vector.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +52,6 @@ import numpy as np
 from . import linalg
 from .codes import (
     EvalCode,
-    augmented_generator,
     dual_support_vector,
     repair_set,
     vanishing_function,
@@ -167,26 +165,6 @@ def check_precondition(variant: str, s: int, d: int, l: int, p: int, pole: int, 
     return rho, all_ones
 
 
-@functools.lru_cache(maxsize=8)
-def _reduced_augmented(code: EvalCode, rho: int) -> np.ndarray:
-    """The nonzero rows of the reduced augmented generator, read-only.
-
-    They span the same row space as `augmented_generator(code, rho)`, so
-    every column restriction has the same reduced form and nullspace basis.
-    Being in reduced form with no zero rows, they let
-    `linalg.nullspace_of_columns` keep every row whose pivot column a helper
-    set keeps and reduce only the rest: about 70 of 336 rows on the
-    flagship's s=300, d=400 line plan and about 6 of 476 on its d=505 weak
-    plan.  Cached per (code, extra pole), as repeated repairs against one
-    code reuse it.
-    """
-    tw = code.tower
-    reduced, pivots = linalg.rref(tw, augmented_generator(code, rho))
-    out = reduced[: len(pivots)].astype(np.min_scalar_type(tw.q - 1))
-    out.setflags(write=False)
-    return out
-
-
 def build_scheme(
     code: EvalCode,
     target: int,
@@ -237,7 +215,7 @@ def build_scheme(
     if all_ones:
         w = np.ones(n, dtype=np.int64)
     else:
-        w = dual_support_vector(_reduced_augmented(code, rho), tw, target, helpers)
+        w = dual_support_vector(code, rho, target, helpers)
 
     active = tuple(j for j in helpers if w[j] != 0)
     pruned = tuple(j for j in helpers if w[j] == 0)

@@ -85,6 +85,7 @@ class ExperimentRecord:
 
 
 def make_cluster(code: codes.EvalCode, num_stripes: int, seed: int) -> Cluster:
+    num_stripes = gf.integer(num_stripes, None, "num_stripes={0} is {1}")
     seed = gf.integer(seed, None, "seed {0} is {1}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     msgs = rng.integers(0, code.tower.q, size=(num_stripes, code.k), dtype=np.int64)

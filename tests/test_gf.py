@@ -321,6 +321,25 @@ def test_linearized_kernel_image_dims(p, t):
         assert lin.image_dim + lin.l == t
 
 
+@pytest.mark.parametrize("p,t", SMALL_TOWERS + [(3, 3)])
+def test_linearized_scalar_calls_match_scalar_products(p, t):
+    """c, quotient and the map itself against the products of -v and of
+    (x - v) over the nonzero kernel elements, one scalar op at a time."""
+    tw = tower(p, t)
+    for l in range(t + 1):
+        lin = LinearizedMap(tw, tw.theta[:l])
+        c = 1
+        for v in lin.kernel[1:]:  # sorted, so the zero code comes first
+            c = tw.mul(c, tw.neg(v))
+        assert lin.c == c and type(lin.c) is int
+        for x in range(tw.q):
+            want = 1
+            for v in lin.kernel[1:]:
+                want = tw.mul(want, tw.sub(x, v))
+            assert lin.quotient(x) == want and type(lin.quotient(x)) is int
+            assert lin(x) == tw.mul(x, want) and type(lin(x)) is int
+
+
 def test_linearized_is_subfield_linear():
     tw = tower(8, 2)
     lin = LinearizedMap(tw, [tw.theta[0]])
@@ -383,6 +402,25 @@ def test_pow_conventions():
     for a in range(1, 9):
         assert f9.mul(f9.pow(a, -1), a) == 1
         assert f9.pow(a, 8) == 1
+
+
+@pytest.mark.parametrize("p,t", [(2, 4), (3, 2), (2, 9)])
+def test_pow_arr_matches_pow(p, t):
+    """pow_arr agrees with pow on every code and exponent, and refuses a
+    negative power of zero as pow does, also when zero is one entry of
+    many; a block without zeros takes any exponent."""
+    tw = tower(p, t)
+    codes = np.arange(tw.q)
+    for k in range(-3, 2 * tw.q):
+        if k < 0:
+            with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+                tw.pow_arr(codes, k)
+            with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+                tw.pow_arr(0, k)
+            got = tw.pow_arr(codes[1:], k)
+            assert got.tolist() == [tw.pow(a, k) for a in range(1, tw.q)]
+        else:
+            assert tw.pow_arr(codes, k).tolist() == [tw.pow(a, k) for a in range(tw.q)]
 
 
 @pytest.mark.parametrize("p,t", [(2, 10), (3, 6)])

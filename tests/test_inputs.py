@@ -58,8 +58,11 @@ ENTRIES = {
     "build_scheme-l": (lambda v: repair.build_scheme(RS, 0, l=v), 3, r"l=",
                        ["2.0", "True", "np.True_", "'3'", "[3]", "foreign"]),
     "dual_support_vector-helper": (
-        lambda v: codes.dual_support_vector(RS.generator, TW, 0, [v] + list(range(4, 14))),
+        lambda v: codes.dual_support_vector(RS, 0, 0, [v] + list(range(4, 14))),
         16, r"helper", NON_INTEGERS + ["foreign"]),
+    "dual_support_vector-extra_pole": (
+        lambda v: codes.dual_support_vector(RS, v, 0, list(range(4, 14))), None, r"extra pole",
+        NON_INTEGERS + ["-1", "foreign"]),
     "element": (TW.element, 16, r"code", SCALARS + ["foreign"]),
     "operand": (lambda v: TW.element(1) + v, 16, r"code", SCALARS),
     "trace_reconstruct": (lambda v: trace_reconstruct([v, 0], TW), 4, r"trace value",
@@ -72,12 +75,16 @@ ENTRIES = {
     "vanishing_line-point": (lambda v: codes.vanishing_line(CURVE, (v, 0)), 16,
                              r"point coordinate", NON_INTEGERS + ["bound", "2**70", "foreign"]),
     "nullspace_of_columns": (
-        lambda v: linalg.nullspace_of_columns(TW, np.eye(3, 16, dtype=np.int64), [v, 15]),
+        lambda v: linalg.nullspace_of_columns(TW, linalg.rref(TW, np.eye(3, 16)), [v, 15]),
         16, r"column", ["True", "np.True_", "[3]"]),
     "modulus": (lambda v: FieldTower(2, 2, modulus=(1, v, 1)), 2, r"modulus",
                 ["True", "np.True_", "[3]", "foreign"]),
     "linearized_map": (lambda v: LinearizedMap(TW, [1])(v), 16, r"x=", ALL),
     "rs_code-k": (lambda v: codes.rs_code(TW, v, n=16), 17, r"k=", NON_INTEGERS + ["foreign"]),
+    "rs_code-n": (lambda v: codes.rs_code(TW, 2, n=v), None, r"length n=.+ is ",
+                  NON_INTEGERS + ["-1", "foreign"]),
+    "make_cluster-num_stripes": (lambda v: sim.make_cluster(RS, v, seed=0), None, r"num_stripes=",
+                                 NON_INTEGERS + ["-1", "foreign"]),
     "hermitian_code-s": (lambda v: codes.hermitian_code(CURVE, v), 64, r"pole degree s=",
                          NON_INTEGERS + ["foreign"]),
     "from_digits": (lambda v: TW.from_digits([v, 0]), 4, r"digit 0 is",

@@ -298,18 +298,16 @@ COLUMN_TOWERS = [(2, 4), (4, 2), (8, 2), (3, 2), (9, 2)]
 
 @st.composite
 def column_restrictions(draw):
-    """A tower, a matrix and a strictly increasing column set.
+    """A tower, a matrix, its reduced form and a strictly increasing column
+    set.
 
-    The matrix is raw (random, possibly rank-deficient, with zero rows);
-    reduced the way planning caches it (the nonzero rows of its reduced
-    form, in the smallest unsigned dtype); or nearly reduced, which must
-    take the `rref` fallback: the reduced form with its zero rows, with
-    each row scaled by a nonzero scalar, or with a lower row added to an
-    upper one (echelon, but a pivot column is no longer a unit column).
-    Always read-only.  Enough rows that both the table path of `rref` and
-    the split-table `matmul` run.  The column set is every column, none of
-    the reduced form's pivot columns, one column, no column, or a random
-    subset."""
+    The matrix is random, possibly rank-deficient, with zero rows.  Its
+    reduced form is the pair `rref` returns (int64, zero rows kept, pivots
+    as a list) or as planning caches it (the nonzero rows in the smallest
+    unsigned dtype and the pivots as an int64 array, both read-only).
+    Enough rows that both the table path of `rref` and the split-table
+    `matmul` run.  The column set is every column, none of the pivot
+    columns, one column, no column, or a random subset."""
     p, t = draw(st.sampled_from(COLUMN_TOWERS))
     tw = tower(p, t)
     nrows, ncols = draw(st.integers(0, 24)), draw(st.integers(0, 30))
@@ -320,18 +318,11 @@ def column_restrictions(draw):
     if draw(st.booleans()):
         m[rng.random(m.shape) < 0.5] = 0
     reduced, pivots = _reference_rref(tw, m)
-    nonzero = reduced[: len(pivots)]
-    form = draw(st.sampled_from(["raw", "reduced", "with zero rows", "scaled", "echelon"]))
-    if form == "reduced":
-        m = nonzero.astype(np.min_scalar_type(tw.q - 1))
-    elif form == "with zero rows":
-        m = reduced
-    elif form == "scaled":
-        m = tw.mul_arr(nonzero, rng.integers(1, tw.q, size=(len(pivots), 1)))
-    elif form == "echelon" and len(pivots) > 1:
-        m = nonzero.copy()
-        m[0] = tw.add_arr(m[0], m[1])
-    m.setflags(write=False)
+    if draw(st.booleans()):
+        reduced = reduced[: len(pivots)].astype(np.min_scalar_type(tw.q - 1))
+        pivots = np.asarray(pivots, dtype=np.int64)
+        pivots.setflags(write=False)
+    reduced.setflags(write=False)
     kind = draw(st.sampled_from(["all", "no pivots", "one", "none", "random"]))
     if kind == "all":
         cols = list(range(ncols))
@@ -343,22 +334,22 @@ def column_restrictions(draw):
         cols = sorted(rng.choice(ncols, size=int(rng.integers(0, ncols + 1)), replace=False).tolist())
     else:
         cols = []
-    return tw, m, cols
+    return tw, m, (reduced, pivots), cols
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(column_restrictions())
 def test_nullspace_of_columns_matches_restricted_nullspace(case):
-    tw, m, cols = case
-    before = m.copy()
-    got = linalg.nullspace_of_columns(tw, m, cols)
+    tw, m, reduced, cols = case
+    before = reduced[0].copy()
+    got = linalg.nullspace_of_columns(tw, reduced, cols)
     assert _same(got, linalg.nullspace(tw, m[:, cols]))
-    assert np.array_equal(m, before) and m.dtype == before.dtype
+    assert np.array_equal(reduced[0], before) and reduced[0].dtype == before.dtype
 
 
 def test_nullspace_of_columns_refuses_bad_columns():
     tw = tower(2, 4)
-    m = np.eye(3, 5, dtype=np.int64)
+    m = linalg.rref(tw, np.eye(3, 5, dtype=np.int64))
     for cols, why in (([0, 5], r"column 5 is outside \[0, 5\)"),
                       ([-1, 2], r"column -1 is outside \[0, 5\)"),
                       ([1, 1, 3], "strictly increasing: 1 follows 1"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from agrepair import codes, linalg, repair
 from agrepair.gf import FieldElement, tower
+from test_codes import _reference_dual_support_vector
 
 
 def herm_code(p, t, s, n=None):
@@ -196,7 +197,7 @@ def test_full_length_shortcut_consistent_with_search():
     assert repair.run_repair(full, cw.symbols)[0].code == cw.symbols[i]
     aug = codes.augmented_generator(code, 3)
     helpers = [j for j in range(8) if j != i]
-    w = codes.dual_support_vector(aug, code.tower, i, helpers)
+    w = codes.dual_support_vector(code, 3, i, helpers)
     assert not linalg.matvec(code.tower, aug, w).any()
     assert set(np.flatnonzero(w)) <= set(helpers) | {i}
     assert w[i] == 1
@@ -624,21 +625,22 @@ def _dual_cases():
                          ids=lambda c: f"{c[1]}-q{c[0].tower.q}-n{c[0].n}-l{c[2]}-d{len(c[4])}")
 def test_scheme_dual_vector_matches_raw_augmented_generator(case):
     """Planning against the cached reduced generator gives the dual vector
-    the raw augmented generator gives."""
+    the nullspace of the raw augmented generator's restriction gives."""
     code, variant, l, target, helpers = case
     tw = code.tower
     rho = (tw.p ** l - 1) * repair._pole_step(code, variant)
     raw = codes.augmented_generator(code, rho)
     scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
-    assert np.array_equal(scheme.w, codes.dual_support_vector(raw, tw, target, helpers))
-    reduced = repair._reduced_augmented(code, rho)
-    assert repair._reduced_augmented(code, rho) is reduced
-    assert not reduced.flags.writeable and reduced.dtype == np.min_scalar_type(tw.q - 1)
-    assert reduced.shape == (linalg.rank(tw, raw), code.n)
+    assert np.array_equal(scheme.w, _reference_dual_support_vector(raw, tw, target, helpers))
+    reduced = codes._reduced_augmented(code, rho)
+    assert codes._reduced_augmented(code, rho) is reduced
+    rows, pivots = reduced
+    assert not rows.flags.writeable and rows.dtype == np.min_scalar_type(tw.q - 1)
+    assert not pivots.flags.writeable and pivots.dtype == np.int64
+    want_rows, want_pivots = linalg.rref(tw, raw)
+    assert np.array_equal(rows, want_rows[: len(want_pivots)]) and pivots.tolist() == want_pivots
     cols = sorted(helpers + [target])
-    basis = linalg.nullspace(tw, reduced[:, cols])
-    assert basis.dtype == np.int64
-    assert np.array_equal(basis, linalg.nullspace(tw, raw[:, cols]))
+    basis = linalg.nullspace(tw, raw[:, cols])
     assert np.array_equal(linalg.nullspace_of_columns(tw, reduced, cols), basis)
 
 
