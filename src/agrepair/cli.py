@@ -71,7 +71,9 @@ def code_from_config(cfg: dict) -> codes.EvalCode:
     if kind == "rs":
         if k is None and s is None:
             raise ConfigError("rs config needs 'k' (or 's')")
-        return codes.rs_code(tw, k=s + 1 if k is None else k, n=tw.q if n is None else n)
+        if None not in (k, s) and k != s + 1:
+            raise ConfigError(f"rs config gives k={k} and s={s}, but k must be s + 1")
+        return codes.rs_code(tw, k=s + 1 if k is None else k, n=n)
     if r is not None and r ** 2 != tw.q:
         raise ConfigError(f"r={r} does not square to q={tw.q}")
     if s is None:

@@ -199,11 +199,16 @@ def distinct(values) -> bool:
 
 def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCode:
     """The dimension-k code on `points`, by default the first n codes (all
-    q of them when n is None); n is read only without points."""
-    if points is None:
-        n = tw.q if n is None else integer(n, None, "length n={0} is {1}", low=1)
-    else:
+    q of them when n is None); with points, an n other than len(points) is
+    refused."""
+    if n is not None:
+        n = integer(n, None, "length n={0} is {1}", low=1)
+        if points is not None and n != len(points):
+            raise ValueError(f"length n={n} disagrees with the {len(points)} points given")
+    if points is not None:
         n = len(points)
+    elif n is None:
+        n = tw.q
     if n > tw.q:
         raise ValueError(f"cannot place {n} distinct points in GF({tw.q})")
     points = integers(np.arange(n) if points is None else points, tw.q,
@@ -474,27 +479,20 @@ def _densify(tw: FieldTower, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     of GF(q)*, the position is skipped and stays zero.  Filling a zero never
     empties another, but a skipped position may be nonzero in some other
     vector of the span, so not every fillable helper is guaranteed weight.
-    With a product table (q <= 256) every -w_m / vec_m is one lookup over
-    all positions (0 where either is 0, and 0 is never a candidate).
+    Every -w_m / vec_m is one product over all positions, w times the
+    basis' -1/vec (0 where either is 0, and 0 is never a candidate).
     """
-    table = tw.mul_table
     nonzero = basis != 0
     first = nonzero.argmax(axis=0)  # first basis row nonzero at each position
-    if table is not None:  # -w_m / vec_m is entry (w_m, -1/vec_m) of the table
-        products, inverses = table.reshape(-1), tw.inv_table[tw.neg_arr(basis)]
+    neg_inv = np.zeros_like(basis)
+    neg_inv[nonzero] = tw.neg_arr(tw.inv_arr(basis[nonzero]))
     for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)):
         if w[pos] != 0:
             continue
-        vec = basis[first[pos]]
         taken = np.zeros(tw.q, dtype=bool)
         taken[0] = True
-        if table is not None:
-            taken[products.take(w * tw.q + inverses[first[pos]])] = True
-        else:
-            common = np.flatnonzero((w != 0) & (vec != 0))
-            taken[tw.neg_arr(tw.mul_arr(w[common], tw.inv_arr(vec[common])))] = True
+        taken[tw.mul_arr(w, neg_inv[first[pos]])] = True
         c = int(taken.argmin())  # the least scalar not taken, or 0 when all are
         if c:
-            w = tw.add_arr(w, table[c].take(vec) if table is not None
-                           else tw.mul_arr(np.int64(c), vec))
+            w = tw.add_arr(w, tw.mul_outer([c], basis[first[pos]])[0])
     return w

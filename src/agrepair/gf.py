@@ -14,11 +14,11 @@ primitive element, and a trace table over all q codes.  Scalar `mul`, `inv`,
 `pow` and `trace` read them as Python lists.  The *_arr methods are
 vectorised counterparts operating on numpy integer arrays; they are what
 the linear-algebra layer runs on.  A field of at most PRODUCT_TABLE_MAX =
-256 elements also keeps its whole q x q product table, one byte per entry
-(4 KB at GF(64), 64 KB at GF(256)), with the inverse of every code:
-`linalg.rref`, the split tables of `linalg.matmul` and `codes._densify`
-multiply a whole vector by a scalar with one row lookup.  Larger fields
-multiply through exp/log there too.
+256 elements also keeps its whole q x q product table `mul_table`, one byte
+per entry (4 KB at GF(64), 64 KB at GF(256)).  `mul_outer`, the products of
+two code vectors, is its only reader: `linalg.rref`, `linalg.matmul` and
+`codes._densify` multiply through it and never look at the table, and a
+larger field's `mul_outer` runs on exp/log instead.
 
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.
@@ -159,14 +159,14 @@ class FieldTower:
     ----------
     p : base subfield order (prime or prime power)
     t : extension degree, >= 1
-    modulus : optional monic degree-t irreducible over GF(p), given as t+1
-        coefficient codes, least-significant first.  When omitted, the
-        lexicographically least monic irreducible (by integer encoding of the
-        non-leading coefficients) is selected, which pins the representation
-        across runs.
+
+    The modulus is the lexicographically least monic degree-t irreducible
+    over GF(p) (by integer encoding of the non-leading coefficients), kept
+    as `modulus`, t+1 coefficient codes, least-significant first; it pins
+    the representation across runs.
     """
 
-    def __init__(self, p: int, t: int, modulus=None):
+    def __init__(self, p: int, t: int):
         pp = prime_power(p)
         if pp is None:
             raise ValueError(f"base order p={p} is not a prime power")
@@ -183,16 +183,7 @@ class FieldTower:
         self.degree = base_deg * t  # total degree over the prime field
         self.base = None if is_prime(p) else FieldTower(self.char, base_deg)
 
-        if modulus is None:
-            modulus = self._least_irreducible()
-        modulus = tuple(integers(modulus, p, "modulus coefficients must be codes in [0, p), got {0}")
-                        .tolist())
-        if len(modulus) != t + 1 or modulus[t] != 1:
-            raise ValueError("modulus must be monic of degree t")
-        if not self._poly_is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = modulus
-
+        self.modulus = self._least_irreducible()
         self._build_tables()
 
         # polynomial basis 1, x, ..., x^(t-1) and its trace-dual
@@ -323,12 +314,9 @@ class FieldTower:
         self._exp = exp
         self._log = log
         self._order = order
-        if q <= PRODUCT_TABLE_MAX:  # row a of mul_table is a * every code
-            self.mul_table = exp[log[:, None] + log[None, :]].astype(np.uint8)
-            self.inv_table = exp[order - log].astype(np.uint8)
-            self.inv_table[0] = 0
-        else:
-            self.mul_table = self.inv_table = None
+        # row a of mul_table is a * every code
+        self.mul_table = (exp[log[:, None] + log[None, :]].astype(np.uint8)
+                          if q <= PRODUCT_TABLE_MAX else None)
         self._exp_list = exp.tolist()  # the scalar ops read Python lists
         self._log_list = log.tolist()
 
@@ -425,6 +413,21 @@ class FieldTower:
 
     def mul_arr(self, a, b):
         return self._exp[self._log[a] + self._log[b]]
+
+    def mul_outer(self, a, b):
+        """The (len a, len b) products a[i] * b[j] of two 1-D code vectors.
+
+        With a product table this is two gathers of it, uint8: by b's
+        columns first when a has at least q entries (a q-row table whose
+        rows are then copied whole), by a's rows first otherwise.  Without
+        one, exp/log over the outer shape, int64.
+        """
+        table = self.mul_table
+        if table is None:
+            return self._exp[self._log[a][:, None] + self._log[b][None, :]]
+        if self.q <= len(a):
+            return table.take(b, axis=1).take(a, axis=0)
+        return table.take(a, axis=0).take(b, axis=1)
 
     def inv_arr(self, a):
         if np.any(np.asarray(a) == 0):
@@ -547,13 +550,10 @@ class FieldTower:
         return tuple(dual)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldTower)
-            and (self.p, self.t, self.modulus) == (other.p, other.t, other.modulus)
-        )
+        return isinstance(other, FieldTower) and (self.p, self.t) == (other.p, other.t)
 
     def __hash__(self):
-        return hash((self.p, self.t, self.modulus))
+        return hash((self.p, self.t))
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, t={self.t}, q={self.q})"
@@ -561,7 +561,7 @@ class FieldTower:
 
 @lru_cache(maxsize=None)
 def tower(p: int, t: int) -> FieldTower:
-    """Memoised tower factory with the default (lex-least) modulus."""
+    """Memoised FieldTower(p, t)."""
     return FieldTower(p, t)
 
 

@@ -9,27 +9,23 @@ bases are reproducible byte for byte.  No floating point anywhere.
 `nullspace` and `solve` read its output.  Per pivot it normalises the pivot
 row's tail (the columns from the pivot on; everything to their left is
 already zero) and adds to every other row the tail's multiple by minus that
-row's factor: an in-place XOR in characteristic 2, `add_arr` otherwise.  In
-a field of at most 256 elements both steps read the tower's q x q product
-table (`FieldTower.mul_table`): the normalised tail is one row of it, read
-at the tail, and the multiples are one gather of its rows by factor and its
-columns by tail, the smaller of the two first.  A larger field tabulates
-every scalar multiple of the tail once when the matrix has at least q rows
-and gathers those by factor, and otherwise multiplies each row's factor
-into the tail directly.  Steps that would change nothing are skipped: a
+row's factor: an in-place XOR in characteristic 2, `add_arr` otherwise.
+Both products are `FieldTower.mul_outer`, of the lead's inverse and of the
+factors by the tail.  Steps that would change nothing are skipped: a
 pivot row whose lead is already 1 is not normalised, and a pivot column
 that is zero in every other row triggers no update, so reducing an
 already-reduced matrix costs one nonzero scan per column.  In
 characteristic 2 the working copy is uint8 (q <= 256) or uint16, so the
-gather moves bytes, not int64 words.  The reduced row echelon form is
+update moves bytes, not int64 words.  The reduced row echelon form is
 unique, so the pivot rule and every output are unchanged: R is returned as
 int64, as before.
 
 `nullspace_of_columns(tw, reduced, cols)` returns `nullspace(tw, mat[:, cols])`
 byte for byte without reducing the whole restriction, given the pair
-`reduced = rref(tw, mat)`.  A row of the reduced form whose pivot column is
-in cols keeps its unit column there, and the rows whose pivot is dropped
-are zero on every kept pivot column.  So only those dropped-pivot rows are
+`reduced = rref(tw, mat)`; `nullspace` is the case cols = every column, so
+the basis is built in one place.  A row of the reduced form whose pivot
+column is in cols keeps its unit column there, and the rows whose pivot is
+dropped are zero on every kept pivot column.  So only those dropped-pivot rows are
 reduced, over the columns of cols that are no kept pivot; each of their new
 pivots is eliminated from the kept rows with one `matmul` on the free
 columns; and the kept rows, the reduced dropped rows and the free columns
@@ -46,13 +42,12 @@ over GF(2), w = tw.degree, and field addition is XOR, so splitting it into
 its low h = ceil(w/2) bits and its high w - h bits writes it as a field sum
 a = a_lo + a_hi, and a*b = a_lo*b + a_hi*b exactly.  For each inner index
 the product tabulates the 2**h and 2**(w - h) multiples of that row of the
-right matrix (read from the product table when q <= 256, through exp/log
-otherwise), gathers one row of each table per output row and XORs them
-into a uint8 (q <= 256) or uint16 accumulator.  The tables cost about as
-much as they save when they have as many rows as the output, so the path
-runs only when 2**h + 2**(w - h) <= m, for m output rows; a smaller m, and
-every odd characteristic, take the row-by-row loop of `mul_arr`/`add_arr`.
-Both give the same int64 output.
+right matrix (one `mul_outer`), gathers one row of each table per output
+row and XORs them into a uint8 (q <= 256) or uint16 accumulator.  The
+tables cost about as much as they save when they have as many rows as the
+output, so the path runs only when 2**h + 2**(w - h) <= m, for m output
+rows; a smaller m, and every odd characteristic, add up one `mul_outer`
+per inner index with `add_arr`.  Both give the same int64 output.
 """
 
 from __future__ import annotations
@@ -82,8 +77,6 @@ def rref(tw, mat):
     work = _work_dtype(tw)
     r = as_matrix(mat).astype(work)
     nrows, ncols = r.shape
-    table = tw.mul_table
-    scalars = np.arange(tw.q)[:, None]
     pivots = []
     row = 0
     for col in range(ncols):
@@ -97,21 +90,14 @@ def rref(tw, mat):
             r[[row, piv], col:] = r[[piv, row], col:]
         tail = r[row, col:]
         if tail[0] != 1:
-            tail = (table[tw.inv_table[tail[0]]].take(tail) if table is not None
-                    else tw.mul_arr(tail, tw.inv(int(tail[0]))))
+            tail = tw.mul_outer([tw.inv(int(tail[0]))], tail)[0]
             r[row, col:] = tail
         factors = tw.neg_arr(r[:, col].copy())  # each row adds -factor * tail
         factors[row] = 0
         if factors.any():
-            if table is not None:  # the smaller of the two gathers first
-                multiples = (table.take(tail, axis=1).take(factors, axis=0) if tw.q <= nrows
-                             else table.take(factors, axis=0).take(tail, axis=1))
-            elif tw.q <= nrows:  # one table row per scalar, gathered by factor
-                multiples = tw.mul_arr(scalars, tail).astype(work)[factors]
-            else:
-                multiples = tw.mul_arr(factors[:, None], tail).astype(work)
+            multiples = tw.mul_outer(factors, tail)
             if tw.char == 2:
-                r[:, col:] ^= multiples
+                r[:, col:] ^= multiples.astype(work, copy=False)
             else:
                 r[:, col:] = tw.add_arr(r[:, col:], multiples)
         pivots.append(col)
@@ -154,26 +140,13 @@ def rref_blocks(tw, blocks):
 
 
 def rank(tw, mat) -> int:
-    m = as_matrix(mat)
-    if m.size == 0:
-        return 0
-    return len(rref(tw, m)[1])
+    return len(rref(tw, mat)[1])
 
 
 def nullspace(tw, mat) -> np.ndarray:
     """Basis of the right nullspace, one vector per row (possibly empty)."""
     m = as_matrix(mat)
-    ncols = m.shape[1]
-    if m.size == 0:
-        return np.eye(ncols, dtype=np.int64)
-    r, pivots = rref(tw, m)
-    is_free = np.ones(ncols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, ncols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = tw.neg_arr(r[: len(pivots)][:, free].T)
-    return basis
+    return nullspace_of_columns(tw, rref(tw, m), np.arange(m.shape[1]))
 
 
 def _column_indices(cols, ncols: int) -> np.ndarray:
@@ -250,10 +223,9 @@ def matmul(tw, a, b):
     h = ceil(w/2): when 2**h + 2**(w - h) <= m, each code of a splits into
     its low h bits and its high w - h bits, an exact field sum since
     addition is XOR, and each inner index k XORs one row of each of two
-    multiples tables of b[k] into every output row; with a product table
-    those multiples are one gather of its split rows.  Otherwise, and in odd
-    characteristic, the product accumulates one inner index at a time with
-    `mul_arr` and `add_arr`.
+    multiples tables of b[k], one `mul_outer`, into every output row.
+    Otherwise, and in odd characteristic, the product adds up one
+    `mul_outer` per inner index with `add_arr`.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -264,19 +236,16 @@ def matmul(tw, a, b):
     if tw.char != 2 or (1 << h) + (1 << (tw.degree - h)) > nrows:
         out = np.zeros((nrows, b.shape[1]), dtype=np.int64)
         for k in range(a.shape[1]):
-            out = tw.add_arr(out, tw.mul_arr(a[:, k][:, None], b[k][None, :]))
+            out = tw.add_arr(out, tw.mul_outer(a[:, k], b[k]))
         return out
     work = _work_dtype(tw)
     low = 1 << h
-    scalars = np.concatenate([np.arange(low), np.arange(1 << (tw.degree - h)) << h])[:, None]
+    scalars = np.concatenate([np.arange(low), np.arange(1 << (tw.degree - h)) << h])
     # rows of the stacked table that each (inner index, half, output row) reads
     picks = np.stack([a & (low - 1), low + (a >> h)]).transpose(2, 0, 1).copy()
-    split = None if tw.mul_table is None else tw.mul_table[scalars[:, 0]]
     out = np.zeros((nrows, b.shape[1]), dtype=work)
     for k in range(a.shape[1]):
-        tables = (tw.mul_arr(scalars, b[k]).astype(work) if split is None
-                  else split.take(b[k], axis=1))
-        lo_rows, hi_rows = tables[picks[k]]
+        lo_rows, hi_rows = tw.mul_outer(scalars, b[k]).astype(work, copy=False)[picks[k]]
         out ^= lo_rows
         out ^= hi_rows
     return out.astype(np.int64)
@@ -293,7 +262,4 @@ def rank_over_base(tw, codes) -> int:
     codes live in the base subfield, which the tower's arithmetic keeps
     closed, so the generic elimination computes the subfield rank exactly.
     """
-    codes = np.asarray(list(codes), dtype=np.int64)
-    if codes.size == 0:
-        return 0
-    return rank(tw, tw.digits_arr(codes))
+    return rank(tw, tw.digits_arr(np.asarray(list(codes), dtype=np.int64)))

@@ -332,6 +332,10 @@ def load_cluster(path) -> Cluster:
             failed = gf.integer(failed, code.n, f"failed node {{0}} out of range for n={code.n}")
     seed = _field(state, "seed", "state", integer=True) if "seed" in state else 0
     withheld = state.get("withheld")
+    if (withheld is None) != (failed is None):
+        raise StateFormatError(
+            "state field 'withheld' must be null when no node has failed" if failed is None
+            else f"state field 'withheld' is absent or null, but node {failed} has failed")
     if withheld is not None:
         withheld = _decode(tw, withheld, "withheld", (len(stripes),))
     cluster = Cluster(code, stripes, nodes, seed, failed, withheld)
@@ -343,9 +347,7 @@ def _check_consistency(cluster: Cluster) -> None:
     expected = codes.encode_many(cluster.code, cluster.stripes)
     if cluster.failed is not None:
         expected = expected.copy()
-        if cluster.withheld is None or not np.array_equal(
-            cluster.withheld, expected[:, cluster.failed]
-        ):
+        if not np.array_equal(cluster.withheld, expected[:, cluster.failed]):
             raise StateFormatError("withheld symbols disagree with the encoded stripes")
         expected[:, cluster.failed] = 0
     if not np.array_equal(expected, cluster.nodes):

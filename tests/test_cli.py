@@ -105,10 +105,15 @@ DROP = object()
     (HERM_CONFIG, ("code", "s"), 64,
      "code field 's': pole degree s=64 must be below the length n=64"),
     (RS_CONFIG, ("code", "points", 1), [0, 0, 0, 0], "code points are not pairwise distinct"),
+    (RS_CONFIG, ("withheld",), [[0, 0, 0, 0]] * 2,
+     "state field 'withheld' must be null when no node has failed"),
+    (RS_CONFIG, ("failed",), 5,
+     "state field 'withheld' is absent or null, but node 5 has failed"),
 ], ids=["no-nodes", "no-code", "no-code-p", "top-level-list", "null-digit", "nodes-int",
         "unknown-kind", "string-s", "null-seed", "list-seed", "wrong-monomials", "no-monomials",
         "wrong-r", "swapped-monomial", "p-not-prime-power", "s-too-large",
-        "non-square-field", "pole-too-large", "repeated-point"])
+        "non-square-field", "pole-too-large", "repeated-point",
+        "withheld-but-live", "failed-without-withheld"])
 def test_malformed_state_is_a_state_error(tmp_path, capsys, config, where, value, named):
     cfg = write_config(tmp_path, config)
     state = tmp_path / "state.json"
@@ -194,6 +199,17 @@ def test_config_errors(tmp_path, capsys):
     assert "kind" in capsys.readouterr().err
     cfg = write_config(tmp_path, dict(RS_CONFIG, k=None, s=None))
     assert cli.main(["encode", "--config", cfg, "--state", str(tmp_path / "s.json")]) == 2
+
+
+def test_rs_config_k_must_be_s_plus_one(tmp_path, capsys):
+    state = str(tmp_path / "s.json")
+    cfg = write_config(tmp_path, {"kind": "rs", "p": 2, "t": 4, "k": 8, "s": 3})
+    assert cli.main(["encode", "--config", cfg, "--state", state]) == 2
+    assert "rs config gives k=8 and s=3, but k must be s + 1" in capsys.readouterr().err
+    for fields in ({"k": 8, "s": 7}, {"k": 8}, {"s": 7}):
+        cfg = write_config(tmp_path, {"kind": "rs", "p": 2, "t": 4, **fields})
+        assert cli.main(["encode", "--config", cfg, "--state", state]) == 0
+        assert json.loads(Path(state).read_text())["code"]["s"] == 7
 
 
 @pytest.mark.parametrize("config,key,value", [

@@ -301,6 +301,17 @@ def test_rs_points_must_be_field_codes():
             codes.rs_code(f4, k=2, points=points)
 
 
+def test_rs_length_must_match_the_points_given():
+    f16 = tower(2, 4)
+    for n in (10, 2, 16):
+        with pytest.raises(ValueError, match=f"length n={n} disagrees with the 3 points given"):
+            codes.rs_code(f16, 2, points=[0, 1, 2], n=n)
+    with pytest.raises(ValueError, match="length n=True is not an integer"):
+        codes.rs_code(f16, 2, points=[0, 1, 2], n=True)
+    assert codes.rs_code(f16, 2, points=[0, 1, 2], n=3).n == 3
+    assert codes.rs_code(f16, 2, points=np.array([5, 1, 2]), n=3).points.tolist() == [5, 1, 2]
+
+
 def test_decode_many_matches_single():
     f16 = tower(2, 4)
     hc = codes.hermitian_code(codes.hermitian_curve(f16), s=12)

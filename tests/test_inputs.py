@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from agrepair import codes, linalg, repair, sim
-from agrepair.gf import FieldTower, LinearizedMap, tower, trace_reconstruct
+from agrepair.gf import LinearizedMap, tower, trace_reconstruct
 
 TW = tower(4, 2)                      # GF(4^2)
 FOREIGN = tower(2, 4).element(3)      # an element of GF(2^4): the same q, another tower
@@ -77,8 +77,6 @@ ENTRIES = {
     "nullspace_of_columns": (
         lambda v: linalg.nullspace_of_columns(TW, linalg.rref(TW, np.eye(3, 16)), [v, 15]),
         16, r"column", ["True", "np.True_", "[3]"]),
-    "modulus": (lambda v: FieldTower(2, 2, modulus=(1, v, 1)), 2, r"modulus",
-                ["True", "np.True_", "[3]", "foreign"]),
     "linearized_map": (lambda v: LinearizedMap(TW, [1])(v), 16, r"x=", ALL),
     "rs_code-k": (lambda v: codes.rs_code(TW, v, n=16), 17, r"k=", NON_INTEGERS + ["foreign"]),
     "rs_code-n": (lambda v: codes.rs_code(TW, 2, n=v), None, r"length n=.+ is ",

@@ -2,8 +2,10 @@
 row-by-row elimination it replaced, the batched `rref_blocks` against
 `rref` on each block, the split-table `matmul` against the row-by-row
 product it replaced, `nullspace_of_columns` against `nullspace` of the
-column restriction, and a small field's product and inverse tables
-(which `rref` and `codes._densify` read) against scalar exp/log arithmetic.
+column restriction, a small field's product table against scalar exp/log
+arithmetic, and `FieldTower.mul_outer` (the table's one reader, which
+`rref`, `matmul` and `codes._densify` multiply through) against `mul_arr`
+over the outer shape.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.
@@ -344,6 +346,7 @@ def test_nullspace_of_columns_matches_restricted_nullspace(case):
     before = reduced[0].copy()
     got = linalg.nullspace_of_columns(tw, reduced, cols)
     assert _same(got, linalg.nullspace(tw, m[:, cols]))
+    assert _same(got, _reference_nullspace(tw, m[:, cols]))
     assert np.array_equal(reduced[0], before) and reduced[0].dtype == before.dtype
 
 
@@ -378,7 +381,6 @@ def test_product_table_matches_scalar_mul_on_every_pair(p, t):
     assert tw.q <= 64 and tw.mul_table.shape == (tw.q, tw.q)
     for a in range(tw.q):
         assert tw.mul_table[a].tolist() == [tw.mul(a, b) for b in range(tw.q)]
-        assert int(tw.inv_table[a]) == (tw.inv(a) if a else 0)
         assert tw.trace(a) == _exp_log_trace(tw, a)
     assert all(type(f(tw.q - 1)) is int for f in (tw.inv, tw.trace, lambda a: tw.mul(a, a)))
 
@@ -396,4 +398,22 @@ def test_product_table_matches_scalar_mul_on_a_sample(p, t):
         assert np.array_equal(tw.mul_table[a, b], tw.mul_arr(a, b))
         codes_ = np.arange(tw.q)
         assert np.array_equal(tw.mul_table, tw.mul_arr(codes_[:, None], codes_[None, :]))
-        assert np.array_equal(tw.inv_table[1:], tw.inv_arr(codes_[1:]))
+
+
+@pytest.mark.parametrize("p,t", TOWERS)
+def test_mul_outer_matches_mul_arr(p, t):
+    """Both gathers of the product table (len a below q and from q on) and
+    exp/log, in both characteristics, against mul_arr over the outer shape;
+    codes arrive as int64, as rref's uint8/uint16 work arrays or as a list."""
+    tw = tower(p, t)
+    rng = np.random.default_rng(tw.q)
+    work = np.uint8 if tw.q <= 256 else np.uint16
+    for na in (0, 1, tw.q - 1, tw.q, tw.q + 5):
+        for nb in (0, 1, 13):
+            a, b = rng.integers(0, tw.q, size=na), rng.integers(0, tw.q, size=nb)
+            expected = tw.mul_arr(a[:, None], b[None, :])
+            for x, y in ((a, b), (a.astype(work), b.astype(work)), (a.tolist(), b)):
+                got = tw.mul_outer(x, y)
+                assert got.shape == (na, nb)
+                assert got.dtype == (np.int64 if tw.mul_table is None else np.uint8)
+                assert np.array_equal(got, expected)
