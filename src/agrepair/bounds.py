@@ -12,7 +12,8 @@ coordinates rebuild a codeword), d the helper count, q the symbol alphabet,
 p the subfield the downloads live in, l the dimension of the linearized
 map's kernel, bits = log2(q) the stored bits per node.  A row a repair
 variant achieves is applicable exactly when `repair.check_precondition`
-accepts s = m - 1; for the RS and Hermitian rows that rule also asks for
+accepts s = m - 1, at the pole order `repair.pole_order` gives the
+variant; for the RS and Hermitian rows that rule also asks for
 a code with room for the helpers (d <= n - 1, n <= q for RS and n <= r**3
 on the curve over GF(r**2)).
 """
@@ -74,12 +75,18 @@ def weak_ag_bandwidth(d: int, q: int, genus: int, l: int, p: int) -> float:
     return d * math.log2(q) - (d - genus) * l * math.log2(p)
 
 
-def msr_storage(rate: Fraction | float, q: int) -> float:
-    """Per-node storage an MSR code of the same length and rate needs:
-    rate / (rate + 1/sqrt(q)) * log2 q.  Exact when sqrt(q) is an integer."""
+def _root(q: int) -> int:
+    """sqrt(q), refusing a field size that is not a square."""
     root = math.isqrt(q)
     if root * root != q:
         raise ValueError(f"needs a square field size, got q={q}")
+    return root
+
+
+def msr_storage(rate: Fraction | float, q: int) -> float:
+    """Per-node storage an MSR code of the same length and rate needs:
+    rate / (rate + 1/sqrt(q)) * log2 q, for a square q."""
+    root = _root(q)
     r = Fraction(rate).limit_denominator(10 ** 9) if not isinstance(rate, Fraction) else rate
     return float(r / (r + Fraction(1, root))) * math.log2(q)
 
@@ -96,9 +103,7 @@ def tower_full_interval(q: int, p: int) -> tuple[float, float]:
     May be empty for small q; `bound_report` reports the formula as
     inapplicable in that case rather than extrapolating.
     """
-    root = math.isqrt(q)
-    if root * root != q:
-        raise ValueError(f"needs a square field size, got q={q}")
+    root = _root(q)
     return p / (root - 1), 1 - 1 / (root - 1)
 
 
@@ -199,12 +204,6 @@ def bound_report(**config) -> BoundReport:
             report.inapplicable[name] = str(exc)
 
     bits = math.log2(c["q"]) if c.get("q") else None
-    root = math.isqrt(c["q"]) if c.get("q") else 0
-
-    def square():
-        if root * root != c["q"]:
-            raise ValueError(f"q={c['q']} is not a perfect square")
-        return root
 
     emit("cutset", lambda: cutset_bound(c["d"], c["m"], bits), "d", "m", "q")
     emit(
@@ -235,14 +234,14 @@ def bound_report(**config) -> BoundReport:
     emit("tower_full", tower_full, "n", "q", "eps", "p")
 
     # the rows a repair variant achieves: each asks the repair rule about s = m - 1
-    def repairable(variant, d, l, pole, genus, n=None, complete=None):
-        check_precondition(variant, c["m"] - 1, d, l, c["p"], pole, genus, n, complete)
+    def repairable(variant, d, l, genus, r=None, n=None, complete=None):
+        check_precondition(variant, c["m"] - 1, d, l, c["p"], genus, r, n, complete)
         if variant == VARIANT_WEAK:
             return weak_ag_bandwidth(d, c["q"], genus, l, c["p"])
         return strong_bandwidth(d, c["q"], l, c["p"])
 
     def rs(d, l):
-        return repairable(VARIANT_RS, d, l, 1, 0, c.get("n"), c["q"])
+        return repairable(VARIANT_RS, d, l, 0, None, c.get("n"), c["q"])
 
     def rs_subfield():  # full-length RS with the largest proper kernel, l = log_p(q) - 1
         top = next((l for l in range(c["q"].bit_length()) if c["p"] ** (l + 1) == c["q"]), None)
@@ -251,13 +250,13 @@ def bound_report(**config) -> BoundReport:
         return rs(c["n"] - 1, top)
 
     def hermitian(d, n):  # the vanishing line on the curve over GF(r**2), genus r*(r-1)/2
-        r = square()
-        return repairable(VARIANT_LINE, d, c["l"], r + 1, r * (r - 1) // 2, n, r ** 3)
+        r = _root(c["q"])
+        return repairable(VARIANT_LINE, d, c["l"], r * (r - 1) // 2, r, n, r ** 3)
 
     def weak(genus, name):
         if 2 * genus > c["m"]:
             raise ValueError(f"requires 2*{name} <= m: m={c['m']}, {name}={genus}")
-        return repairable(VARIANT_WEAK, c["d"], c["l"], genus + 1, genus)
+        return repairable(VARIANT_WEAK, c["d"], c["l"], genus)
 
     emit("rs_strong", lambda: rs(c["d"], c["l"]), "d", "q", "l", "p", "m")
     emit("rs_subfield", rs_subfield, "n", "p", "q", "m")
@@ -266,7 +265,7 @@ def bound_report(**config) -> BoundReport:
     emit("weak_ag", lambda: weak(c["genus"], "genus"), "d", "q", "genus", "l", "p", "m")
 
     def tower():  # the weak form on the recursive-tower codes, genus term q**(e/2)
-        genus = square() ** c["e"]
+        genus = _root(c["q"]) ** c["e"]
         if c["p"] ** c["l"] > c["q"]:
             raise ValueError(f"requires l <= log_p q: p**l={c['p'] ** c['l']}, q={c['q']}")
         return weak(genus, "q**(e/2)")

@@ -66,12 +66,6 @@ class HermitianCurve:
         lhs = tw.add(tw.pow(b, self.r), b)
         return lhs == tw.pow(a, self.r + 1)
 
-    def point_index(self, a: int, b: int) -> int:
-        idx = np.nonzero((self.points[:, 0] == a) & (self.points[:, 1] == b))[0]
-        if idx.size == 0:
-            raise ValueError(f"({a}, {b}) is not on the curve")
-        return int(idx[0])
-
 
 def hermitian_curve(tw: FieldTower) -> HermitianCurve:
     q = tw.q
@@ -288,48 +282,53 @@ def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.
 
 
 def encode(code: EvalCode, message) -> Codeword:
-    """Encode one message of k symbols.  See "Library inputs" in the README
-    for the symbols accepted."""
+    """`encode_many` of one message, its FieldElements unwrapped first."""
     msg = code.tower.codes_of(list(message), "message row 0, position {2} holds {0}, {1}",
                               "message codes have")
-    if msg.shape[0] != code.k:
-        raise ValueError(f"message length {msg.shape[0]} != dimension {code.k}")
     return Codeword(code, encode_many(code, msg[None, :])[0])
 
 
 def encode_many(code: EvalCode, messages: np.ndarray) -> np.ndarray:
     """(m, k) message block -> (m, n) codeword block; a block of another
-    dtype is refused, not cast (see "Library inputs" in the README)."""
+    dtype or width is refused, not cast (see "Library inputs" in the README)."""
     messages = code.tower.codes_of(messages, "message row {2}, position {3} holds {0}, {1}",
                                    "message codes have")
+    _check_width(messages, code.k, "message rows", f"k={code.k}")
     return linalg.matmul(code.tower, messages, code.generator)
 
 
-def erasure_decode(code: EvalCode, known) -> Codeword:
-    """Recover the unique codeword agreeing with the given (position, value) pairs.
+def _check_width(block, width: int, rows: str, expected: str) -> None:
+    """Refuse a block that is not 2-D with `width` columns, naming both."""
+    shape = np.shape(block)
+    if len(shape) != 2 or shape[1] != width:
+        got = f"{shape[1]} symbols" if len(shape) == 2 else f"shape {shape}"
+        raise ValueError(f"{rows} have {got}, expected {expected}")
 
-    Needs at least threshold = s + 1 distinct coordinates, which always pin
-    the message down; raises UnderdeterminedError below that and
-    InconsistentError when the values match no codeword.  See "Library
-    inputs" in the README for the positions and values accepted.
-    """
+
+def erasure_decode(code: EvalCode, known) -> Codeword:
+    """`erasure_decode_many` of (position, value) pairs, its FieldElements
+    unwrapped first."""
     known = list(known)
-    positions = integers([p for p, _ in known], code.n, "position {0} is {1}")
+    positions = [p for p, _ in known]
     values = code.tower.codes_of([v for _, v in known], "value row 0, position {2} holds {0}, {1}",
                                  "value codes have", positions)
-    if not distinct(positions):
-        raise ValueError("duplicate positions")
     return Codeword(code, erasure_decode_many(code, positions, values[None, :])[0])
 
 
 def erasure_decode_many(code: EvalCode, positions, value_rows: np.ndarray) -> np.ndarray:
-    """Batched erasure decoding against one fixed known-position set.
+    """The (m, n) codewords agreeing with the (m, len(positions)) value rows
+    at pairwise distinct positions, from one elimination for the batch.
 
-    value_rows has one codeword's known values per row, checked as
-    `encode_many` checks messages; returns the decoded (m, n) codeword
-    block from one elimination for the whole batch.
+    Needs at least threshold = s + 1 positions, which always pin the
+    message down: raises UnderdeterminedError below that and
+    InconsistentError when a row matches no codeword.  Value rows are
+    checked as `encode_many` checks messages; see "Library inputs" in the
+    README.
     """
     positions = integers(positions, code.n, "position {0} is {1}")
+    if not distinct(positions):
+        raise ValueError("duplicate positions: each position may be given once")
+    _check_width(value_rows, positions.size, "value rows", f"{positions.size}, one per position")
     if positions.size < code.threshold:
         raise UnderdeterminedError(
             f"{positions.size} coordinates given, {code.threshold} needed"
@@ -357,10 +356,6 @@ class VanishingLine:
     point: tuple[int, int]
     alpha: int
     gamma: int
-
-    def at(self, a: int, b: int) -> int:
-        tw = self.curve.tower
-        return tw.sub(tw.add(b, tw.mul(self.alpha, a)), self.gamma)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         tw = self.curve.tower

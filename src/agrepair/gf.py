@@ -468,7 +468,7 @@ class FieldTower:
 
     def digits(self, code: int) -> tuple:
         """Base-p digit vector, least-significant first, length t."""
-        return self._digits(self.code_of(code, "code {0} is {1}"))
+        return tuple(self.digits_arr(self.code_of(code, "code {0} is {1}")).tolist())
 
     def from_digits(self, digits) -> int:
         """The code of one digit vector, its digits read by `integers` (so
@@ -511,15 +511,6 @@ class FieldTower:
     @property
     def zero(self):
         return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self):
-        """The adjoined root x (code p); primitive only by accident."""
-        return FieldElement(self, self.p if self.t > 1 else self.generator)
 
     # ------------------------------------------------------------------
     # dual bases and trace representation
@@ -641,11 +632,12 @@ def trace_reconstruct(traces, tw: FieldTower) -> FieldElement:
 class LinearizedMap:
     """The GF(p)-linear map x -> prod_{v in V} (x - v) for a subspace V.
 
-    `V` is spanned by `v_basis` (l independent elements); the kernel of the
-    map is exactly V and the image has codimension l over GF(p).  The
-    normalisation constant c = prod of -v over nonzero v in V equals the
-    value of L(x)/x extended to x = 0, which is what `quotient` computes:
-    evaluating L(z h)/h at zeros of h stays well defined through it.
+    `V` is spanned by `v_basis`, l elements independent over GF(p) (as
+    `linalg.rank_over_base` checks); the kernel of the map is exactly V and
+    the image has codimension l over GF(p).  The normalisation constant
+    c = prod of -v over nonzero v in V equals the value of L(x)/x extended
+    to x = 0, which is what `quotient` computes: evaluating L(z h)/h at
+    zeros of h stays well defined through it.
     """
 
     def __init__(self, tw: FieldTower, v_basis):
@@ -653,9 +645,7 @@ class LinearizedMap:
 
         v_basis = tuple(tw.element(v).code for v in v_basis)
         l = len(v_basis)
-        if l > tw.t:
-            raise ValueError("subspace dimension exceeds the extension degree")
-        if rank_over_base(tw, v_basis) != l:
+        if rank_over_base(tw, v_basis) != l:  # also when l > t
             raise ValueError("v_basis is linearly dependent over the base subfield")
         self.tower = tw
         self.v_basis = v_basis
@@ -666,10 +656,7 @@ class LinearizedMap:
             for c, v in zip(coeffs, v_basis):
                 acc = tw.add(acc, tw.mul(c, v))
             kernel.append(acc)
-        kernel = sorted(set(kernel))
-        if len(kernel) != tw.p ** l:
-            raise ValueError("v_basis is linearly dependent over the base subfield")
-        self.kernel = tuple(kernel)
+        self.kernel = tuple(sorted(kernel))  # p**l distinct elements, v_basis being independent
         self.c = self.quotient(0)
 
     @property

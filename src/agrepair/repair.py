@@ -31,7 +31,8 @@ its u, and column k of lam (t, D) its GF(p) weight in every row u.  The
 offsets start (n + 1,) delimit each node's run, so node j's sub-symbols are
 start[j]:start[j+1], empty for pruned helpers and non-helpers alike.
 
-Variants differ only in h_i and so in its pole order (see check_precondition):
+Variants differ only in h_i and so in its pole order (`pole_order`, read by
+`check_precondition`):
   "rs"              h_i = x - a_i; every b_j = t - l (strong).
   "hermitian-line"  h_i = the vanishing line at P_i; strong.
   "hermitian-weak"  h_i = a generic vanishing function with pole budget
@@ -108,13 +109,15 @@ class RepairTranscript:
     total_bits: float
 
 
-def _pole_step(code: EvalCode, variant: str) -> int:
-    """Pole order of h_i, the pole degree each linearized factor adds."""
+def pole_order(variant: str, genus: int, r: int | None = None) -> int:
+    """Pole order of h_i, the pole degree each linearized factor adds: 1
+    for x - a_i (RS), r + 1 for the vanishing line on the Hermitian curve
+    over GF(r**2), genus + 1 for a generic vanishing function (weak)."""
     if variant == VARIANT_RS:
         return 1
     if variant == VARIANT_LINE:
-        return code.curve.r + 1
-    return code.genus + 1
+        return r + 1
+    return genus + 1
 
 
 # the code kind each variant plans for, and its pole order as error messages name it
@@ -123,12 +126,13 @@ _POLE_NAME = {VARIANT_LINE: "(r + 1)", VARIANT_WEAK: "(genus + 1)"}
 _POINTS_NAME = {VARIANT_RS: "q", VARIANT_LINE: "r**3", VARIANT_WEAK: "r**3"}
 
 
-def check_precondition(variant: str, s: int, d: int, l: int, p: int, pole: int, genus: int,
-                       n: int | None = None, complete: int | None = None) -> tuple[int, bool]:
+def check_precondition(variant: str, s: int, d: int, l: int, p: int, genus: int,
+                       r: int | None = None, n: int | None = None,
+                       complete: int | None = None) -> tuple[int, bool]:
     """The repair rule, in integers alone: `variant` repairs a point of a
     pole-degree-s code from d helpers with an l-dimensional kernel over
-    GF(p) when s + rho <= budget, rho = (p**l - 1) * pole and pole the pole
-    order of h_i.  Returns (rho, whether the all-ones dual vector serves);
+    GF(p) when s + rho <= budget, rho = (p**l - 1) * `pole_order(variant,
+    genus, r)`.  Returns (rho, whether the all-ones dual vector serves);
     raises RepairPreconditionError otherwise.
 
     The all-ones vector serves a strong variant when every other node helps
@@ -151,7 +155,7 @@ def check_precondition(variant: str, s: int, d: int, l: int, p: int, pole: int, 
         if d > size - 1:
             raise RepairPreconditionError(f"requires d <= {name} - 1: d={d}, {name}={size}")
     all_ones = variant != VARIANT_WEAK and d + 1 == n == complete
-    rho = (p ** l - 1) * pole
+    rho = (p ** l - 1) * pole_order(variant, genus, r)
     if genus == 0:  # RS; with the full point set d - 1 = n + 2*genus - 2
         budget, rule = d - 1, "d - p**l"
     elif all_ones:
@@ -188,9 +192,10 @@ def build_scheme(
     lin = LinearizedMap(tw, tw.theta[:l])
 
     # rs_code refuses repeated and out-of-field points, so n == q says the set is complete
-    complete = tw.q if code.kind == "rs" else code.curve.r ** 3
-    rho, all_ones = check_precondition(variant, code.s, len(helpers), l, tw.p,
-                                       _pole_step(code, variant), code.genus, n, complete)
+    r = None if code.curve is None else code.curve.r
+    complete = tw.q if r is None else r ** 3
+    rho, all_ones = check_precondition(variant, code.s, len(helpers), l, tw.p, code.genus, r, n,
+                                       complete)
 
     # h_i values at every position
     extra_zeros: tuple = ()
@@ -273,15 +278,22 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
 def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
     """Rebuild the lost symbol from the helpers' sub-symbol lists.
 
-    Raises ValueError when an active helper's response is missing or has
-    the wrong length; see "Library inputs" in the README for the values
-    accepted, which lie in the base subfield GF(p).
+    Raises ValueError when an active helper's response is missing, is not
+    a list, tuple or 1-D integer array, or has the wrong length; see
+    "Library inputs" in the README for the values accepted, which lie in
+    the base subfield GF(p).
     """
     tw = scheme.code.tower
     missing = [j for j in scheme.active if j not in responses]
     if missing:
         raise ValueError(f"missing response from helper {missing[0]}")
     resps = [responses[j] for j in scheme.active]
+    if not {list, tuple}.issuperset(map(type, resps)):  # arrays, subclasses or a bad response
+        for j, r in zip(scheme.active, resps):
+            if not (isinstance(r, (list, tuple))
+                    or isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.kind in "iu"):
+                raise ValueError(f"helper {j} sent a {type(r).__name__}, not a list, tuple or "
+                                 "1-D integer array")
     sent = np.array([len(r) for r in resps], dtype=np.int64)
     expected = np.diff(scheme.start)[list(scheme.active)]
     if not np.array_equal(sent, expected):
@@ -312,10 +324,14 @@ def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTrans
 
     Each helper sees only its own coordinate; the target coordinate is never
     read.  Returns the rebuilt symbol and the download transcript.  See
-    "Library inputs" in the README for the codewords accepted; only the
-    active helpers' symbols are checked.
+    "Library inputs" in the README for the codewords accepted: 1-D of
+    length n, only the active helpers' symbols being checked.
     """
-    read = scheme.code.tower.codes_of(np.asarray(symbols)[list(scheme.active)],
+    word = np.asarray(symbols)
+    if word.shape != (scheme.code.n,):
+        got = f"length {len(word)}" if word.ndim == 1 else f"shape {word.shape}"
+        raise ValueError(f"codeword has {got}, expected n={scheme.code.n}")
+    read = scheme.code.tower.codes_of(word[list(scheme.active)],
                                       "node {2} stores {0}, {1}", "codeword has", scheme.active)
     responses = {j: helper_response(scheme, j, x) for j, x in zip(scheme.active, read.tolist())}
     value = reconstruct(scheme, responses)

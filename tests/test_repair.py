@@ -323,6 +323,42 @@ def test_helper_response_validation():
         repair.reconstruct(scheme, short)
 
 
+def test_reconstruct_refuses_responses_that_are_not_sequences():
+    """A dict would be read through its keys, and an int or None has no
+    length: each is refused by name, as is a float or 2-D array.  Over
+    GF(16)/GF(4) each helper sends one sub-symbol, the length a one-key
+    dict has."""
+    hc = herm_code(4, 2, s=3)
+    scheme = repair.build_scheme(hc, 0)
+    cw = codes.encode(hc, np.arange(hc.k))
+    resp = {j: repair.helper_response(scheme, j, int(cw.symbols[j])) for j in scheme.active}
+    assert repair.reconstruct(scheme, resp).code == cw[0]
+    j = scheme.active[0]
+    for bad, kind in (({0: 1}, "dict"), (1, "int"), (None, "NoneType"),
+                      (np.zeros(len(resp[j])), "ndarray"), (np.zeros((1, len(resp[j])), int), "ndarray")):
+        with pytest.raises(ValueError, match=f"helper {j} sent a {kind}, not a list, tuple or "
+                                             "1-D integer array"):
+            repair.reconstruct(scheme, {**resp, j: bad})
+    as_arrays = {k: np.asarray(r, dtype=np.uint8) for k, r in resp.items()}
+    assert repair.reconstruct(scheme, as_arrays).code == cw[0]
+    assert repair.reconstruct(scheme, {k: list(r) for k, r in resp.items()}).code == cw[0]
+
+
+def test_run_repair_refuses_codewords_of_another_shape():
+    hc = herm_code(4, 2, s=3)
+    scheme = repair.build_scheme(hc, 0)
+    word = codes.encode(hc, np.arange(hc.k)).symbols
+    with pytest.raises(ValueError, match="codeword has length 5, expected n=64"):
+        repair.run_repair(scheme, word[:5])
+    with pytest.raises(ValueError, match="codeword has length 65, expected n=64"):
+        repair.run_repair(scheme, np.append(word, 0))
+    with pytest.raises(ValueError, match=r"codeword has shape \(2, 64\), expected n=64"):
+        repair.run_repair(scheme, np.stack([word, word]))
+    with pytest.raises(ValueError, match=r"codeword has shape \(\), expected n=64"):
+        repair.run_repair(scheme, 3)
+    assert repair.run_repair(scheme, word.tolist())[0].code == word[0]
+
+
 def test_scheme_and_transcript_serialize_to_json():
     import json
 
@@ -628,7 +664,8 @@ def test_scheme_dual_vector_matches_raw_augmented_generator(case):
     the nullspace of the raw augmented generator's restriction gives."""
     code, variant, l, target, helpers = case
     tw = code.tower
-    rho = (tw.p ** l - 1) * repair._pole_step(code, variant)
+    r = None if code.curve is None else code.curve.r
+    rho = (tw.p ** l - 1) * repair.pole_order(variant, code.genus, r)
     raw = codes.augmented_generator(code, rho)
     scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
     assert np.array_equal(scheme.w, _reference_dual_support_vector(raw, tw, target, helpers))
