@@ -11,7 +11,8 @@ Subcommands:
 Configs are JSON objects; see README for the schema.  The only environment
 override is AGREPAIR_OUTPUT_DIR, which re-roots relative output paths.
 Exit status: 0 success, 1 verification mismatch, 2 bad config/state/preconditions
-(including too few live nodes left to verify against).
+(including too few live nodes left to verify against, and a corrupted stored
+symbol, which loading refuses wherever it sits: a state that loads verifies ok).
 """
 
 from __future__ import annotations

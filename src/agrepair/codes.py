@@ -10,9 +10,9 @@ degree s plays the role the polynomial degree bound plays for Reed-Solomon
 The Hermitian curve y**r + y = x**(r+1) over GF(r**2) contributes the two
 special constructions the repair schemes need: `vanishing_line`, a function
 whose divisor is (r+1)(P - Pinf) (it vanishes at one chosen affine point and
-nowhere else), and `vanishing_function`, a nonzero function with pole order
-at most genus+1 vanishing at a chosen point, whose few extra zeros are the
-price of the generic (weak) repair path.
+nowhere else), and `vanishing_function`, a function with pole order at most
+genus+1 vanishing at a chosen point: always x - a_i, whose r - 1 extra zeros
+are the price of the generic (weak) repair path.
 """
 
 from __future__ import annotations
@@ -79,11 +79,8 @@ def hermitian_curve(tw: FieldTower) -> HermitianCurve:
     buckets: dict[int, list[int]] = {}
     for b, z in zip(codes, images):
         buckets.setdefault(int(z), []).append(int(b))
-    pts = []
-    for a in range(q):
-        z = int(tw.pow(a, r + 1))
-        for b in sorted(buckets.get(z, ())):
-            pts.append((a, b))
+    norms = tw.pow_arr(codes, r + 1).tolist()
+    pts = [(a, b) for a, z in enumerate(norms) for b in sorted(buckets.get(z, ()))]
     points = np.array(pts, dtype=np.int64)
     if points.shape[0] != r ** 3:
         raise AssertionError(f"curve enumeration produced {points.shape[0]} points, expected {r ** 3}")
@@ -317,7 +314,7 @@ def erasure_decode(code: EvalCode, known) -> Codeword:
 
 def erasure_decode_many(code: EvalCode, positions, value_rows: np.ndarray) -> np.ndarray:
     """The (m, n) codewords agreeing with the (m, len(positions)) value rows
-    at pairwise distinct positions, from one elimination for the batch.
+    at flat, pairwise distinct positions, from one elimination for the batch.
 
     Needs at least threshold = s + 1 positions, which always pin the
     message down: raises UnderdeterminedError below that and
@@ -326,6 +323,8 @@ def erasure_decode_many(code: EvalCode, positions, value_rows: np.ndarray) -> np
     README.
     """
     positions = integers(positions, code.n, "position {0} is {1}")
+    if positions.ndim != 1:
+        raise ValueError(f"positions must be a flat sequence, got shape {positions.shape}")
     if not distinct(positions):
         raise ValueError("duplicate positions: each position may be given once")
     _check_width(value_rows, positions.size, "value rows", f"{positions.size}, one per position")
@@ -384,8 +383,10 @@ def vanishing_function(code: EvalCode, i: int):
 
     Generic replacement for `vanishing_line` when only the weak repair
     guarantee is needed: returns (values at all code points, extra zero
-    positions I_i).  The pole budget genus+1 caps len(I_i) at genus.  The
-    index i is checked against [0, n) by `integer`.
+    positions I_i).  The monomials run 1, x, ... (r <= genus+1), so the
+    first nullspace vector of the constraint is x - a_i and I_i the other
+    points with x = a_i: at most r - 1 <= genus.  The index i is checked
+    against [0, n) by `integer`.
     """
     if code.kind != "hermitian":
         raise ValueError("generic vanishing functions are for Hermitian codes")

@@ -10,12 +10,13 @@ codes below p.  That makes digit lists, subfield membership and serialization
 line up with no conversion tables.
 
 Arithmetic is table-driven: discrete log / antilog tables over a fixed
-primitive element, and a trace table over all q codes.  Scalar `mul`, `inv`,
-`pow` and `trace` read them as Python lists.  The *_arr methods are
-vectorised counterparts operating on numpy integer arrays; they are what
-the linear-algebra layer runs on.  A field of at most PRODUCT_TABLE_MAX =
-256 elements also keeps its whole q x q product table `mul_table`, one byte
-per entry (4 KB at GF(64), 64 KB at GF(256)).  `mul_outer`, the products of
+primitive element, and a trace table over all q codes.  The hot scalar
+`mul`, `inv` and `trace` read them as Python lists; scalar `pow`, and `add`
+in odd characteristic, wrap `pow_arr` and `add_arr`.  The *_arr methods are
+vectorised counterparts on numpy integer arrays, and every sum_k c_k * x_k
+here is one `linalg.matvec`.  A field of at most PRODUCT_TABLE_MAX = 256
+elements also keeps its whole q x q product table `mul_table`, one byte per
+entry (4 KB at GF(64), 64 KB at GF(256)).  `mul_outer`, the products of
 two code vectors, is its only reader: `linalg.rref`, `linalg.matmul` and
 `codes._densify` multiply through it and never look at the table, and a
 larger field's `mul_outer` runs on exp/log instead.
@@ -26,7 +27,6 @@ instances can be shared freely between threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -352,11 +352,7 @@ class FieldTower:
     # scalar arithmetic on integer codes
     # ------------------------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        if self.char == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
-        return int(self.add_arr(np.int64(a), np.int64(b)))
+        return a ^ b if self.char == 2 else int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
         return a if self.char == 2 else int(self._neg_table[a])
@@ -376,13 +372,7 @@ class FieldTower:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return self._exp_list[(self._log_list[a] * k) % self._order]
+        return int(self.pow_arr(a, k))
 
     def frob(self, a: int) -> int:
         """Frobenius relative to the base subfield: a -> a**p."""
@@ -522,23 +512,17 @@ class FieldTower:
         GF(p); raises ValueError when the input is linearly dependent (the
         trace form is non-degenerate, so dependence is the only failure).
         """
-        from .linalg import solve
+        from .linalg import matvec, solve
 
-        primal = [self.element(z).code for z in primal]
+        primal = np.array([self.element(z).code for z in primal], dtype=np.int64)
         t = self.t
         if len(primal) != t:
             raise ValueError(f"primal basis must have {t} elements")
-        gram = [[self.trace(self.mul(zi, zj)) for zj in primal] for zi in primal]
+        gram = self.trace_arr(self.mul_outer(primal, primal))
         inv = solve(self, gram, np.eye(t, dtype=np.int64))
         if inv is None:
             raise ValueError("primal set is linearly dependent over the base subfield")
-        dual = []
-        for j in range(t):
-            acc = 0
-            for k in range(t):
-                acc = self.add(acc, self.mul(inv[k][j], primal[k]))
-            dual.append(acc)
-        return tuple(dual)
+        return tuple(matvec(self, inv.T, primal).tolist())
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and (self.p, self.t) == (other.p, other.t)
@@ -619,14 +603,13 @@ def trace_reconstruct(traces, tw: FieldTower) -> FieldElement:
 
     Inverse of the trace representation: alpha = sum_u trace(alpha zeta_u) theta_u.
     """
+    from .linalg import matvec
+
     traces = list(traces)
     if len(traces) != tw.t:
         raise ValueError(f"expected {tw.t} trace values, got {len(traces)}")
-    acc = 0
-    for val, th in zip(traces, tw.theta):
-        val = integer(val, tw.p, "trace value {0} {1}", domain="the base subfield")
-        acc = tw.add(acc, tw.mul(val, th))
-    return FieldElement(tw, acc)
+    vals = integers(traces, tw.p, "trace value {0} {1}", domain="the base subfield")
+    return FieldElement(tw, int(matvec(tw, [tw.theta], vals)[0]))
 
 
 class LinearizedMap:
@@ -641,7 +624,7 @@ class LinearizedMap:
     """
 
     def __init__(self, tw: FieldTower, v_basis):
-        from .linalg import rank_over_base
+        from .linalg import matvec, rank_over_base
 
         v_basis = tuple(tw.element(v).code for v in v_basis)
         l = len(v_basis)
@@ -650,12 +633,9 @@ class LinearizedMap:
         self.tower = tw
         self.v_basis = v_basis
         self.l = l
-        kernel = []
-        for coeffs in itertools.product(range(tw.p), repeat=l):
-            acc = 0
-            for c, v in zip(coeffs, v_basis):
-                acc = tw.add(acc, tw.mul(c, v))
-            kernel.append(acc)
+        # every GF(p)-combination of v_basis: row m of coeffs holds m's base-p digits
+        coeffs = (np.arange(tw.p ** l)[:, None] // tw.p ** np.arange(l)) % tw.p
+        kernel = matvec(tw, coeffs, v_basis).tolist()
         self.kernel = tuple(sorted(kernel))  # p**l distinct elements, v_basis being independent
         self.c = self.quotient(0)
 

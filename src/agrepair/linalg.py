@@ -48,6 +48,10 @@ tables cost about as much as they save when they have as many rows as the
 output, so the path runs only when 2**h + 2**(w - h) <= m, for m output
 rows; a smaller m, and every odd characteristic, add up one `mul_outer`
 per inner index with `add_arr`.  Both give the same int64 output.
+
+`matvec` is the one field dot product: every combination sum_k c_k * x_k
+(`repair.reconstruct`, and `gf`'s trace reconstruction, dual basis and
+linearized-map kernel) is one call.
 """
 
 from __future__ import annotations
@@ -252,7 +256,24 @@ def matmul(tw, a, b):
 
 
 def matvec(tw, a, v):
-    return matmul(tw, a, np.asarray(v, dtype=np.int64)[:, None])[:, 0]
+    """sum_k a[i, k] * v[k] for every row i, as int64: one `mul_arr`, then
+    an XOR reduction (characteristic 2) or halving `add_arr` folds, padded
+    with code 0 to a power of two.  v must be 1-D with one entry per column
+    of a; a length-1 v is refused, not broadcast."""
+    a = as_matrix(a)
+    v = np.asarray(v, dtype=np.int64)
+    if v.shape != a.shape[1:]:
+        raise ValueError(f"vector has shape {v.shape}, expected ({a.shape[1]},): "
+                         "one entry per matrix column")
+    terms = tw.mul_arr(a, v)
+    if tw.char == 2:
+        return np.bitwise_xor.reduce(terms, axis=1)
+    width = 1 << max(a.shape[1] - 1, 0).bit_length()
+    terms = np.pad(terms, ((0, 0), (0, width - a.shape[1])))
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        terms = tw.add_arr(terms[:, :half], terms[:, half:])
+    return terms[:, 0]
 
 
 def rank_over_base(tw, codes) -> int:

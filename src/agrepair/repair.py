@@ -36,8 +36,9 @@ Variants differ only in h_i and so in its pole order (`pole_order`, read by
   "rs"              h_i = x - a_i; every b_j = t - l (strong).
   "hermitian-line"  h_i = the vanishing line at P_i; strong.
   "hermitian-weak"  h_i = a generic vanishing function with pole budget
-                    genus+1; helpers at its extra zeros send full symbols,
-                    so only the total bandwidth is bounded (weak).
+                    genus+1 (the search finds x - a_i); helpers at its
+                    extra zeros send full symbols, so only the total
+                    bandwidth is bounded (weak).
 With every other node helping on the complete point set, the strong variants
 use the all-ones dual vector.
 """
@@ -305,18 +306,7 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
     vals = integers([v for r in resps for v in r], tw.p, "helper {2} sent {0}, {1}",
                     at=senders, domain=f"GF({tw.p})")
     # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
-    terms = tw.mul_arr(scheme.lam, vals)
-    return trace_reconstruct(tw.neg_arr(_sum_columns(tw, terms)), tw)
-
-
-def _sum_columns(tw, m: np.ndarray) -> np.ndarray:
-    """Field sum of the columns of m, folding halves in log2(width) adds."""
-    width = 1 << max(m.shape[1] - 1, 0).bit_length()
-    m = np.pad(m, ((0, 0), (0, width - m.shape[1])))  # code 0 is the field's zero
-    while m.shape[1] > 1:
-        half = m.shape[1] // 2
-        m = tw.add_arr(m[:, :half], m[:, half:])
-    return m[:, 0]
+    return trace_reconstruct(tw.neg_arr(linalg.matvec(tw, scheme.lam, vals)), tw)
 
 
 def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTranscript]:

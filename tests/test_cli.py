@@ -276,6 +276,32 @@ def test_verify_with_fewer_live_nodes_than_the_threshold_exits_2(tmp_path, capsy
     assert "MISMATCH" not in captured.out
 
 
+def test_verify_of_a_corrupted_state_exits_2_at_load(tmp_path, capsys):
+    """One changed digit of a stored symbol, wherever it sits (among the
+    first threshold = 41 positions verify decodes from or past them, with
+    or without a failed node), is refused when the state loads: verify
+    exits 2 naming the re-encode check and never prints MISMATCH."""
+    cfg = write_config(tmp_path, {"kind": "hermitian", "p": 4, "t": 2, "s": 40, "seed": 3,
+                                  "stripes": 4})
+    state = tmp_path / "state.json"
+    assert cli.main(["encode", "--config", cfg, "--state", str(state)]) == 0
+    encoded = state.read_text()
+    for node, failed in ((0, None), (17, None), (63, None), (17, 5)):
+        payload = json.loads(encoded)
+        if failed is not None:
+            state.write_text(encoded)
+            assert cli.main(["fail", "--state", str(state), "--node", str(failed)]) == 0
+            payload = json.loads(state.read_text())
+        digits = payload["nodes"][node][2]
+        digits[0] = (digits[0] + 1) % 4
+        state.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["verify", "--state", str(state)]) == 2
+        captured = capsys.readouterr()
+        assert "stored node symbols are not codewords of the stripes" in captured.err
+        assert "MISMATCH" not in captured.out
+
+
 def test_repair_errors_name_l_and_the_genus_0_bound(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(RS_CONFIG, k=15))
     state = str(tmp_path / "state.json")

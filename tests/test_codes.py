@@ -324,6 +324,23 @@ def test_decode_many_refuses_repeated_positions():
         codes.erasure_decode_many(hc, spread, cw.symbols[None, spread])
 
 
+def test_decode_many_refuses_a_positions_block():
+    """Positions are a flat sequence: a 2-D block of twelve distinct
+    positions, or one bare position, is refused naming the positions and
+    their shape, as a list and as an array."""
+    hc = codes.hermitian_code(codes.hermitian_curve(tower(2, 4)), s=10)
+    cw = codes.encode(hc, np.arange(hc.k) % 16)
+    block = np.reshape(range(12), (2, 6))
+    for positions in (block, block.tolist()):
+        with pytest.raises(ValueError, match=re.escape(
+                "positions must be a flat sequence, got shape (2, 6)")):
+            codes.erasure_decode_many(hc, positions, cw.symbols[None, :12])
+    with pytest.raises(ValueError, match=re.escape("positions must be a flat sequence, got shape ()")):
+        codes.erasure_decode_many(hc, 5, cw.symbols[None, :1])
+    flat = block.ravel()
+    assert np.array_equal(codes.erasure_decode_many(hc, flat, cw.symbols[None, flat])[0], cw.symbols)
+
+
 def test_decode_many_value_rows_are_as_wide_as_the_positions():
     hc = codes.hermitian_code(codes.hermitian_curve(tower(2, 4)), s=10)
     cws = codes.encode_many(hc, np.arange(2 * hc.k).reshape(2, hc.k) % 16)
@@ -422,6 +439,27 @@ def test_vanishing_function_r2_is_the_line_through_x():
         assert len(extra) == 1  # the other point sharing the x-coordinate
         a_i = hc.points[i, 0]
         assert hc.points[extra[0], 0] == a_i
+
+
+@pytest.mark.parametrize("p,t", [(2, 2), (2, 4), (2, 6), (3, 2), (5, 2), (7, 2), (9, 2)])
+def test_vanishing_function_is_x_minus_a_i(p, t):
+    """The search over pole orders <= genus + 1 always finds x - a_i: the
+    monomials run 1, x, ... and the one constraint pivots on 1.  Its extra
+    zeros are the other points of the code on the same x, r - 1 at full
+    length; pinned on full-length and shortened codes as the reference for
+    a closed form."""
+    tw = tower(p, t)
+    cv = codes.hermitian_curve(tw)
+    rng = np.random.default_rng(p * t)
+    for n in (None, cv.points.shape[0] // 2 + 3):
+        hc = codes.hermitian_code(cv, s=2, n=n)
+        x = hc.points[:, 0]
+        for i in sorted(rng.choice(hc.n, size=min(hc.n, 8), replace=False).tolist()):
+            vals, extra = codes.vanishing_function(hc, i)
+            assert np.array_equal(vals, tw.sub_arr(x, x[i]))
+            assert extra == [j for j in np.flatnonzero(x == x[i]).tolist() if j != i]
+            if n is None:
+                assert len(extra) == cv.r - 1 <= cv.genus
 
 
 @pytest.mark.parametrize("p,t", [(2, 2), (3, 2)])

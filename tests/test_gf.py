@@ -1,10 +1,11 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 from agrepair.gf import FieldTower, LinearizedMap, tower, trace_reconstruct
-from agrepair.linalg import rank_over_base
+from agrepair.linalg import rank_over_base, solve
 
 SMALL_TOWERS = [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (4, 2), (8, 2), (2, 6)]
 
@@ -223,6 +224,41 @@ def test_dual_basis_identity_and_biduality(p, t):
     assert tw.dual_basis(dual) == tw.zeta
 
 
+def _reference_dual_basis(tw, primal):
+    """The scalar loops `dual_basis` ran before `linalg.matvec`: the Gram
+    matrix entry by entry, each dual element added up term by term."""
+    t = tw.t
+    gram = [[tw.trace(tw.mul(zi, zj)) for zj in primal] for zi in primal]
+    inv = solve(tw, gram, np.eye(t, dtype=np.int64))
+    dual = []
+    for j in range(t):
+        acc = 0
+        for k in range(t):
+            acc = tw.add(acc, tw.mul(int(inv[k][j]), primal[k]))
+        dual.append(acc)
+    return tuple(dual)
+
+
+def _independent_sets(tw, size, count, seed):
+    """`count` random sets of `size` codes independent over GF(p)."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        cand = [int(x) for x in rng.integers(1, tw.q, size=size)]
+        if rank_over_base(tw, cand) == size:
+            found.append(cand)
+    return found
+
+
+@pytest.mark.parametrize("p,t", SMALL_TOWERS)
+def test_dual_basis_matches_scalar_loops(p, t):
+    tw = tower(p, t)
+    for primal in [list(tw.zeta)] + _independent_sets(tw, t, 10, p * t):
+        dual = tw.dual_basis(primal)
+        assert dual == _reference_dual_basis(tw, primal)
+        assert all(type(x) is int for x in dual)
+
+
 def test_dual_basis_rejects_dependent_input():
     f4 = tower(2, 2)
     with pytest.raises(ValueError):
@@ -270,6 +306,26 @@ def test_trace_reconstruct_frozen_example():
         trace_reconstruct([2, 0], f4)  # value outside the base subfield
 
 
+def _reference_trace_reconstruct(traces, tw):
+    """The scalar loop `trace_reconstruct` ran before `linalg.matvec`."""
+    acc = 0
+    for val, th in zip(traces, tw.theta):
+        acc = tw.add(acc, tw.mul(val, th))
+    return acc
+
+
+@pytest.mark.parametrize("p,t", SMALL_TOWERS)
+def test_trace_reconstruct_matches_scalar_loop(p, t):
+    """Every vector of trace values in GF(p)**t, given as a list of ints
+    and as an int64 array."""
+    tw = tower(p, t)
+    for traces in itertools.product(range(p), repeat=t):
+        want = _reference_trace_reconstruct(traces, tw)
+        assert trace_reconstruct(list(traces), tw).code == want
+        got = trace_reconstruct(np.array(traces, dtype=np.int64), tw).code
+        assert got == want and type(got) is int
+
+
 @pytest.mark.parametrize("p,t", SMALL_TOWERS)
 def test_trace_representation_round_trip(p, t):
     tw = tower(p, t)
@@ -315,6 +371,30 @@ def test_linearized_kernel_image_dims(p, t):
         assert len(kernel) == p ** l
         assert len(lin.image()) == p ** (t - l)
         assert lin.image_dim + lin.l == t
+
+
+def _reference_kernel(tw, v_basis):
+    """The scalar loops `LinearizedMap` ran before `linalg.matvec`: every
+    GF(p)-combination of v_basis, added up term by term."""
+    kernel = []
+    for coeffs in itertools.product(range(tw.p), repeat=len(v_basis)):
+        acc = 0
+        for c, v in zip(coeffs, v_basis):
+            acc = tw.add(acc, tw.mul(c, v))
+        kernel.append(acc)
+    return tuple(sorted(kernel))
+
+
+@pytest.mark.parametrize("p,t", SMALL_TOWERS)
+def test_linearized_kernel_matches_scalar_loops(p, t):
+    """Every l from 0 to t, on the dual basis and on random independent
+    sets; the kernel holds Python ints."""
+    tw = tower(p, t)
+    for l in range(t + 1):
+        for basis in [list(tw.theta[:l])] + _independent_sets(tw, l, 3, 10 * l + p):
+            kernel = LinearizedMap(tw, basis).kernel
+            assert kernel == _reference_kernel(tw, basis)
+            assert all(type(v) is int for v in kernel)
 
 
 @pytest.mark.parametrize("p,t", SMALL_TOWERS + [(3, 3)])
@@ -400,23 +480,40 @@ def test_pow_conventions():
         assert f9.pow(a, 8) == 1
 
 
+def _reference_pow(tw, a, k):
+    """The list lookup scalar `pow` ran before it wrapped `pow_arr`."""
+    if a == 0:
+        if k == 0:
+            return 1
+        if k < 0:
+            raise ZeroDivisionError("negative power of zero")
+        return 0
+    return tw._exp_list[(tw._log_list[a] * k) % tw._order]
+
+
 @pytest.mark.parametrize("p,t", [(2, 4), (3, 2), (2, 9)])
 def test_pow_arr_matches_pow(p, t):
-    """pow_arr agrees with pow on every code and exponent, and refuses a
-    negative power of zero as pow does, also when zero is one entry of
-    many; a block without zeros takes any exponent."""
+    """pow_arr agrees with the list lookup on every code and exponent, and
+    refuses a negative power of zero as it does, also when zero is one
+    entry of many; a block without zeros takes any exponent.  The scalar
+    pow that wraps it is checked on every code at the exponents around 0,
+    p and the multiplicative order."""
     tw = tower(p, t)
     codes = np.arange(tw.q)
+    scalar_ks = {-3, -1, 0, 1, 2, p, tw.q - 2, tw.q - 1, tw.q, 2 * tw.q - 1}
     for k in range(-3, 2 * tw.q):
-        if k < 0:
+        nonzero = k < 0
+        if nonzero:
             with pytest.raises(ZeroDivisionError, match="negative power of zero"):
                 tw.pow_arr(codes, k)
             with pytest.raises(ZeroDivisionError, match="negative power of zero"):
                 tw.pow_arr(0, k)
-            got = tw.pow_arr(codes[1:], k)
-            assert got.tolist() == [tw.pow(a, k) for a in range(1, tw.q)]
-        else:
-            assert tw.pow_arr(codes, k).tolist() == [tw.pow(a, k) for a in range(tw.q)]
+            with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+                tw.pow(0, k)
+        want = [_reference_pow(tw, a, k) for a in range(int(nonzero), tw.q)]
+        assert tw.pow_arr(codes[int(nonzero):], k).tolist() == want
+        if k in scalar_ks:
+            assert [tw.pow(a, k) for a in range(int(nonzero), tw.q)] == want
 
 
 @pytest.mark.parametrize("p,t", [(2, 10), (3, 6)])

@@ -1,17 +1,20 @@
 """Differential tests: the table-driven `linalg.rref` against the plain
 row-by-row elimination it replaced, the batched `rref_blocks` against
 `rref` on each block, the split-table `matmul` against the row-by-row
-product it replaced, `nullspace_of_columns` against `nullspace` of the
-column restriction, a small field's product table against scalar exp/log
-arithmetic, and `FieldTower.mul_outer` (the table's one reader, which
-`rref`, `matmul` and `codes._densify` multiply through) against `mul_arr`
-over the outer shape.
+product it replaced, `matvec` (the one field dot product) against the
+one-column `matmul` it replaced, `nullspace_of_columns` against
+`nullspace` of the column restriction, a small field's product table
+against scalar exp/log arithmetic, and `FieldTower.mul_outer` (the
+table's one reader, which `rref`, `matmul` and `codes._densify` multiply
+through) against `mul_arr` over the outer shape.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.
 `rref`, `rank`, `nullspace` and `solve` must agree with it byte for byte
 (values, dtype and pivot list) and must never write to their input.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +295,47 @@ def test_matmul_split_tables_on_every_code(p, t):
         a = np.concatenate([codes, np.full((nrows, 1), tw.q - 1), np.zeros((nrows, 1), int)], axis=1)
         b = rng.integers(0, tw.q, size=(a.shape[1], 7))
         assert _same(linalg.matmul(tw, a, b), _reference_matmul(tw, a, b))
+
+
+def _reference_matvec(tw, a, v):
+    """The product `matvec` used to be: a one-column `matmul`."""
+    return linalg.matmul(tw, a, np.asarray(v, dtype=np.int64)[:, None])[:, 0]
+
+
+@pytest.mark.parametrize("p,t", TOWERS)
+def test_matvec_matches_one_column_matmul(p, t):
+    """The XOR reduction (characteristic 2, with and without a product
+    table) and the padded `add_arr` fold (odd, q = 2187 on the digit path)
+    against the one-column product, on row counts either side of matmul's
+    split-table threshold, zero rows and zero columns included, inner
+    widths that are and are not powers of two, and sparse rows."""
+    tw = tower(p, t)
+    rng = np.random.default_rng(100 * p + t)
+    for nrows in (0, 1, 3, _split_rows(tw), _split_rows(tw) + 5):
+        for ncols in (0, 1, 2, 3, 5, 8, 17):
+            a = rng.integers(0, tw.q, size=(nrows, ncols))
+            a[rng.random(a.shape) < 0.3] = 0
+            v = rng.integers(0, tw.q, size=ncols)
+            before_a, before_v = a.copy(), v.copy()
+            got = linalg.matvec(tw, a, v)
+            assert _same(got, _reference_matvec(tw, a, v)) and got.shape == (nrows,)
+            assert np.array_equal(a, before_a) and np.array_equal(v, before_v)
+
+
+def test_matvec_refuses_vectors_of_another_shape():
+    """v has exactly one entry per column of a 2-D matrix: a length-1 v is
+    not broadcast over the row, and a column or scalar is refused, not
+    reshaped."""
+    tw = tower(8, 2)
+    a = np.arange(12).reshape(3, 4)
+    for v, shape in (([5], "(1,)"), ([1, 2, 3], "(3,)"), ([1, 2, 3, 4, 5], "(5,)"),
+                     ([[1], [2], [3], [4]], "(4, 1)"), (7, "()")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"vector has shape {shape}, expected (4,): one entry per matrix column")):
+            linalg.matvec(tw, a, v)
+    with pytest.raises(ValueError, match="expected a 2-D matrix"):
+        linalg.matvec(tw, a[0], [1, 2, 3, 4])
+    assert linalg.matvec(tw, a[:, :1], [5]).tolist() == [tw.mul(int(x), 5) for x in a[:, 0]]
 
 
 # towers of the planning paths: char 2 square fields and odd characteristic
