@@ -609,6 +609,8 @@ def trace_reconstruct(traces, tw: FieldTower) -> FieldElement:
     if len(traces) != tw.t:
         raise ValueError(f"expected {tw.t} trace values, got {len(traces)}")
     vals = integers(traces, tw.p, "trace value {0} {1}", domain="the base subfield")
+    if vals.ndim != 1:
+        raise ValueError(f"trace values must be a flat sequence, got shape {vals.shape}")
     return FieldElement(tw, int(matvec(tw, [tw.theta], vals)[0]))
 
 
@@ -633,8 +635,7 @@ class LinearizedMap:
         self.tower = tw
         self.v_basis = v_basis
         self.l = l
-        # every GF(p)-combination of v_basis: row m of coeffs holds m's base-p digits
-        coeffs = (np.arange(tw.p ** l)[:, None] // tw.p ** np.arange(l)) % tw.p
+        coeffs = tw.digits_arr(np.arange(tw.p ** l))[:, :l]
         kernel = matvec(tw, coeffs, v_basis).tolist()
         self.kernel = tuple(sorted(kernel))  # p**l distinct elements, v_basis being independent
         self.c = self.quotient(0)

@@ -257,19 +257,17 @@ def matmul(tw, a, b):
 
 def matvec(tw, a, v):
     """sum_k a[i, k] * v[k] for every row i, as int64: one `mul_arr`, then
-    an XOR reduction (characteristic 2) or halving `add_arr` folds, padded
-    with code 0 to a power of two.  v must be 1-D with one entry per column
-    of a; a length-1 v is refused, not broadcast."""
+    halving `add_arr` folds, padded with code 0 to a power of two.  v must
+    be 1-D with one entry per column of a; a length-1 v is refused, not
+    broadcast."""
     a = as_matrix(a)
     v = np.asarray(v, dtype=np.int64)
     if v.shape != a.shape[1:]:
         raise ValueError(f"vector has shape {v.shape}, expected ({a.shape[1]},): "
                          "one entry per matrix column")
-    terms = tw.mul_arr(a, v)
-    if tw.char == 2:
-        return np.bitwise_xor.reduce(terms, axis=1)
     width = 1 << max(a.shape[1] - 1, 0).bit_length()
-    terms = np.pad(terms, ((0, 0), (0, width - a.shape[1])))
+    terms = np.zeros((a.shape[0], width), dtype=np.int64)  # code 0 is the field's zero
+    terms[:, :a.shape[1]] = tw.mul_arr(a, v)
     while terms.shape[1] > 1:
         half = terms.shape[1] // 2
         terms = tw.add_arr(terms[:, :half], terms[:, half:])

@@ -306,32 +306,26 @@ def test_trace_reconstruct_frozen_example():
         trace_reconstruct([2, 0], f4)  # value outside the base subfield
 
 
-def _reference_trace_reconstruct(traces, tw):
-    """The scalar loop `trace_reconstruct` ran before `linalg.matvec`."""
-    acc = 0
-    for val, th in zip(traces, tw.theta):
-        acc = tw.add(acc, tw.mul(val, th))
-    return acc
-
-
-@pytest.mark.parametrize("p,t", SMALL_TOWERS)
-def test_trace_reconstruct_matches_scalar_loop(p, t):
-    """Every vector of trace values in GF(p)**t, given as a list of ints
-    and as an int64 array."""
-    tw = tower(p, t)
-    for traces in itertools.product(range(p), repeat=t):
-        want = _reference_trace_reconstruct(traces, tw)
-        assert trace_reconstruct(list(traces), tw).code == want
-        got = trace_reconstruct(np.array(traces, dtype=np.int64), tw).code
-        assert got == want and type(got) is int
+def test_trace_reconstruct_refuses_nested_values():
+    """The t trace values are a flat sequence: a (t, 1) block, as lists,
+    as length-1 arrays or as one array, is refused by its shape."""
+    f4 = tower(2, 2)
+    flat = "trace values must be a flat sequence, got shape (2, 1)"
+    for traces in ([[1], [0]], [np.array([1]), np.array([0])], np.array([[1], [0]])):
+        with pytest.raises(ValueError, match=re.escape(flat)):
+            trace_reconstruct(traces, f4)
 
 
 @pytest.mark.parametrize("p,t", SMALL_TOWERS)
 def test_trace_representation_round_trip(p, t):
+    """Every element, from its traces given as a list of ints and as an
+    int64 array; the code comes back as an int."""
     tw = tower(p, t)
     for a in range(tw.q):
         traces = [tw.trace(tw.mul(a, z)) for z in tw.zeta]
         assert trace_reconstruct(traces, tw).code == a
+        got = trace_reconstruct(np.array(traces, dtype=np.int64), tw).code
+        assert got == a and type(got) is int
 
 
 # ----------------------------------------------------------------------

@@ -304,9 +304,9 @@ def _reference_matvec(tw, a, v):
 
 @pytest.mark.parametrize("p,t", TOWERS)
 def test_matvec_matches_one_column_matmul(p, t):
-    """The XOR reduction (characteristic 2, with and without a product
-    table) and the padded `add_arr` fold (odd, q = 2187 on the digit path)
-    against the one-column product, on row counts either side of matmul's
+    """The padded `add_arr` fold (characteristic 2 with and without a
+    product table, odd, and q = 2187 on the digit path) against the
+    one-column product, on row counts either side of matmul's
     split-table threshold, zero rows and zero columns included, inner
     widths that are and are not powers of two, and sparse rows."""
     tw = tower(p, t)
