@@ -17,6 +17,7 @@ are the price of the generic (weak) repair path.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -418,15 +419,18 @@ def repair_set(n: int, target, helpers) -> tuple[int, list]:
     target = integer(target, n, "target {0} is {1}")
     if helpers is None:
         helpers = [j for j in range(n) if j != target]
-    helpers = sorted(integers(list(helpers), n, "helper {0} is {1}").tolist())
-    if not helpers:
+    idx = integers(list(helpers), n, "helper {0} is {1}")
+    steps = np.diff(idx)
+    if (steps <= 0).any():  # not strictly increasing: sort, then look again
+        idx = np.sort(idx)
+        steps = np.diff(idx)
+    if not idx.size:
         raise ValueError("helper set is empty")
-    if target in helpers:
+    if (idx == target).any():
         raise ValueError(f"helper {target} is the target: the target cannot be its own helper")
-    repeated = [a for a, b in zip(helpers, helpers[1:]) if a == b]
-    if repeated:
-        raise ValueError(f"helper {repeated[0]} appears more than once")
-    return target, helpers
+    if not steps.all():
+        raise ValueError(f"helper {idx[np.argmin(steps != 0)]} appears more than once")
+    return target, idx.tolist()
 
 
 def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.ndarray:
@@ -449,8 +453,8 @@ def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.
     i, helpers = repair_set(code.n, i, helpers)
     extra_pole = integer(extra_pole, None, "extra pole {0} is {1}")
     tw = code.tower
-    cols = sorted(helpers + [i])
-    pos_i = cols.index(i)
+    pos_i = bisect.bisect_left(helpers, i)
+    cols = helpers[:pos_i] + [i] + helpers[pos_i:]
     basis = linalg.nullspace_of_columns(tw, _reduced_augmented(code, extra_pole), cols)
     if basis.shape[0] == 0:
         raise DualVectorError("restricted dual code is trivial")
@@ -479,16 +483,17 @@ def _densify(tw: FieldTower, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     basis' -1/vec (0 where either is 0, and 0 is never a candidate).
     """
     nonzero = basis != 0
-    first = nonzero.argmax(axis=0)  # first basis row nonzero at each position
-    neg_inv = np.zeros_like(basis)
-    neg_inv[nonzero] = tw.neg_arr(tw.inv_arr(basis[nonzero]))
-    for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)):
-        if w[pos] != 0:
+    first = nonzero.argmax(axis=0).tolist()  # first basis row nonzero at each position
+    neg_inv = np.where(nonzero, tw.neg_arr(tw.inv_arr(np.where(nonzero, basis, 1))), 0)
+    only_zero = np.zeros(tw.q, dtype=bool)
+    only_zero[0] = True
+    for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)).tolist():
+        if w[pos]:
             continue
-        taken = np.zeros(tw.q, dtype=bool)
-        taken[0] = True
-        taken[tw.mul_arr(w, neg_inv[first[pos]])] = True
+        row = first[pos]
+        taken = only_zero.copy()
+        taken[tw.mul_arr(w, neg_inv[row])] = True
         c = int(taken.argmin())  # the least scalar not taken, or 0 when all are
         if c:
-            w = tw.add_arr(w, tw.mul_outer([c], basis[first[pos]])[0])
+            w = tw.add_arr(w, tw.mul_outer([c], basis[row])[0])
     return w

@@ -603,14 +603,21 @@ def trace_reconstruct(traces, tw: FieldTower) -> FieldElement:
 
     Inverse of the trace representation: alpha = sum_u trace(alpha zeta_u) theta_u.
     """
-    from .linalg import matvec
-
     traces = list(traces)
     if len(traces) != tw.t:
         raise ValueError(f"expected {tw.t} trace values, got {len(traces)}")
     vals = integers(traces, tw.p, "trace value {0} {1}", domain="the base subfield")
     if vals.ndim != 1:
         raise ValueError(f"trace values must be a flat sequence, got shape {vals.shape}")
+    return from_traces(tw, vals)
+
+
+def from_traces(tw: FieldTower, vals) -> FieldElement:
+    """`trace_reconstruct` of t trace values already known to be base
+    subfield codes in a 1-D integer array, unchecked: what
+    `repair.reconstruct` computes itself."""
+    from .linalg import matvec
+
     return FieldElement(tw, int(matvec(tw, [tw.theta], vals)[0]))
 
 

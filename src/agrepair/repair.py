@@ -30,6 +30,11 @@ mu[k] is the coefficient w_j * h_(i,u)(P_j) of sub-symbol k, chosen_u[k]
 its u, and column k of lam (t, D) its GF(p) weight in every row u.  The
 offsets start (n + 1,) delimit each node's run, so node j's sub-symbols are
 start[j]:start[j+1], empty for pruned helpers and non-helpers alike.
+The per-call protocol reads three Python views of that plan, derived from
+mu and start once per scheme and kept on it: `runs` (each helper's run of
+mu as a tuple), `active_counts` (each active helper's run length) and
+`senders` (the node behind each flat sub-symbol).  They hold nothing the
+flat plan does not, so they are no second plan representation.
 
 Variants differ only in h_i and so in its pole order (`pole_order`, read by
 `check_precondition`):
@@ -45,9 +50,9 @@ use the all-ones dual vector.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +64,7 @@ from .codes import (
     vanishing_function,
     vanishing_line,
 )
-from .gf import FieldElement, LinearizedMap, integer, integers, trace_reconstruct
+from .gf import FieldElement, LinearizedMap, from_traces, integer, integers
 
 VARIANT_RS = "rs"
 VARIANT_LINE = "hermitian-line"
@@ -97,6 +102,23 @@ class RepairScheme:
 
     def bits_per_symbol(self) -> float:
         return math.log2(self.code.tower.p)
+
+    @cached_property
+    def runs(self) -> dict:
+        """Helper j -> its run of mu, mu[start[j]:start[j+1]], as a tuple of
+        ints; empty for a pruned helper, absent for any other node."""
+        mu, start = self.mu.tolist(), self.start.tolist()
+        return {j: tuple(mu[start[j]:start[j + 1]]) for j in self.helpers}
+
+    @cached_property
+    def active_counts(self) -> list:
+        """The run length of each active helper, in `active` order."""
+        return [len(self.runs[j]) for j in self.active]
+
+    @cached_property
+    def senders(self) -> np.ndarray:
+        """The node that sends each flat sub-symbol k."""
+        return np.repeat(np.arange(len(self.start) - 1), np.diff(self.start))
 
 
 @dataclass(frozen=True)
@@ -223,8 +245,10 @@ def build_scheme(
     else:
         w = dual_support_vector(code, rho, target, helpers)
 
-    active = tuple(j for j in helpers if w[j] != 0)
-    pruned = tuple(j for j in helpers if w[j] == 0)
+    helper_idx = np.asarray(helpers, dtype=np.int64)
+    weighted = w[helper_idx] != 0
+    active = tuple(helper_idx[weighted].tolist())
+    pruned = tuple(helper_idx[~weighted].tolist())
 
     # per-helper independent index sets and expansions, laid out flat: the
     # columns of each active helper's transposed (t, t) digit block are the
@@ -267,13 +291,12 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
     README for the symbols accepted.
     """
     j = integer(j, None, "node {0} is not in the helper set")
-    k = bisect.bisect_left(scheme.helpers, j)
-    if k == len(scheme.helpers) or scheme.helpers[k] != j:
+    run = scheme.runs.get(j)
+    if run is None:
         raise ValueError(f"node {j} is not in the helper set")
     tw = scheme.code.tower
     sym = tw.code_of(symbol, "node {2} stores {0}, {1}", j)
-    mu = scheme.mu[scheme.start[j]:scheme.start[j + 1]]
-    return tuple(tw.trace(tw.mul(m, sym)) for m in mu.tolist())
+    return tuple([tw.trace(tw.mul(m, sym)) for m in run])
 
 
 def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
@@ -295,18 +318,17 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
                     or isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.kind in "iu"):
                 raise ValueError(f"helper {j} sent a {type(r).__name__}, not a list, tuple or "
                                  "1-D integer array")
-    sent = np.array([len(r) for r in resps], dtype=np.int64)
-    expected = np.diff(scheme.start)[list(scheme.active)]
-    if not np.array_equal(sent, expected):
-        k = int(np.argmax(sent != expected))
+    sent = [len(r) for r in resps]
+    expected = scheme.active_counts
+    if sent != expected:
+        k = next(k for k, (a, b) in enumerate(zip(sent, expected)) if a != b)
         raise ValueError(
             f"helper {scheme.active[k]} sent {sent[k]} symbols, expected {expected[k]}")
     # the lengths match, so flat index k is sub-symbol k of the scheme
-    senders = np.repeat(np.arange(len(scheme.start) - 1), np.diff(scheme.start))
     vals = integers([v for r in resps for v in r], tw.p, "helper {2} sent {0}, {1}",
-                    at=senders, domain=f"GF({tw.p})")
+                    at=scheme.senders, domain=f"GF({tw.p})")
     # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
-    return trace_reconstruct(tw.neg_arr(linalg.matvec(tw, scheme.lam, vals)), tw)
+    return from_traces(tw, tw.neg_arr(linalg.matvec(tw, scheme.lam, vals)))
 
 
 def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTranscript]:

@@ -257,16 +257,26 @@ def _split_rows(tw):
     return (1 << h) + (1 << (tw.degree - h))
 
 
+# GF(16), GF(64) and GF(256) hold a product table, GF(512) multiplies
+# through exp/log and GF(81) is odd; matmul's paths differ across them
+MATMUL_FIELDS = [(4, 2), (8, 2), (16, 2), (2, 9), (9, 2)]
+
+
 @st.composite
 def products(draw):
     """A tower and a pair of matrices to multiply.  The output row count is
     drawn around the split-table threshold of a characteristic-2 tower (and
-    so lands on both sides of it); inner and output widths may be empty."""
-    p, t = draw(st.sampled_from(TOWERS + [(4, 2), (8, 2)]))
+    so lands on both sides of it) or at 64 rows; the column count below,
+    at or above it, so the row loop runs with and without its transpose,
+    and on both sides of the split-table rule on wide products (half the
+    rows against as many as the rows at GF(64) and GF(256)).  Rows,
+    columns and the inner width may each be 0 or 1."""
+    p, t = draw(st.sampled_from(TOWERS + MATMUL_FIELDS))
     tw = tower(p, t)
     edge = _split_rows(tw)
-    nrows = draw(st.sampled_from([0, 1, edge - 1, edge, edge + 5]))
-    inner, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    nrows = draw(st.sampled_from([0, 1, edge - 1, edge, edge + 5, 64]))
+    ncols = draw(st.sampled_from([0, 1, nrows // 2, nrows, nrows + 3, 2 * nrows + 1]))
+    inner = draw(st.sampled_from([0, 1]) | st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.integers(0, tw.q, size=(nrows, inner))
     if draw(st.booleans()):
@@ -283,18 +293,59 @@ def test_matmul_matches_reference(case):
     assert np.array_equal(a, before_a) and np.array_equal(b, before_b)
 
 
-@pytest.mark.parametrize("p,t", [(2, 4), (8, 2), (16, 2), (32, 2)])
-def test_matmul_split_tables_on_every_code(p, t):
-    """Every code of the field in every split position, at the threshold
-    row count and above it, including all-max and all-zero rows; the split
-    tables come from the product table up to GF(256), by exp/log above."""
+@pytest.mark.parametrize("p,t", MATMUL_FIELDS)
+def test_matmul_on_every_side_of_the_path_rule(p, t):
+    """Fewer, as many and more output rows than columns; empty and single
+    rows, columns and inner indices; outputs on both sides of the
+    split-table rule where the field has split tables (never GF(16), whose
+    row loop always wins, nor odd GF(81)).  Output is C-ordered int64."""
+    tw = tower(p, t)
+    rng = np.random.default_rng(p * 10 + t)
+    sides = (0, 1, 5, 33, 64, 80)
+    split = set()
+    for nrows in sides:
+        for ncols in sides:
+            for inner in (0, 1, 7):
+                a = rng.integers(0, tw.q, size=(nrows, inner))
+                b = rng.integers(0, tw.q, size=(inner, ncols))
+                got = linalg.matmul(tw, a, b)
+                assert _same(got, _reference_matmul(tw, a, b)) and got.flags.c_contiguous
+                split.add(linalg._split_tables_pay(tw, nrows, ncols))
+    assert split == ({False} if tw.q in (16, 81) else {False, True})
+
+
+@pytest.mark.parametrize("p,t,nrows,ncols,split", [
+    (4, 2, 512, 256, False),   # GF(16): the row loop on every shape
+    (8, 2, 271, 65, False),    # GF(64): planning's restriction product
+    (8, 2, 256, 512, False),   # GF(64): the 256-stripe encode
+    (8, 2, 64, 64, True),      # GF(64): short > 3/4 long
+    (16, 2, 64, 512, False),   # GF(256): 256 * 64 <= 48 * 512
+    (16, 2, 271, 65, True),
+    (16, 2, 512, 256, True),
+    (16, 2, 31, 512, False),   # below the 32 split-table rows
+    (2, 9, 48, 1, True),       # GF(512): no product table, 48 split-table rows
+    (2, 9, 47, 512, False),
+    (9, 2, 512, 256, False),   # odd characteristic: always the row loop
+])
+def test_matmul_path_rule(p, t, nrows, ncols, split):
+    assert linalg._split_tables_pay(tower(p, t), nrows, ncols) is split
+
+
+@pytest.mark.parametrize("p,t,nrows", [(8, 2, 64), (16, 2, 64), (32, 2, 64), (32, 2, 65),
+                                       (2, 9, 48), (2, 9, 49)])
+def test_matmul_split_tables_on_every_code(p, t, nrows):
+    """Every code of the field in every split position, on square outputs
+    where the split tables run, including all-max and all-zero rows: at
+    GF(64) and GF(256), whose split tables come from the product table,
+    and at and above the row threshold at GF(1024) and GF(512), by
+    exp/log."""
     tw = tower(p, t)
     rng = np.random.default_rng(p + t)
-    for nrows in (_split_rows(tw), _split_rows(tw) + 1):
-        codes = np.resize(np.arange(tw.q), (nrows, -(-tw.q // nrows)))
-        a = np.concatenate([codes, np.full((nrows, 1), tw.q - 1), np.zeros((nrows, 1), int)], axis=1)
-        b = rng.integers(0, tw.q, size=(a.shape[1], 7))
-        assert _same(linalg.matmul(tw, a, b), _reference_matmul(tw, a, b))
+    assert linalg._split_tables_pay(tw, nrows, nrows)
+    codes = np.resize(np.arange(tw.q), (nrows, -(-tw.q // nrows)))
+    a = np.concatenate([codes, np.full((nrows, 1), tw.q - 1), np.zeros((nrows, 1), int)], axis=1)
+    b = rng.integers(0, tw.q, size=(a.shape[1], nrows))
+    assert _same(linalg.matmul(tw, a, b), _reference_matmul(tw, a, b))
 
 
 def _reference_matvec(tw, a, v):

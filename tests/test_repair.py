@@ -716,3 +716,87 @@ def test_scheme_bytes_pinned():
         blob = [repair.scheme_to_json(scheme), repair.transcript_to_json(transcript)]
         digest.update(json.dumps(blob, sort_keys=True).encode())
     assert digest.hexdigest() == "2dcd337d8034c2a03aad59b6aed482916ac0788877f18a4c570d2173f606711b"
+
+
+# ----------------------------------------------------------------------
+# the per-helper views of a plan
+# ----------------------------------------------------------------------
+
+_VIEW_CASES = [  # (p, t, s, n, variant, d, seed): sub-helper plans
+    (3, 2, 5, 27, repair.VARIANT_LINE, 20, 1),   # prunes helpers
+    (3, 2, 5, 27, repair.VARIANT_WEAK, 22, 1),   # prunes helpers, extra zeros
+    (4, 2, 20, None, repair.VARIANT_LINE, 40, 1),  # prunes helpers
+    (2, 4, 8, None, repair.VARIANT_WEAK, 30, 1),   # extra zeros
+    (2, 4, 8, None, repair.VARIANT_LINE, 14, 2),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _view_schemes(case):
+    """Four plans of the case, each from a seeded random helper set."""
+    p, t, s, n, variant, d, seed = case
+    code = herm_code(p, t, s=s, n=n)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(4):
+        target = int(rng.integers(code.n))
+        others = [j for j in range(code.n) if j != target]
+        helpers = sorted(rng.choice(others, size=d, replace=False).tolist())
+        out.append(repair.build_scheme(code, target, helpers=helpers, l=1, variant=variant))
+    return tuple(out)
+
+
+def test_view_cases_prune_helpers_and_hit_extra_zeros():
+    schemes = [sc for case in _VIEW_CASES for sc in _view_schemes(case)]
+    assert any(sc.pruned for sc in schemes)
+    assert any(sc.extra_zeros for sc in schemes)
+    assert any(sc.pruned and sc.extra_zeros for sc in schemes)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_helper_views_and_responses_follow_the_flat_plan(data):
+    """`runs`, `active_counts` and `senders` are the mu/start slices; each
+    active helper sends Tr(mu_k * symbol) for its run, a pruned one sends
+    (), a non-helper is refused, and `reconstruct` rebuilds the symbol or
+    names the first helper, in node order, whose response has the wrong
+    length."""
+    case = data.draw(st.sampled_from(_VIEW_CASES), label="case")
+    scheme = data.draw(st.sampled_from(_view_schemes(case)), label="scheme")
+    code, tw, start = scheme.code, scheme.code.tower, scheme.start
+    assert set(scheme.runs) == set(scheme.helpers)
+    for j in scheme.helpers:
+        assert scheme.runs[j] == tuple(scheme.mu[start[j]:start[j + 1]].tolist())
+        assert all(type(m) is int for m in scheme.runs[j])
+    assert scheme.active_counts == [int(start[j + 1] - start[j]) for j in scheme.active]
+    assert list(scheme.senders) == np.repeat(np.arange(code.n), np.diff(start)).tolist()
+    assert all(not scheme.runs[j] for j in scheme.pruned)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    cw = codes.encode(code, rng.integers(0, tw.q, size=code.k)).symbols
+    responses = {}
+    for j in scheme.helpers:
+        got = repair.helper_response(scheme, j, int(cw[j]))
+        mu = scheme.mu[start[j]:start[j + 1]]
+        assert got == tuple(tw.trace_arr(tw.mul_arr(mu, cw[j])).tolist())
+        if j in scheme.pruned:
+            assert got == ()
+        else:
+            responses[j] = got
+    assert repair.reconstruct(scheme, responses).code == cw[scheme.target]
+
+    helper_set = set(scheme.helpers)
+    outsiders = [scheme.target, -1, code.n] + [j for j in range(code.n) if j not in helper_set][:3]
+    for j in outsiders:
+        with pytest.raises(ValueError, match=f"^node {j} is not in the helper set$"):
+            repair.helper_response(scheme, j, 0)
+
+    bad = sorted(data.draw(st.lists(st.sampled_from(scheme.active), min_size=1, max_size=3,
+                                    unique=True), label="wrong lengths"))
+    wrong = dict(responses)
+    for j in bad:
+        wrong[j] = responses[j] + (0,) if data.draw(st.booleans()) else responses[j][:-1]
+    first = bad[0]
+    with pytest.raises(ValueError, match=f"^helper {first} sent {len(wrong[first])} symbols, "
+                                         f"expected {len(responses[first])}$"):
+        repair.reconstruct(scheme, wrong)
