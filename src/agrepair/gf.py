@@ -37,34 +37,6 @@ PRODUCT_TABLE_MAX = 256   # q x q uint8 product table up to here (q**2 bytes)
 _ADD_TABLE_MAX = 2048     # odd characteristic: dense q x q add table below this
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def prime_power(n: int):
-    """Return (p0, e) with n == p0**e and p0 prime, or None."""
-    if n < 2:
-        return None
-    p0 = 2
-    while p0 * p0 <= n:
-        if n % p0 == 0:
-            e = 0
-            m = n
-            while m % p0 == 0:
-                m //= p0
-                e += 1
-            return (p0, e) if m == 1 else None
-        p0 += 1
-    return (n, 1)
-
-
 def _factor(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -76,6 +48,18 @@ def _factor(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(n: int):
+    """Return (p0, e) with n == p0**e and p0 prime, or None."""
+    primes = _factor(n)
+    if len(primes) != 1:
+        return None
+    p0, e = primes[0], 0
+    while n > 1:
+        n //= p0
+        e += 1
+    return p0, e
 
 
 def _integers_only(entries) -> bool:
@@ -181,7 +165,7 @@ class FieldTower:
         self.name = f"GF({q})"
         self.char, base_deg = pp
         self.degree = base_deg * t  # total degree over the prime field
-        self.base = None if is_prime(p) else FieldTower(self.char, base_deg)
+        self.base = None if base_deg == 1 else FieldTower(self.char, base_deg)
 
         self.modulus = self._least_irreducible()
         self._build_tables()

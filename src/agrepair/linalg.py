@@ -18,7 +18,7 @@ already-reduced matrix costs one nonzero scan per column.  In
 characteristic 2 the working copy is uint8 (q <= 256) or uint16, so the
 update moves bytes, not int64 words.  The reduced row echelon form is
 unique, so the pivot rule and every output are unchanged: R is returned as
-int64, as before.
+int64.
 
 `nullspace_of_columns(tw, reduced, cols)` returns `nullspace(tw, mat[:, cols])`
 byte for byte without reducing the whole restriction, given the pair
@@ -35,37 +35,13 @@ restricts a cached reduced generator this way to each helper set.
 `rref_blocks` reduces a (B, m, k) stack of small matrices with the same
 pivot rule, one column step for all blocks at once.
 
-`matmul` has two paths with the same int64 output.  The row loop adds up
-one `mul_outer` per inner index, in place by XOR in characteristic 2 (in
-uint8 where the product table gives uint8 products) and with `add_arr`
-otherwise.  With a product table it runs over the longer output side,
-transposing when a has fewer rows than b has columns, so each inner index
-gathers a q x short slice of the table (long x short when long < q) and
-copies whole rows of it.  The split tables (after Plank, Greenan and
-Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
-Instructions", FAST 2013) serve characteristic 2 only: a code of the left
-matrix is a vector of w bits over GF(2), w = tw.degree, and field addition
-is XOR, so splitting it into its low h = ceil(w/2) bits and its high
-w - h bits writes it as a field sum a = a_lo + a_hi, and a*b = a_lo*b +
-a_hi*b exactly.  For each inner index the product tabulates the 2**h and
-2**(w - h) multiples of that row of the right matrix (one `mul_outer`),
-gathers one row of each table per output row and XORs them into a uint8
-(q <= 256) or uint16 accumulator.
-
-`_split_tables_pay` chooses from q and the output shape (m x n, sides
-short <= long) alone.  The split tables need m >= 2**h + 2**(w - h) output
-rows; given those, they run in every field without a product table, and
-in one with a table only when q * short > 48 * max(long, q), where the
-loop's table gathers outweigh the split tables' two row copies of the
-output: never at GF(16), at GF(64) on near-square outputs, at GF(256) on
-wide ones.  Best of three, ms, row loop / split tables (one core of a
-shared 2-vCPU Xeon VM, numpy 2.4):
-
-    m x k . k x n        GF(16)      GF(64)      GF(256)     GF(512)
-    271x65 . 65x65       0.38/1.20   0.49/0.90   1.06/0.96   4.27/2.73
-    256x273 . 273x512    4.9/9.4     7.9/10.7    19.6/12.5   97.8/28.2
-    64x273 . 273x512     1.8/3.7     2.4/4.4     5.4/7.5     22.6/21.0
-    8x273 . 273x512      0.71/2.25   0.76/2.92   1.40/5.92   4.77/15.9
+`matmul` is one row loop for every field: it adds up one `mul_outer` per
+inner index, in place by XOR in characteristic 2 (in uint8 where the
+product table gives uint8 products) and with `add_arr` otherwise.  With a
+product table it runs over the longer output side, transposing when a has
+fewer rows than b has columns, so each inner index gathers a q x short
+slice of the table (long x short when long < q) and copies whole rows of
+it.
 
 `matvec` is the one field dot product: every combination sum_k c_k * x_k
 (`repair.reconstruct`, and `gf`'s trace reconstruction, dual basis and
@@ -238,51 +214,27 @@ def solve(tw, mat, rhs):
     return x[:, 0] if single else x
 
 
-def _split_tables_pay(tw, nrows: int, ncols: int) -> bool:
-    """Whether `matmul` takes the split tables for an nrows x ncols output
-    (the rule and its measurements are in the module docstring)."""
-    h = (tw.degree + 1) // 2
-    if tw.char != 2 or (1 << h) + (1 << (tw.degree - h)) > nrows:
-        return False
-    short, long = sorted((nrows, ncols))
-    return tw.mul_table is None or tw.q * short > 48 * max(long, tw.q)
-
-
 def matmul(tw, a, b):
     """Exact matrix product over the tower, as a C-ordered int64 matrix:
-    the split tables where `_split_tables_pay`, else the row loop, which
-    computes (b.T a.T).T when a has fewer rows than b has columns and the
-    field has a product table (see the module docstring)."""
+    one `mul_outer` per inner index, added up in place, computed as
+    (b.T a.T).T when a has fewer rows than b has columns and the field has
+    a product table (see the module docstring)."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
-    nrows, ncols = a.shape[0], b.shape[1]
-    if not _split_tables_pay(tw, nrows, ncols):
-        flip = tw.mul_table is not None and nrows < ncols
-        left, right = (b.T, a.T) if flip else (a, b)
-        xor = tw.char == 2
-        out = np.zeros((left.shape[0], right.shape[1]),
-                       dtype=np.uint8 if xor and tw.mul_table is not None else np.int64)
-        for k in range(a.shape[1]):
-            products = tw.mul_outer(left[:, k], right[k])
-            if xor:
-                out ^= products
-            else:
-                out = tw.add_arr(out, products)
-        return (out.T if flip else out).astype(np.int64, order="C")
-    h = (tw.degree + 1) // 2
-    work = _work_dtype(tw)
-    low = 1 << h
-    scalars = np.concatenate([np.arange(low), np.arange(1 << (tw.degree - h)) << h])
-    # rows of the stacked table that each (inner index, half, output row) reads
-    picks = np.stack([a & (low - 1), low + (a >> h)]).transpose(2, 0, 1).copy()
-    out = np.zeros((nrows, ncols), dtype=work)
+    flip = tw.mul_table is not None and a.shape[0] < b.shape[1]
+    left, right = (b.T, a.T) if flip else (a, b)
+    xor = tw.char == 2
+    out = np.zeros((left.shape[0], right.shape[1]),
+                   dtype=np.uint8 if xor and tw.mul_table is not None else np.int64)
     for k in range(a.shape[1]):
-        lo_rows, hi_rows = tw.mul_outer(scalars, b[k]).astype(work, copy=False)[picks[k]]
-        out ^= lo_rows
-        out ^= hi_rows
-    return out.astype(np.int64)
+        products = tw.mul_outer(left[:, k], right[k])
+        if xor:
+            out ^= products
+        else:
+            out = tw.add_arr(out, products)
+    return (out.T if flip else out).astype(np.int64, order="C")
 
 
 def matvec(tw, a, v):

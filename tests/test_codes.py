@@ -139,7 +139,7 @@ def test_encode_rejects_codes_outside_the_field():
         codes.encode(rs, [-1, 0, 0, 0])
     with pytest.raises(ValueError, match=r"message row 0, position 3 holds 16, outside GF\(16\)"):
         codes.encode(rs, [0, 0, 0, 16])
-    block = np.zeros((8, 4), dtype=np.int64)  # eight rows: the split-table product
+    block = np.zeros((8, 4), dtype=np.int64)
     for bad in (-1, 16, 2 ** 40):
         block[5, 2] = bad
         with pytest.raises(ValueError, match=rf"message row 5, position 2 holds {bad}, outside GF\(16\)"):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from agrepair.gf import FieldTower, LinearizedMap, tower, trace_reconstruct
+from agrepair.gf import FieldTower, LinearizedMap, prime_power, tower, trace_reconstruct
 from agrepair.linalg import rank_over_base, solve
 
 SMALL_TOWERS = [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (4, 2), (8, 2), (2, 6)]
@@ -140,6 +140,31 @@ def test_modulus_determinism_and_validation():
         FieldTower(6, 2)  # not a prime power
     with pytest.raises(ValueError):
         FieldTower(2, 17)  # beyond the size cap
+
+
+def _reference_prime_power(n):
+    """The trial-division loop `prime_power` replaced: the least divisor
+    p0 of n, then whether n is a power of it."""
+    if n < 2:
+        return None
+    p0 = 2
+    while p0 * p0 <= n:
+        if n % p0 == 0:
+            e = 0
+            m = n
+            while m % p0 == 0:
+                m //= p0
+                e += 1
+            return (p0, e) if m == 1 else None
+        p0 += 1
+    return (n, 1)
+
+
+@pytest.mark.parametrize("low", range(-500, 3000, 500))
+def test_prime_power_matches_trial_division(low):
+    """Below 2, primes, prime powers and composites, in blocks of 500."""
+    for n in range(low, low + 500):
+        assert prime_power(n) == _reference_prime_power(n), n
 
 
 def test_nested_subfield_is_initial_segment():

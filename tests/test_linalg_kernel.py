@@ -1,12 +1,13 @@
 """Differential tests: the table-driven `linalg.rref` against the plain
 row-by-row elimination it replaced, the batched `rref_blocks` against
-`rref` on each block, the split-table `matmul` against the row-by-row
-product it replaced, `matvec` (the one field dot product) against the
-one-column `matmul` it replaced, `nullspace_of_columns` against
-`nullspace` of the column restriction, a small field's product table
-against scalar exp/log arithmetic, and `FieldTower.mul_outer` (the
-table's one reader, which `rref`, `matmul` and `codes._densify` multiply
-through) against `mul_arr` over the outer shape.
+`rref` on each block, `matmul` (one `mul_outer` per inner index, over the
+longer output side) against the plain `mul_arr`/`add_arr` product,
+`matvec` (the one field dot product) against the one-column `matmul` it
+replaced, `nullspace_of_columns` against `nullspace` of the column
+restriction, a small field's product table against scalar exp/log
+arithmetic, and `FieldTower.mul_outer` (the table's one reader, which
+`rref`, `matmul` and `codes._densify` multiply through) against `mul_arr`
+over the outer shape.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.
@@ -251,30 +252,23 @@ def _reference_matmul(tw, a, b):
     return out
 
 
-def _split_rows(tw):
-    """Rows of matmul's two multiples tables: 2**h + 2**(w - h)."""
-    h = (tw.degree + 1) // 2
-    return (1 << h) + (1 << (tw.degree - h))
-
-
 # GF(16), GF(64) and GF(256) hold a product table, GF(512) multiplies
-# through exp/log and GF(81) is odd; matmul's paths differ across them
+# through exp/log and GF(81) is odd; matmul's accumulator differs across them
 MATMUL_FIELDS = [(4, 2), (8, 2), (16, 2), (2, 9), (9, 2)]
+
+# output row counts, from empty and single rows to 64
+ROWS = (0, 1, 8, 9, 16, 33, 48, 64)
 
 
 @st.composite
 def products(draw):
     """A tower and a pair of matrices to multiply.  The output row count is
-    drawn around the split-table threshold of a characteristic-2 tower (and
-    so lands on both sides of it) or at 64 rows; the column count below,
-    at or above it, so the row loop runs with and without its transpose,
-    and on both sides of the split-table rule on wide products (half the
-    rows against as many as the rows at GF(64) and GF(256)).  Rows,
-    columns and the inner width may each be 0 or 1."""
+    one of ROWS; the column count below, at or above it, so the row loop
+    runs with and without its transpose.  Rows, columns and the inner
+    width may each be 0 or 1."""
     p, t = draw(st.sampled_from(TOWERS + MATMUL_FIELDS))
     tw = tower(p, t)
-    edge = _split_rows(tw)
-    nrows = draw(st.sampled_from([0, 1, edge - 1, edge, edge + 5, 64]))
+    nrows = draw(st.sampled_from(ROWS))
     ncols = draw(st.sampled_from([0, 1, nrows // 2, nrows, nrows + 3, 2 * nrows + 1]))
     inner = draw(st.sampled_from([0, 1]) | st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -294,15 +288,12 @@ def test_matmul_matches_reference(case):
 
 
 @pytest.mark.parametrize("p,t", MATMUL_FIELDS)
-def test_matmul_on_every_side_of_the_path_rule(p, t):
+def test_matmul_on_every_output_shape(p, t):
     """Fewer, as many and more output rows than columns; empty and single
-    rows, columns and inner indices; outputs on both sides of the
-    split-table rule where the field has split tables (never GF(16), whose
-    row loop always wins, nor odd GF(81)).  Output is C-ordered int64."""
+    rows, columns and inner indices.  Output is C-ordered int64."""
     tw = tower(p, t)
     rng = np.random.default_rng(p * 10 + t)
     sides = (0, 1, 5, 33, 64, 80)
-    split = set()
     for nrows in sides:
         for ncols in sides:
             for inner in (0, 1, 7):
@@ -310,42 +301,49 @@ def test_matmul_on_every_side_of_the_path_rule(p, t):
                 b = rng.integers(0, tw.q, size=(inner, ncols))
                 got = linalg.matmul(tw, a, b)
                 assert _same(got, _reference_matmul(tw, a, b)) and got.flags.c_contiguous
-                split.add(linalg._split_tables_pay(tw, nrows, ncols))
-    assert split == ({False} if tw.q in (16, 81) else {False, True})
-
-
-@pytest.mark.parametrize("p,t,nrows,ncols,split", [
-    (4, 2, 512, 256, False),   # GF(16): the row loop on every shape
-    (8, 2, 271, 65, False),    # GF(64): planning's restriction product
-    (8, 2, 256, 512, False),   # GF(64): the 256-stripe encode
-    (8, 2, 64, 64, True),      # GF(64): short > 3/4 long
-    (16, 2, 64, 512, False),   # GF(256): 256 * 64 <= 48 * 512
-    (16, 2, 271, 65, True),
-    (16, 2, 512, 256, True),
-    (16, 2, 31, 512, False),   # below the 32 split-table rows
-    (2, 9, 48, 1, True),       # GF(512): no product table, 48 split-table rows
-    (2, 9, 47, 512, False),
-    (9, 2, 512, 256, False),   # odd characteristic: always the row loop
-])
-def test_matmul_path_rule(p, t, nrows, ncols, split):
-    assert linalg._split_tables_pay(tower(p, t), nrows, ncols) is split
 
 
 @pytest.mark.parametrize("p,t,nrows", [(8, 2, 64), (16, 2, 64), (32, 2, 64), (32, 2, 65),
                                        (2, 9, 48), (2, 9, 49)])
-def test_matmul_split_tables_on_every_code(p, t, nrows):
-    """Every code of the field in every split position, on square outputs
-    where the split tables run, including all-max and all-zero rows: at
-    GF(64) and GF(256), whose split tables come from the product table,
-    and at and above the row threshold at GF(1024) and GF(512), by
-    exp/log."""
+def test_matmul_on_every_code(p, t, nrows):
+    """Every code of the field in the left matrix, beside an all-max and
+    an all-zero column, on square outputs: at GF(64) and GF(256), through
+    the product table, and at GF(1024) and GF(512), through exp/log."""
     tw = tower(p, t)
     rng = np.random.default_rng(p + t)
-    assert linalg._split_tables_pay(tw, nrows, nrows)
     codes = np.resize(np.arange(tw.q), (nrows, -(-tw.q // nrows)))
     a = np.concatenate([codes, np.full((nrows, 1), tw.q - 1), np.zeros((nrows, 1), int)], axis=1)
     b = rng.integers(0, tw.q, size=(a.shape[1], nrows))
     assert _same(linalg.matmul(tw, a, b), _reference_matmul(tw, a, b))
+
+
+@pytest.mark.parametrize("p,t,nrows,ncols", [
+    (4, 2, 512, 256),   # GF(16): a 512-row output
+    (8, 2, 271, 65),    # GF(64): planning's restriction product
+    (8, 2, 256, 512),   # GF(64): the 256-stripe encode
+    (8, 2, 64, 64),     # GF(64): square
+    (16, 2, 64, 512),   # GF(256): wide
+    (16, 2, 271, 65),
+    (16, 2, 512, 256),
+    (16, 2, 31, 512),   # GF(256): fewer rows than a byte's codes
+    (2, 9, 48, 1),      # GF(512): exp/log, one column
+    (2, 9, 47, 512),
+    (9, 2, 512, 256),   # odd characteristic
+])
+def test_matmul_on_large_outputs(p, t, nrows, ncols):
+    """Outputs of hundreds of rows or columns, the sizes of encoding and
+    planning, against the reference, with sparse left rows, an all-max
+    inner index and the inputs left unchanged."""
+    tw = tower(p, t)
+    rng = np.random.default_rng(nrows * ncols + tw.q)
+    a = rng.integers(0, tw.q, size=(nrows, 9))
+    a[rng.random(a.shape) < 0.3] = 0
+    a[:, 4] = tw.q - 1
+    b = rng.integers(0, tw.q, size=(9, ncols))
+    before_a, before_b = a.copy(), b.copy()
+    got = linalg.matmul(tw, a, b)
+    assert _same(got, _reference_matmul(tw, a, b)) and got.flags.c_contiguous
+    assert np.array_equal(a, before_a) and np.array_equal(b, before_b)
 
 
 def _reference_matvec(tw, a, v):
@@ -357,12 +355,12 @@ def _reference_matvec(tw, a, v):
 def test_matvec_matches_one_column_matmul(p, t):
     """The padded `add_arr` fold (characteristic 2 with and without a
     product table, odd, and q = 2187 on the digit path) against the
-    one-column product, on row counts either side of matmul's
-    split-table threshold, zero rows and zero columns included, inner
-    widths that are and are not powers of two, and sparse rows."""
+    one-column product, on every row count of ROWS, zero rows and zero
+    columns included, inner widths that are and are not powers of two,
+    and sparse rows."""
     tw = tower(p, t)
     rng = np.random.default_rng(100 * p + t)
-    for nrows in (0, 1, 3, _split_rows(tw), _split_rows(tw) + 5):
+    for nrows in ROWS:
         for ncols in (0, 1, 2, 3, 5, 8, 17):
             a = rng.integers(0, tw.q, size=(nrows, ncols))
             a[rng.random(a.shape) < 0.3] = 0
@@ -402,8 +400,8 @@ def column_restrictions(draw):
     reduced form is the pair `rref` returns (int64, zero rows kept, pivots
     as a list) or as planning caches it (the nonzero rows in the smallest
     unsigned dtype and the pivots as an int64 array, both read-only).
-    Enough rows that both the table path of `rref` and the split-table
-    `matmul` run.  The column set is every column, none of the pivot
+    Up to 24 rows and 30 columns, so the kept-row `matmul` runs with and
+    without its transpose.  The column set is every column, none of the pivot
     columns, one column, no column, or a random subset."""
     p, t = draw(st.sampled_from(COLUMN_TOWERS))
     tw = tower(p, t)
