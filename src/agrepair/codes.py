@@ -479,12 +479,14 @@ def _densify(tw: FieldTower, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     of GF(q)*, the position is skipped and stays zero.  Filling a zero never
     empties another, but a skipped position may be nonzero in some other
     vector of the span, so not every fillable helper is guaranteed weight.
-    Every -w_m / vec_m is one product over all positions, w times the
-    basis' -1/vec (0 where either is 0, and 0 is never a candidate).
+    The scalars -w_m / vec_m are one product, w times the row's -1/vec,
+    read by one lookup in a q-entry table of -1/x that maps 0 to 0 (so the
+    product is 0 where either is 0, and 0 is never a candidate).
     """
     nonzero = basis != 0
     first = nonzero.argmax(axis=0).tolist()  # first basis row nonzero at each position
-    neg_inv = np.where(nonzero, tw.neg_arr(tw.inv_arr(np.where(nonzero, basis, 1))), 0)
+    neg_inv = np.zeros(tw.q, dtype=np.int64)
+    neg_inv[1:] = tw.neg_arr(tw.inv_arr(np.arange(1, tw.q)))
     only_zero = np.zeros(tw.q, dtype=bool)
     only_zero[0] = True
     for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)).tolist():
@@ -492,7 +494,7 @@ def _densify(tw: FieldTower, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
             continue
         row = first[pos]
         taken = only_zero.copy()
-        taken[tw.mul_arr(w, neg_inv[row])] = True
+        taken[tw.mul_arr(w, neg_inv[basis[row]])] = True
         c = int(taken.argmin())  # the least scalar not taken, or 0 when all are
         if c:
             w = tw.add_arr(w, tw.mul_outer([c], basis[row])[0])

@@ -125,7 +125,8 @@ def integers(values, bound, what: str, block=None, at=None, domain=None) -> np.n
         shown = f"dtype {values.dtype}"
         raise ValueError(f"{block} {shown}, not an integer dtype" if block
                          else what.format(shown, "not an integer dtype"))
-    if values.size and (values.min() < 0 or values.max() >= bound):
+    # one pass over the block: read as unsigned, a negative entry is huge
+    if values.size and values.view(values.dtype.str.replace("i", "u")).max() >= bound:
         index = tuple(np.argwhere((values < 0) | (values >= bound))[0].tolist())
         raise _entry_error(what, int(values[index]), _outside(0, bound, domain), index, at)
     return values.astype(np.int64, copy=False)

@@ -1,6 +1,11 @@
 """Exact dense linear algebra over GF(q).
 
 Matrices are 2-D numpy int64 arrays of element codes for a FieldTower.
+Every matrix and vector argument of `rref`, `rank`, `nullspace`, `solve`,
+`matmul` and `matvec` is read by `gf.integers` against [0, q): an array
+costs one dtype test and one max (of its entries read as unsigned), and an
+entry that is no integer or lies outside the field is refused with a
+ValueError naming it.
 Elimination is deterministic: pivots are found by a first-nonzero scan,
 left to right and top to bottom, so reduced forms, ranks and nullspace
 bases are reproducible byte for byte.  No floating point anywhere.
@@ -11,14 +16,27 @@ row's tail (the columns from the pivot on; everything to their left is
 already zero) and adds to every other row the tail's multiple by minus that
 row's factor: an in-place XOR in characteristic 2, `add_arr` otherwise.
 Both products are `FieldTower.mul_outer`, of the lead's inverse and of the
-factors by the tail.  Steps that would change nothing are skipped: a
+tail by the factors.  Steps that would change nothing are skipped: a
 pivot row whose lead is already 1 is not normalised, and a pivot column
 that is zero in every other row triggers no update, so reducing an
 already-reduced matrix costs one nonzero scan per column.  In
 characteristic 2 the working copy is uint8 (q <= 256) or uint16, so the
-update moves bytes, not int64 words.  The reduced row echelon form is
-unique, so the pivot rule and every output are unchanged: R is returned as
-int64.
+update moves bytes, not int64 words.
+
+The working copy is column-major: `rref` transposes the input once, so
+column j of the matrix is the contiguous row c[j].  The pivot scan then
+reads one contiguous row, the products of the tail (a column of c) by the
+factors (the row c[col]) come out of `mul_outer` in c's layout, its table
+gather copying whole table rows, and the update adds them into the
+contiguous block c[col:] of the columns from the pivot on.  In row-major
+order the scan and the factors would be strided column reads and the
+update a strided block.  On planning's roughly 70 x 140 low blocks over
+GF(64) this cuts the time of a reduction to 0.5-0.6x; the gain shrinks as
+the matrix grows (about 0.75x at 336 x 512, 0.9-0.95x at 476 x 512; a
+2-vCPU x86 VM, numpy 2.4), where the products, not the layout, dominate.
+The reduced row echelon form is unique, so the pivot rule and every output
+are unchanged: R is transposed back and returned as a C-ordered int64
+matrix.
 
 `nullspace_of_columns(tw, reduced, cols)` returns `nullspace(tw, mat[:, cols])`
 byte for byte without reducing the whole restriction, given the pair
@@ -55,10 +73,19 @@ import numpy as np
 from .gf import integers
 
 
-def as_matrix(mat) -> np.ndarray:
-    m = np.asarray(mat, dtype=np.int64)
+def _codes(tw, values, name: str) -> np.ndarray:
+    """values as an int64 array of tw's element codes, read by `gf.integers`
+    against [0, q): an integer-dtype array or a (nested) list of integers.
+    Anything else is a ValueError naming the entry and the reason."""
+    return integers(values, tw.q, name + " entry {index} is {0}, {1}", block=name,
+                    domain=tw.name)
+
+
+def as_matrix(tw, mat, name: str = "matrix") -> np.ndarray:
+    """mat as a 2-D int64 matrix of tw's element codes (see `_codes`)."""
+    m = _codes(tw, mat, name)
     if m.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
+        raise ValueError(f"expected a 2-D matrix, got {name} of shape {m.shape}")
     return m
 
 
@@ -71,36 +98,42 @@ def _work_dtype(tw):
 
 
 def rref(tw, mat):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    """Reduced row echelon form.  Returns (R, pivot_columns), R a C-ordered
+    int64 matrix.
+
+    Works on a transposed copy c = mat.T (see the module docstring): the
+    pivot column is the contiguous row c[col], and each update adds the
+    tail's products by the factors into the contiguous block c[col:].
+    """
     work = _work_dtype(tw)
-    r = as_matrix(mat).astype(work)
-    nrows, ncols = r.shape
+    c = as_matrix(tw, mat).T.astype(work, order="C")  # always a copy, never a view
+    ncols, nrows = c.shape
     pivots = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = np.flatnonzero(r[row:, col])
+        nz = c[col, row:].nonzero()[0]
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
-            r[[row, piv], col:] = r[[piv, row], col:]
-        tail = r[row, col:]
+            c[col:, [row, piv]] = c[col:, [piv, row]]
+        tail = c[col:, row]
         if tail[0] != 1:
             tail = tw.mul_outer([tw.inv(int(tail[0]))], tail)[0]
-            r[row, col:] = tail
-        factors = tw.neg_arr(r[:, col].copy())  # each row adds -factor * tail
+            c[col:, row] = tail
+        factors = tw.neg_arr(c[col].copy())  # each row adds -factor * tail
         factors[row] = 0
-        if factors.any():
-            multiples = tw.mul_outer(factors, tail)
+        if np.count_nonzero(factors):
+            multiples = tw.mul_outer(tail, factors)
             if tw.char == 2:
-                r[:, col:] ^= multiples.astype(work, copy=False)
+                c[col:] ^= multiples.astype(work, copy=False)
             else:
-                r[:, col:] = tw.add_arr(r[:, col:], multiples)
+                c[col:] = tw.add_arr(c[col:], multiples)
         pivots.append(col)
         row += 1
-    return r.astype(np.int64, copy=False), pivots
+    return c.T.astype(np.int64, order="C"), pivots
 
 
 def rref_blocks(tw, blocks):
@@ -143,7 +176,7 @@ def rank(tw, mat) -> int:
 
 def nullspace(tw, mat) -> np.ndarray:
     """Basis of the right nullspace, one vector per row (possibly empty)."""
-    m = as_matrix(mat)
+    m = as_matrix(tw, mat)
     return nullspace_of_columns(tw, rref(tw, m), np.arange(m.shape[1]))
 
 
@@ -198,8 +231,10 @@ def solve(tw, mat, rhs):
     rhs may be a vector or a matrix of stacked right-hand-side columns; the
     returned solution has matching shape.  Free variables are set to zero.
     """
-    m = as_matrix(mat)
-    b = np.asarray(rhs, dtype=np.int64)
+    m = as_matrix(tw, mat)
+    b = _codes(tw, rhs, "rhs")
+    if b.ndim not in (1, 2):
+        raise ValueError(f"rhs must be a vector or a matrix, got shape {b.shape}")
     single = b.ndim == 1
     bm = b[:, None] if single else b
     if bm.shape[0] != m.shape[0]:
@@ -219,8 +254,8 @@ def matmul(tw, a, b):
     one `mul_outer` per inner index, added up in place, computed as
     (b.T a.T).T when a has fewer rows than b has columns and the field has
     a product table (see the module docstring)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = as_matrix(tw, a, "matrix a")
+    b = as_matrix(tw, b, "matrix b")
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
     flip = tw.mul_table is not None and a.shape[0] < b.shape[1]
@@ -242,8 +277,8 @@ def matvec(tw, a, v):
     halving `add_arr` folds, padded with code 0 to a power of two.  v must
     be 1-D with one entry per column of a; a length-1 v is refused, not
     broadcast."""
-    a = as_matrix(a)
-    v = np.asarray(v, dtype=np.int64)
+    a = as_matrix(tw, a, "matrix a")
+    v = _codes(tw, v, "vector v")
     if v.shape != a.shape[1:]:
         raise ValueError(f"vector has shape {v.shape}, expected ({a.shape[1]},): "
                          "one entry per matrix column")

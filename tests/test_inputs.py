@@ -75,7 +75,8 @@ ENTRIES = {
     "vanishing_line-point": (lambda v: codes.vanishing_line(CURVE, (v, 0)), 16,
                              r"point coordinate", NON_INTEGERS + ["bound", "2**70", "foreign"]),
     "nullspace_of_columns": (
-        lambda v: linalg.nullspace_of_columns(TW, linalg.rref(TW, np.eye(3, 16)), [v, 15]),
+        lambda v: linalg.nullspace_of_columns(TW, linalg.rref(TW, np.eye(3, 16, dtype=np.int64)),
+                                              [v, 15]),
         16, r"column", ["True", "np.True_", "[3]"]),
     "linearized_map": (lambda v: LinearizedMap(TW, [1])(v), 16, r"x=", ALL),
     "rs_code-k": (lambda v: codes.rs_code(TW, v, n=16), 17, r"k=", NON_INTEGERS + ["foreign"]),
@@ -92,6 +93,24 @@ ENTRIES = {
                              ["True", "np.True_", "[3]"]),
     "vanishing_function-i": (lambda v: codes.vanishing_function(HERM, v), 64, r"point",
                              NON_INTEGERS + ["-1", "2**70", "foreign"]),
+    # linalg's matrices and vectors: a plain int64 cast reads 2.7, True and
+    # '3' as 2, 1 and 3, and lets -1 and 16 wrap or fail with a bare
+    # IndexError
+    "rref": (lambda v: linalg.rref(TW, [[1, 2], [3, v]]), 16, r"matrix entry \[1, 1\] is ", ALL),
+    "rank": (lambda v: linalg.rank(TW, [[v, 2]]), 16, r"matrix entry \[0, 0\] is ", ALL),
+    "nullspace": (lambda v: linalg.nullspace(TW, [[1, v, 3]]), 16, r"matrix entry \[0, 1\] is ",
+                  ALL),
+    "solve-mat": (lambda v: linalg.solve(TW, [[1, 2], [v, 4]], [1, 2]), 16,
+                  r"matrix entry \[1, 0\] is ", ALL),
+    "solve-rhs": (lambda v: linalg.solve(TW, [[1, 2], [3, 4]], [1, v]), 16, r"rhs entry \[1\] is ",
+                  ALL),
+    "matmul-a": (lambda v: linalg.matmul(TW, [[v, 1]], [[1], [2]]), 16,
+                 r"matrix a entry \[0, 0\] is ", ALL),
+    "matmul-b": (lambda v: linalg.matmul(TW, [[1, 2]], [[1], [v]]), 16,
+                 r"matrix b entry \[1, 0\] is ", ALL),
+    "matvec-a": (lambda v: linalg.matvec(TW, [[1, 2], [v, 3]], [1, 2]), 16,
+                 r"matrix a entry \[1, 0\] is ", ALL),
+    "matvec-v": (lambda v: linalg.matvec(TW, [[1, 2]], [v, 2]), 16, r"vector v entry \[0\] is ", ALL),
 }
 
 CASES = [(entry, bad) for entry, (_, _, _, bads) in ENTRIES.items() for bad in bads]
@@ -111,3 +130,44 @@ def test_bad_inputs_are_value_errors_naming_the_argument(entry, bad):
 def test_digit_arrays_of_another_dtype_are_refused(digits):
     with pytest.raises(ValueError, match=f"digit array dtype {digits.dtype}, not an integer dtype"):
         TW.from_digits_arr(digits)
+
+
+# linalg entry point -> (call on a (1, 2) array, the argument's name)
+LINALG_ARRAYS = {
+    "rref": (lambda m: linalg.rref(TW, m), "matrix"),
+    "rank": (lambda m: linalg.rank(TW, m), "matrix"),
+    "nullspace": (lambda m: linalg.nullspace(TW, m), "matrix"),
+    "solve-mat": (lambda m: linalg.solve(TW, m, [1]), "matrix"),
+    "solve-rhs": (lambda m: linalg.solve(TW, [[1], [2]], m[0]), "rhs"),
+    "matmul-a": (lambda m: linalg.matmul(TW, m, [[1], [2]]), "matrix a"),
+    "matmul-b": (lambda m: linalg.matmul(TW, [[1]], m), "matrix b"),
+    "matvec-a": (lambda m: linalg.matvec(TW, m, [1, 2]), "matrix a"),
+    "matvec-v": (lambda m: linalg.matvec(TW, [[1, 2]], m[0]), "vector v"),
+}
+
+
+@pytest.mark.parametrize("entry", LINALG_ARRAYS)
+@pytest.mark.parametrize("array", [np.array([[1.9, 2.0]]), np.array([[True, False]])],
+                         ids=["float", "bool"])
+def test_linalg_refuses_arrays_of_another_dtype(entry, array):
+    """One dtype test per array: an int64 cast would truncate [[1.9, 2.0]]
+    to [[1, 2]] and read [[True, False]] as [[1, 0]]."""
+    call, name = LINALG_ARRAYS[entry]
+    with pytest.raises(ValueError, match=f"^{name} dtype {array.dtype}, not an integer dtype$"):
+        call(array)
+
+
+@pytest.mark.parametrize("entry", LINALG_ARRAYS)
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64,
+                                   np.dtype(">i8")], ids=str)
+def test_linalg_range_check_on_integer_arrays(entry, dtype):
+    """Integer arrays pass in range and are refused outside [0, q), by one
+    max of the entries read as unsigned: unchecked, 16 wraps to 0 in GF(16)'s uint8 work copy or
+    indexes past the field's tables."""
+    call, name = LINALG_ARRAYS[entry]
+    call(np.array([[15, 0]], dtype=dtype))
+    with pytest.raises(ValueError, match=rf"^{name} entry \[(0, )?1\] is 16, outside GF\(16\)$"):
+        call(np.array([[15, 16]], dtype=dtype))
+    if np.dtype(dtype).kind == "i":
+        with pytest.raises(ValueError, match=rf"^{name} entry \[(0, )?0\] is -1, outside GF\(16\)$"):
+            call(np.array([[-1, 1]], dtype=dtype))

@@ -1,6 +1,6 @@
-"""Differential tests: the table-driven `linalg.rref` against the plain
-row-by-row elimination it replaced, the batched `rref_blocks` against
-`rref` on each block, `matmul` (one `mul_outer` per inner index, over the
+"""Differential tests: the column-major, table-driven `linalg.rref`
+against the plain row-by-row elimination it replaced (on every input
+layout and dtype), the batched `rref_blocks` against `rref` on each block, `matmul` (one `mul_outer` per inner index, over the
 longer output side) against the plain `mul_arr`/`add_arr` product,
 `matvec` (the one field dot product) against the one-column `matmul` it
 replaced, `nullspace_of_columns` against `nullspace` of the column
@@ -36,7 +36,7 @@ DETERMINISTIC = settings(derandomize=True, max_examples=80, deadline=None)
 
 
 def _reference_rref(tw, mat):
-    r = linalg.as_matrix(mat).copy()
+    r = linalg.as_matrix(tw, mat).copy()
     nrows, ncols = r.shape
     pivots = []
     row = 0
@@ -61,7 +61,7 @@ def _reference_rref(tw, mat):
 
 
 def _reference_nullspace(tw, mat):
-    m = linalg.as_matrix(mat)
+    m = linalg.as_matrix(tw, mat)
     ncols = m.shape[1]
     if m.size == 0:
         return np.eye(ncols, dtype=np.int64)
@@ -76,7 +76,7 @@ def _reference_nullspace(tw, mat):
 
 
 def _reference_solve(tw, mat, rhs):
-    m = linalg.as_matrix(mat)
+    m = linalg.as_matrix(tw, mat)
     b = np.asarray(rhs, dtype=np.int64)
     single = b.ndim == 1
     bm = b[:, None] if single else b
@@ -175,8 +175,8 @@ def test_solve_matches_reference(case, nrhs, single, consistent):
 @pytest.mark.parametrize("p,t", TOWERS)
 def test_table_path_on_tall_matrices(p, t):
     """Tall matrices.  Up to q = 256 the rows outnumber the field elements,
-    so the update gathers from the q-row multiples table; the larger
-    fields multiply each factor in directly."""
+    so each update multiplies a short tail by more factors than the field
+    has elements; the larger fields multiply through exp/log."""
     tw = tower(p, t)
     rng = np.random.default_rng(p * 100 + t)
     nrows = tw.q + 3 if tw.q <= 256 else 12
@@ -186,6 +186,56 @@ def test_table_path_on_tall_matrices(p, t):
     ref_r, ref_pivots = _reference_rref(tw, m)
     assert _same(r, ref_r) and pivots == ref_pivots
     assert _same(linalg.nullspace(tw, m), _reference_nullspace(tw, m))
+
+
+@pytest.mark.parametrize("p,t", TOWERS)
+def test_table_path_on_wide_matrices(p, t):
+    """Wide matrices.  Up to q = 256 the first tails are at least q long, so
+    `mul_outer(tail, factors)` gathers the factors' table columns first and
+    then copies whole rows of that q-row slice; the later, shorter tails
+    take the other gather order."""
+    tw = tower(p, t)
+    rng = np.random.default_rng(p * 100 + t + 1)
+    ncols = tw.q + 3 if tw.q <= 256 else 12
+    m = rng.integers(0, tw.q, size=(9, ncols))
+    m[4] = m[1]
+    r, pivots = linalg.rref(tw, m)
+    ref_r, ref_pivots = _reference_rref(tw, m)
+    assert _same(r, ref_r) and pivots == ref_pivots
+    assert _same(linalg.nullspace(tw, m), _reference_nullspace(tw, m))
+
+
+def _layouts(m, q):
+    """m (int64) as the inputs a caller may hand in: C and Fortran order, a
+    transposed view, a strided view, and uint8/uint16 copies."""
+    padded = np.zeros((2 * m.shape[0] + 1, 2 * m.shape[1] + 1), dtype=np.int64)
+    padded[1::2, 1::2] = m
+    yield "C", np.ascontiguousarray(m)
+    yield "F", np.asfortranarray(m)
+    yield "transposed", np.ascontiguousarray(m.T).T
+    yield "strided", padded[1::2, 1::2]
+    if q <= 256:
+        yield "uint8", m.astype(np.uint8)
+    yield "uint16", m.astype(np.uint16)
+
+
+@pytest.mark.parametrize("p,t", [(3, 2), (8, 2), (2, 9)])  # GF(9), GF(64), GF(512)
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (1, 1), (1, 5), (5, 1), (6, 7)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_rref_work_copy_never_aliases_its_input(p, t, shape):
+    """`rref` transposes its input into a working copy it then writes to;
+    np.ascontiguousarray(m.T) would hand back a view of a Fortran-ordered
+    or one-row int64 m.  Every entry is at least 2, so a nonempty input
+    always has a lead to normalise."""
+    tw = tower(p, t)
+    m = np.random.default_rng([p, t, *shape]).integers(2, tw.q, size=shape)
+    ref_r, ref_pivots = _reference_rref(tw, m)
+    for layout, given in _layouts(m, tw.q):
+        before = given.copy()
+        r, pivots = linalg.rref(tw, given)
+        assert r.dtype == np.int64 and r.flags.c_contiguous, layout
+        assert np.array_equal(r, ref_r) and pivots == ref_pivots, layout
+        assert given.dtype == before.dtype and np.array_equal(given, before), layout
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (6, 1), (1, 6), (0, 1)])
@@ -245,7 +295,7 @@ def test_rref_blocks_empty_stack_and_bad_shape():
 
 def _reference_matmul(tw, a, b):
     """The row-by-row product: one `mul_arr`/`add_arr` pass per inner index."""
-    a, b = linalg.as_matrix(a), linalg.as_matrix(b)
+    a, b = linalg.as_matrix(tw, a), linalg.as_matrix(tw, b)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):
         out = tw.add_arr(out, tw.mul_arr(a[:, k][:, None], b[k][None, :]))
@@ -385,6 +435,22 @@ def test_matvec_refuses_vectors_of_another_shape():
     with pytest.raises(ValueError, match="expected a 2-D matrix"):
         linalg.matvec(tw, a[0], [1, 2, 3, 4])
     assert linalg.matvec(tw, a[:, :1], [5]).tolist() == [tw.mul(int(x), 5) for x in a[:, 0]]
+
+
+def test_solve_refuses_rhs_of_another_shape():
+    """rhs is a vector or a matrix of columns with one row per row of mat; a
+    scalar or a 3-D block is refused by name, not left to a bare
+    IndexError."""
+    tw = tower(8, 2)
+    m = np.arange(6).reshape(2, 3)
+    for rhs, shape in ((7, "()"), (np.zeros((2, 1, 1), dtype=np.int64), "(2, 1, 1)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rhs must be a vector or a matrix, got shape {shape}")):
+            linalg.solve(tw, m, rhs)
+    with pytest.raises(ValueError, match="rhs has wrong length"):
+        linalg.solve(tw, m, [1, 2, 3])
+    with pytest.raises(ValueError, match=re.escape("expected a 2-D matrix, got matrix of shape (3,)")):
+        linalg.solve(tw, m[0], [1])
 
 
 # towers of the planning paths: char 2 square fields and odd characteristic
