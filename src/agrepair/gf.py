@@ -125,11 +125,13 @@ def integers(values, bound, what: str, block=None, at=None, domain=None) -> np.n
         shown = f"dtype {values.dtype}"
         raise ValueError(f"{block} {shown}, not an integer dtype" if block
                          else what.format(shown, "not an integer dtype"))
-    # one pass over the block: read as unsigned, a negative entry is huge
-    if values.size and values.view(values.dtype.str.replace("i", "u")).max() >= bound:
+    codes = values.astype(np.int64, copy=False)
+    # one pass over the block: viewed as uint64, a negative entry (or a
+    # uint64 one of 2**63 or more, which the cast wraps) is above any bound
+    if codes.size and codes.view(np.uint64).max() >= bound:
         index = tuple(np.argwhere((values < 0) | (values >= bound))[0].tolist())
         raise _entry_error(what, int(values[index]), _outside(0, bound, domain), index, at)
-    return values.astype(np.int64, copy=False)
+    return codes
 
 
 def _entry_error(what, shown, reason, index, at) -> ValueError:
@@ -174,6 +176,8 @@ class FieldTower:
         # polynomial basis 1, x, ..., x^(t-1) and its trace-dual
         self.zeta = tuple(p ** u for u in range(t))
         self.theta = self.dual_basis(self.zeta)
+        self._theta_row = np.array([self.theta], dtype=np.int64)  # (1, t), for from_traces
+        self._theta_row.setflags(write=False)
 
     # ------------------------------------------------------------------
     # base-field scalar helpers (used during construction only)
@@ -601,9 +605,9 @@ def from_traces(tw: FieldTower, vals) -> FieldElement:
     """`trace_reconstruct` of t trace values already known to be base
     subfield codes in a 1-D integer array, unchecked: what
     `repair.reconstruct` computes itself."""
-    from .linalg import matvec
+    from .linalg import _matvec
 
-    return FieldElement(tw, int(matvec(tw, [tw.theta], vals)[0]))
+    return FieldElement(tw, int(_matvec(tw, tw._theta_row, vals)[0]))
 
 
 class LinearizedMap:

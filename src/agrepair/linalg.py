@@ -3,9 +3,10 @@
 Matrices are 2-D numpy int64 arrays of element codes for a FieldTower.
 Every matrix and vector argument of `rref`, `rank`, `nullspace`, `solve`,
 `matmul` and `matvec` is read by `gf.integers` against [0, q): an array
-costs one dtype test and one max (of its entries read as unsigned), and an
-entry that is no integer or lies outside the field is refused with a
-ValueError naming it.
+costs one dtype test and one max, and an entry that is no integer or lies
+outside the field is refused with a ValueError naming it.  `_rref` (for
+`solve`) and `_matvec` (for trace reconstruction) are the same
+computations on operands already checked where they entered the package.
 Elimination is deterministic: pivots are found by a first-nonzero scan,
 left to right and top to bottom, so reduced forms, ranks and nullspace
 bases are reproducible byte for byte.  No floating point anywhere.
@@ -30,10 +31,9 @@ factors (the row c[col]) come out of `mul_outer` in c's layout, its table
 gather copying whole table rows, and the update adds them into the
 contiguous block c[col:] of the columns from the pivot on.  In row-major
 order the scan and the factors would be strided column reads and the
-update a strided block.  On planning's roughly 70 x 140 low blocks over
-GF(64) this cuts the time of a reduction to 0.5-0.6x; the gain shrinks as
-the matrix grows (about 0.75x at 336 x 512, 0.9-0.95x at 476 x 512; a
-2-vCPU x86 VM, numpy 2.4), where the products, not the layout, dominate.
+update a strided block.  That pays most on small matrices such as
+planning's low blocks; on large ones the products, not the layout,
+dominate.
 The reduced row echelon form is unique, so the pivot rule and every output
 are unchanged: R is transposed back and returned as a C-ordered int64
 matrix.
@@ -105,8 +105,13 @@ def rref(tw, mat):
     pivot column is the contiguous row c[col], and each update adds the
     tail's products by the factors into the contiguous block c[col:].
     """
+    return _rref(tw, as_matrix(tw, mat))
+
+
+def _rref(tw, m):
+    """`rref` of a 2-D integer array of codes already checked."""
     work = _work_dtype(tw)
-    c = as_matrix(tw, mat).T.astype(work, order="C")  # always a copy, never a view
+    c = m.T.astype(work, order="C")  # always a copy, never a view
     ncols, nrows = c.shape
     pivots = []
     row = 0
@@ -176,8 +181,8 @@ def rank(tw, mat) -> int:
 
 def nullspace(tw, mat) -> np.ndarray:
     """Basis of the right nullspace, one vector per row (possibly empty)."""
-    m = as_matrix(tw, mat)
-    return nullspace_of_columns(tw, rref(tw, m), np.arange(m.shape[1]))
+    reduced = rref(tw, mat)
+    return nullspace_of_columns(tw, reduced, np.arange(reduced[0].shape[1]))
 
 
 def _column_indices(cols, ncols: int) -> np.ndarray:
@@ -240,7 +245,7 @@ def solve(tw, mat, rhs):
     if bm.shape[0] != m.shape[0]:
         raise ValueError("rhs has wrong length")
     aug = np.concatenate([m, bm], axis=1)
-    r, pivots = rref(tw, aug)
+    r, pivots = _rref(tw, aug)
     ncols = m.shape[1]
     if any(p >= ncols for p in pivots):
         return None
@@ -282,6 +287,12 @@ def matvec(tw, a, v):
     if v.shape != a.shape[1:]:
         raise ValueError(f"vector has shape {v.shape}, expected ({a.shape[1]},): "
                          "one entry per matrix column")
+    return _matvec(tw, a, v)
+
+
+def _matvec(tw, a, v):
+    """`matvec` of a 2-D and a matching 1-D integer array of codes already
+    checked."""
     width = 1 << max(a.shape[1] - 1, 0).bit_length()
     terms = np.zeros((a.shape[0], width), dtype=np.int64)  # code 0 is the field's zero
     terms[:, :a.shape[1]] = tw.mul_arr(a, v)

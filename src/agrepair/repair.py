@@ -328,7 +328,7 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
     vals = integers([v for r in resps for v in r], tw.p, "helper {2} sent {0}, {1}",
                     at=scheme.senders, domain=f"GF({tw.p})")
     # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
-    return from_traces(tw, tw.neg_arr(linalg.matvec(tw, scheme.lam, vals)))
+    return from_traces(tw, tw.neg_arr(linalg._matvec(tw, scheme.lam, vals)))
 
 
 def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTranscript]:

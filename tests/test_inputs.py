@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from agrepair import codes, linalg, repair, sim
-from agrepair.gf import LinearizedMap, tower, trace_reconstruct
+from agrepair.gf import LinearizedMap, integers, tower, trace_reconstruct
 
 TW = tower(4, 2)                      # GF(4^2)
 FOREIGN = tower(2, 4).element(3)      # an element of GF(2^4): the same q, another tower
@@ -132,17 +132,17 @@ def test_digit_arrays_of_another_dtype_are_refused(digits):
         TW.from_digits_arr(digits)
 
 
-# linalg entry point -> (call on a (1, 2) array, the argument's name)
+# linalg entry point -> (call in a tower on a (1, 2) array, the argument's name)
 LINALG_ARRAYS = {
-    "rref": (lambda m: linalg.rref(TW, m), "matrix"),
-    "rank": (lambda m: linalg.rank(TW, m), "matrix"),
-    "nullspace": (lambda m: linalg.nullspace(TW, m), "matrix"),
-    "solve-mat": (lambda m: linalg.solve(TW, m, [1]), "matrix"),
-    "solve-rhs": (lambda m: linalg.solve(TW, [[1], [2]], m[0]), "rhs"),
-    "matmul-a": (lambda m: linalg.matmul(TW, m, [[1], [2]]), "matrix a"),
-    "matmul-b": (lambda m: linalg.matmul(TW, [[1]], m), "matrix b"),
-    "matvec-a": (lambda m: linalg.matvec(TW, m, [1, 2]), "matrix a"),
-    "matvec-v": (lambda m: linalg.matvec(TW, [[1, 2]], m[0]), "vector v"),
+    "rref": (lambda tw, m: linalg.rref(tw, m), "matrix"),
+    "rank": (lambda tw, m: linalg.rank(tw, m), "matrix"),
+    "nullspace": (lambda tw, m: linalg.nullspace(tw, m), "matrix"),
+    "solve-mat": (lambda tw, m: linalg.solve(tw, m, [1]), "matrix"),
+    "solve-rhs": (lambda tw, m: linalg.solve(tw, [[1], [2]], m[0]), "rhs"),
+    "matmul-a": (lambda tw, m: linalg.matmul(tw, m, [[1], [2]]), "matrix a"),
+    "matmul-b": (lambda tw, m: linalg.matmul(tw, [[1]], m), "matrix b"),
+    "matvec-a": (lambda tw, m: linalg.matvec(tw, m, [1, 2]), "matrix a"),
+    "matvec-v": (lambda tw, m: linalg.matvec(tw, [[1, 2]], m[0]), "vector v"),
 }
 
 
@@ -154,7 +154,7 @@ def test_linalg_refuses_arrays_of_another_dtype(entry, array):
     to [[1, 2]] and read [[True, False]] as [[1, 0]]."""
     call, name = LINALG_ARRAYS[entry]
     with pytest.raises(ValueError, match=f"^{name} dtype {array.dtype}, not an integer dtype$"):
-        call(array)
+        call(TW, array)
 
 
 @pytest.mark.parametrize("entry", LINALG_ARRAYS)
@@ -162,12 +162,46 @@ def test_linalg_refuses_arrays_of_another_dtype(entry, array):
                                    np.dtype(">i8")], ids=str)
 def test_linalg_range_check_on_integer_arrays(entry, dtype):
     """Integer arrays pass in range and are refused outside [0, q), by one
-    max of the entries read as unsigned: unchecked, 16 wraps to 0 in GF(16)'s uint8 work copy or
-    indexes past the field's tables."""
+    max: unchecked, 16 wraps to 0 in GF(16)'s uint8 work copy or indexes
+    past the field's tables."""
     call, name = LINALG_ARRAYS[entry]
-    call(np.array([[15, 0]], dtype=dtype))
+    call(TW, np.array([[15, 0]], dtype=dtype))
     with pytest.raises(ValueError, match=rf"^{name} entry \[(0, )?1\] is 16, outside GF\(16\)$"):
-        call(np.array([[15, 16]], dtype=dtype))
+        call(TW, np.array([[15, 16]], dtype=dtype))
     if np.dtype(dtype).kind == "i":
         with pytest.raises(ValueError, match=rf"^{name} entry \[(0, )?0\] is -1, outside GF\(16\)$"):
-            call(np.array([[-1, 1]], dtype=dtype))
+            call(TW, np.array([[-1, 1]], dtype=dtype))
+
+
+# In a field of more than 128 elements, an int8 -1 read as uint8 is 255, a
+# code of the field, and as an int64 index it picks the last table entry
+# or column: each of these is refused, not read as 255 or as the last one.
+TW256 = tower(16, 2)
+RS256 = codes.rs_code(TW256, k=4, n=256)
+
+
+@pytest.mark.parametrize("entry", LINALG_ARRAYS)
+def test_linalg_refuses_negative_int8_entries_in_gf256(entry):
+    call, name = LINALG_ARRAYS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} entry \[(0, )?0\] is -1, outside GF\(256\)$"):
+        call(TW256, np.array([[-1, 1]], dtype=np.int8))
+
+
+def test_encode_many_refuses_negative_int8_messages_in_gf256():
+    with pytest.raises(ValueError, match=r"^message row 0, position 2 holds -1, outside GF\(256\)$"):
+        codes.encode_many(RS256, np.array([[1, 2, -1, 3]], dtype=np.int8))
+
+
+def test_erasure_decode_many_refuses_negative_int8_positions_in_gf256():
+    positions = np.array([0, -1, 2, 3], dtype=np.int8)
+    values = codes.encode_many(RS256, np.array([[1, 2, 3, 4]]))[:, [0, 255, 2, 3]]
+    with pytest.raises(ValueError, match=r"^position -1 is outside \[0, 256\)"):
+        codes.erasure_decode_many(RS256, positions, values)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64], ids=str)
+def test_integers_refuses_negative_entries_whatever_the_bound(dtype):
+    """-1 is refused even where the bound exceeds the dtype's largest entry."""
+    bound = 1 << min(8 * np.dtype(dtype).itemsize, 62)
+    with pytest.raises(ValueError, match=rf"^code \[1\] is -1, outside \[0, {bound}\)$"):
+        integers(np.array([0, -1], dtype=dtype), bound, "code {index} is {0}, {1}")
