@@ -439,13 +439,14 @@ def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.
     inside helpers + {i}, normalised to w_i = 1.
 
     Found as a nullspace vector of that generator restricted to the columns
-    helpers + {i}: the first basis vector nonzero at i.  The basis is
+    helpers + {i}: of the basis rows nonzero at i, the one with the fewest
+    nonzeros (the first such row on a tie).  The basis is
     `linalg.nullspace_of_columns` of the generator's cached reduced form,
     byte for byte the nullspace of the restriction, which reduces only the
-    rows whose pivot column the helper set drops.  Its zeros inside the
-    allowed support are then filled greedily (see `_densify`), which need
-    not reach every helper; helpers that stay at zero cost nothing and
-    download nothing.
+    rows whose pivot column the helper set drops.  Every helper where w is
+    zero is pruned and downloads nothing, so the lightest row is the
+    cheapest repair this basis offers.  It need not be the lightest dual
+    vector: a combination of rows can cancel more positions.
 
     The target and helpers are checked by `repair_set`, extra_pole by
     `integer`.
@@ -458,44 +459,11 @@ def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.
     basis = linalg.nullspace_of_columns(tw, _reduced_augmented(code, extra_pole), cols)
     if basis.shape[0] == 0:
         raise DualVectorError("restricted dual code is trivial")
-    pick = next((row for row in basis if row[pos_i] != 0), None)
-    if pick is None:
+    reaches = np.flatnonzero(basis[:, pos_i])
+    if not reaches.size:
         raise DualVectorError("no dual vector is nonzero at the repair position")
-    w = _densify(tw, pick.copy(), basis)
-    w = tw.mul_arr(w, tw.inv(int(w[pos_i])))
+    weights = np.count_nonzero(basis[reaches], axis=1)
+    pick = basis[reaches[weights.argmin()]]  # argmin takes the first row on a tie
     out = np.zeros(code.n, dtype=np.int64)
-    out[cols] = w
+    out[cols] = tw.mul_arr(pick, tw.inv(int(pick[pos_i])))
     return out
-
-
-def _densify(tw: FieldTower, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Greedily fill the zeros of w with multiples of nullspace vectors.
-
-    Positions that are zero in w are visited in ascending order.  A position
-    still zero when reached takes the first basis row nonzero there, scaled
-    by the least scalar c != 0 that zeroes no position of w where that row
-    is also nonzero (c = -w_m / vec_m is forbidden at each such m).  When
-    no basis row reaches the position, or the forbidden scalars cover all
-    of GF(q)*, the position is skipped and stays zero.  Filling a zero never
-    empties another, but a skipped position may be nonzero in some other
-    vector of the span, so not every fillable helper is guaranteed weight.
-    The scalars -w_m / vec_m are one product, w times the row's -1/vec,
-    read by one lookup in a q-entry table of -1/x that maps 0 to 0 (so the
-    product is 0 where either is 0, and 0 is never a candidate).
-    """
-    nonzero = basis != 0
-    first = nonzero.argmax(axis=0).tolist()  # first basis row nonzero at each position
-    neg_inv = np.zeros(tw.q, dtype=np.int64)
-    neg_inv[1:] = tw.neg_arr(tw.inv_arr(np.arange(1, tw.q)))
-    only_zero = np.zeros(tw.q, dtype=bool)
-    only_zero[0] = True
-    for pos in np.flatnonzero((w == 0) & nonzero.any(axis=0)).tolist():
-        if w[pos]:
-            continue
-        row = first[pos]
-        taken = only_zero.copy()
-        taken[tw.mul_arr(w, neg_inv[basis[row]])] = True
-        c = int(taken.argmin())  # the least scalar not taken, or 0 when all are
-        if c:
-            w = tw.add_arr(w, tw.mul_outer([c], basis[row])[0])
-    return w

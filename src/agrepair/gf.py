@@ -17,9 +17,9 @@ vectorised counterparts on numpy integer arrays, and every sum_k c_k * x_k
 here is one `linalg.matvec`.  A field of at most PRODUCT_TABLE_MAX = 256
 elements also keeps its whole q x q product table `mul_table`, one byte per
 entry (4 KB at GF(64), 64 KB at GF(256)).  `mul_outer`, the products of
-two code vectors, is its only reader: `linalg.rref`, `linalg.matmul` and
-`codes._densify` multiply through it and never look at the table, and a
-larger field's `mul_outer` runs on exp/log instead.
+two code vectors, is its only reader: `linalg.rref` and `linalg.matmul`
+multiply through it and never look at the table, and a larger field's
+`mul_outer` runs on exp/log instead.
 
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.

@@ -5,6 +5,7 @@ criterion.  Every assertion is exact (integer symbol counts, exact field
 equality) unless a tolerance is stated inline.
 """
 
+import collections
 import math
 from fractions import Fraction
 
@@ -75,8 +76,9 @@ def test_criterion_3_sub_helper_regime():
     code = codes.hermitian_code(codes.hermitian_curve(tw), s=8)
     p, l, d = 2, 1, 14
     assert code.s <= d - (p ** l - 1) * (code.curve.r + 1)
-    expected_bits = d * (math.log2(16) - l * math.log2(p))
+    per_helper_bits = math.log2(16) - l * math.log2(p)
     rng = np.random.default_rng(45)
+    totals = collections.Counter()
     for _ in range(100):
         i = int(rng.integers(code.n))
         others = np.asarray([j for j in range(code.n) if j != i])
@@ -85,9 +87,14 @@ def test_criterion_3_sub_helper_regime():
         scheme = repair.build_scheme(code, i, helpers=helpers, l=l)
         value, transcript = repair.run_repair(scheme, cw.symbols)
         assert value.code == int(cw.symbols[i])
-        assert transcript.total_symbols == d * (tw.t - l)
-        assert transcript.total_bits == pytest.approx(expected_bits, abs=1e-9)
-    report("criterion 3 (Hermitian r=4, d=14, l=1: bits = d(log q - l log p) over 100 random (i, S))")
+        assert sorted(scheme.active + scheme.pruned) == helpers
+        assert transcript.total_symbols == len(scheme.active) * (tw.t - l) <= d * (tw.t - l)
+        assert transcript.total_bits == pytest.approx(len(scheme.active) * per_helper_bits, abs=1e-9)
+        totals[transcript.total_symbols] += 1
+    # only helpers where the lightest dual row is nonzero download: 6 to 8 of the 14
+    assert totals == {18: 13, 21: 52, 24: 35}
+    report("criterion 3 (Hermitian r=4, d=14, l=1: bits = |active|(log q - l log p) "
+           "<= d(log q - l log p) over 100 random (i, S))")
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +284,7 @@ def test_measured_bandwidth_matches_formulas():
          repair.VARIANT_WEAK, 26),
     ]
     rng = np.random.default_rng(77)
-    savings = {}
+    savings, downloads = {}, collections.defaultdict(list)
     for name, code, l, variant, d in cases:
         for _ in range(5):
             i = int(rng.integers(code.n))
@@ -285,12 +292,19 @@ def test_measured_bandwidth_matches_formulas():
             scheme = repair.build_scheme(code, i, helpers=helpers, l=l, variant=variant)
             measured, _ = repair.bandwidth(scheme)
             assert measured <= repair.bound_symbols(scheme)
+            assert sorted(scheme.active + scheme.pruned) == list(scheme.helpers)
             if variant != repair.VARIANT_WEAK:
+                assert measured == len(scheme.active) * (scheme.t - l)
+            if d is None:
                 assert measured == repair.bound_symbols(scheme)
+            downloads[name].append(measured)
             savings[name] = (measured, repair.trivial_symbols(scheme))
+    # sub-helper plans download only where the lightest dual row is nonzero
+    assert downloads["herm4-sub"] == [21, 18, 18, 21, 24]
+    assert downloads["herm3-weak"] == [14, 14, 14, 14, 12]
     # the full-helper configurations beat shipping threshold whole symbols;
     # narrow helper sets need not (reported, not assumed)
     for name in ("rs16", "herm8"):
         assert savings[name][0] < savings[name][1]
     lines = ", ".join(f"{k}: {a}/{b}" for k, (a, b) in savings.items())
-    report(f"cross-check (formula equality for strong variants; measured/trivial symbols {lines})")
+    report(f"cross-check (formula equality for full helper sets; measured/trivial symbols {lines})")

@@ -169,7 +169,10 @@ def test_bench_random_helper_policy(tmp_path):
     assert len(rows) == HERM_CONFIG["trials"]
     for row in rows:
         assert row["d"] == "14" and row["equal"] == "True"
-        assert row["symbols"] == "42"
+        assert row["bound_bits"] == "42.0"  # d * (t - l) bits at p = 2
+        assert float(row["bits"]) == int(row["symbols"]) <= 42
+    # t - l = 3 per helper where the lightest dual row is nonzero, 4 to 8 of the 14
+    assert [row["symbols"] for row in rows] == ["24", "21", "12", "24", "18", "24"]
 
 
 def test_bench_deterministic_per_seed(tmp_path):

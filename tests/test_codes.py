@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -532,20 +533,6 @@ def test_dual_support_zero_pattern_and_orthogonality():
         assert dot(f16, row, w) == 0
 
 
-def test_dual_support_densify_fills_support():
-    f16 = tower(2, 4)
-    cv = codes.hermitian_curve(f16)
-    hc = codes.hermitian_code(cv, s=8)
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        i = int(rng.integers(hc.n))
-        others = np.asarray([j for j in range(hc.n) if j != i])
-        helpers = sorted(rng.choice(others, size=14, replace=False).tolist())
-        w = codes.dual_support_vector(hc, 5, i, helpers)  # pole degree 13 < d = 14
-        assert w[i] == 1
-        assert all(w[j] != 0 for j in helpers)
-
-
 def test_dual_support_vector_refuses_bad_helpers():
     f16 = tower(2, 4)
     hc = codes.hermitian_code(codes.hermitian_curve(f16), s=8)
@@ -585,32 +572,35 @@ def _reference_densify(tw, w, basis):
     return w
 
 
-def _reference_dual_support_vector(aug, tw, i, helpers):
+def _raw_basis(aug, tw, i, helpers):
+    """The columns helpers + {i}, the place of i among them, and the raw
+    nullspace of the augmented generator restricted to them."""
     cols = sorted(list(helpers) + [i])
-    pos_i = cols.index(i)
-    basis = linalg.nullspace(tw, aug[:, cols])
-    w = next(row for row in basis if row[pos_i] != 0).copy()
-    w = _reference_densify(tw, w, basis)
-    w = tw.mul_arr(w, tw.inv(int(w[pos_i])))
-    out = np.zeros(aug.shape[1], dtype=np.int64)
-    out[cols] = w
+    return cols, cols.index(i), linalg.nullspace(tw, aug[:, cols])
+
+
+def _spread(tw, w, pos_i, cols, n):
+    """w scaled to 1 at pos_i, placed at cols of a length-n vector."""
+    out = np.zeros(n, dtype=np.int64)
+    out[cols] = tw.mul_arr(w, tw.inv(int(w[pos_i])))
     return out
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 1), (4, 2), (8, 2), (9, 2),
-                        (2, 9)]),
-       st.integers(1, 5), st.integers(1, 14), st.floats(0.0, 0.9), st.integers(0, 2 ** 32 - 1))
-def test_densify_matches_scalar_reference(pt, nrows, ncols, sparsity, seed):
-    """Small sparse bases, where GF(q)* is often fully forbidden and a
-    position is skipped; GF(512) has no product table."""
-    tw = tower(*pt)
-    rng = np.random.default_rng(seed)
-    basis = rng.integers(0, tw.q, size=(nrows, ncols))
-    basis[rng.random(basis.shape) < sparsity] = 0
-    w = basis[int(rng.integers(nrows))].copy()
-    got = codes._densify(tw, w.copy(), basis)
-    assert got.dtype == np.int64 and np.array_equal(got, _reference_densify(tw, w, basis))
+def _reference_dual_support_vector(aug, tw, i, helpers):
+    """The lightest row, first on a tie, of the raw nullspace of the
+    restriction that is nonzero at i, scaled to w_i = 1."""
+    cols, pos_i, basis = _raw_basis(aug, tw, i, helpers)
+    reach = [row for row in basis if row[pos_i] != 0]
+    w = min(reach, key=np.count_nonzero)  # min keeps the first of equals
+    return _spread(tw, w, pos_i, cols, aug.shape[1])
+
+
+def _greedy_dual_support_vector(aug, tw, i, helpers):
+    """The earlier rule, kept as the bandwidth reference: the first basis
+    row nonzero at i with its zeros filled by `_reference_densify`."""
+    cols, pos_i, basis = _raw_basis(aug, tw, i, helpers)
+    w = next(row for row in basis if row[pos_i] != 0).copy()
+    return _spread(tw, _reference_densify(tw, w, basis), pos_i, cols, aug.shape[1])
 
 
 @pytest.fixture(scope="module")
@@ -618,27 +608,27 @@ def flagship_s300():
     return codes.hermitian_code(codes.hermitian_curve(tower(8, 2)), s=300)
 
 
-@pytest.mark.parametrize("seed,rho,d", [(1, 63, 400), (2, 63, 400), (3, 203, 505)],
+@pytest.mark.parametrize("seed,rho,d,weights", [(1, 63, 400, (326, 332, 356)),
+                                                (2, 63, 400, (329, 329, 359)),
+                                                (3, 203, 505, (460, 460, 480))],
                          ids=["line-1", "line-2", "weak"])
-def test_dual_support_vector_matches_reference_on_flagship(flagship_s300, seed, rho, d):
+def test_dual_support_vector_matches_reference_on_flagship(flagship_s300, seed, rho, d, weights):
     """Flagship sub-helper shapes (s = 300; line rho = 7 * 9, weak
-    rho = 7 * 29), where densify skips dozens of helpers."""
+    rho = 7 * 29).  The nonzeros of the lightest row, the first row and
+    the greedily filled first row are pinned: each rule is at least as
+    light as the next."""
     code = flagship_s300
     tw = code.tower
     aug = codes.augmented_generator(code, rho)
     rng = np.random.default_rng(seed)
     i = int(rng.integers(code.n))
     helpers = sorted(rng.choice(np.delete(np.arange(code.n), i), size=d, replace=False).tolist())
-    cols = sorted(helpers + [i])
-    basis = linalg.nullspace(tw, aug[:, cols])
-    w = basis[np.flatnonzero(basis[:, cols.index(i)])[0]].copy()
-    dense = codes._densify(tw, w.copy(), basis)
-    assert np.array_equal(dense, _reference_densify(tw, w, basis))
-    reachable = (basis != 0).any(axis=0)
-    if d == 400:
-        assert ((dense == 0) & reachable).sum() > 10  # skipped positions
+    _, pos_i, basis = _raw_basis(aug, tw, i, helpers)
+    first = basis[np.flatnonzero(basis[:, pos_i])[0]]
     got = codes.dual_support_vector(code, rho, i, helpers)
     assert np.array_equal(got, _reference_dual_support_vector(aug, tw, i, helpers))
+    greedy = _greedy_dual_support_vector(aug, tw, i, helpers)
+    assert (np.count_nonzero(got), np.count_nonzero(first), np.count_nonzero(greedy)) == weights
 
 
 def _sub_helper_cases():
@@ -665,3 +655,54 @@ def test_dual_support_vector_matches_reference_on_rs_and_gf9(case):
     tw = code.tower
     want = _reference_dual_support_vector(codes.augmented_generator(code, rho), tw, i, helpers)
     assert np.array_equal(codes.dual_support_vector(code, rho, i, helpers), want)
+
+
+# GF(4), GF(9), GF(16) twice, GF(64) twice and GF(81) twice; every q is a
+# square, so each tower carries a Hermitian curve
+_DIFF_TOWERS = [(2, 2), (3, 2), (2, 4), (4, 2), (2, 6), (8, 2), (3, 4), (9, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_curve(p, t):
+    return codes.hermitian_curve(tower(p, t))
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_code(kind, p, t, s, n):
+    """One code object per shape, so its cached reduced generator is reused."""
+    if kind == "rs":
+        return codes.rs_code(tower(p, t), s + 1, n=n)
+    return codes.hermitian_code(_diff_curve(p, t), s, n)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dual_support_vector_is_the_lightest_basis_row(data):
+    """Sub-helper sets on RS and (shortened) Hermitian codes, pole degree
+    s + extra pole below d so a dual vector exists: the vector is
+    orthogonal to the augmented generator, 1 at the target and zero off
+    S + {i}; no basis row nonzero at i is lighter, and the greedily filled
+    first row is never lighter."""
+    kind = data.draw(st.sampled_from(["rs", "hermitian"]), label="kind")
+    p, t = data.draw(st.sampled_from(_DIFF_TOWERS), label="tower")
+    most = p ** t if kind == "rs" else min(_diff_curve(p, t).points.shape[0], 120)
+    n = data.draw(st.integers(3, most), label="n")
+    target = data.draw(st.integers(0, n - 1), label="target")
+    d = data.draw(st.integers(2, n - 1), label="d")
+    pole = data.draw(st.integers(0, d - 1), label="s + extra pole")
+    s = data.draw(st.integers(0, pole), label="s")
+    code = _diff_code(kind, p, t, s, n)
+    others = [j for j in range(n) if j != target]
+    helpers = sorted(data.draw(st.permutations(others), label="order")[:d])
+    tw, aug = code.tower, codes.augmented_generator(code, pole - s)
+
+    w = codes.dual_support_vector(code, pole - s, target, helpers)
+    assert not linalg.matvec(tw, aug, w).any()
+    assert w[target] == 1
+    assert set(np.flatnonzero(w).tolist()) <= set(helpers) | {target}
+    assert np.array_equal(w, _reference_dual_support_vector(aug, tw, target, helpers))
+    _, pos_i, basis = _raw_basis(aug, tw, target, helpers)
+    reach = basis[basis[:, pos_i] != 0]
+    assert np.count_nonzero(w) == np.count_nonzero(reach, axis=1).min()
+    greedy = _greedy_dual_support_vector(aug, tw, target, helpers)
+    assert np.count_nonzero(w) <= np.count_nonzero(greedy)

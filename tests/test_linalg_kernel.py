@@ -6,8 +6,8 @@ longer output side) against the plain `mul_arr`/`add_arr` product,
 replaced, `nullspace_of_columns` against `nullspace` of the column
 restriction, a small field's product table against scalar exp/log
 arithmetic, and `FieldTower.mul_outer` (the table's one reader, which
-`rref`, `matmul` and `codes._densify` multiply through) against `mul_arr`
-over the outer shape.
+`rref` and `matmul` multiply through) against `mul_arr` over the outer
+shape.
 
 The reference below is the original kernel: full-row int64 updates with
 `mul_arr`/`sub_arr`, one pivot at a time, same first-nonzero pivot rule.

@@ -10,6 +10,11 @@ recovers from threshold other coordinates; the download must stay within
 `repair.bound_symbols`, exactly len(active) * (t - l) for the strong
 variants.  A plan refused with `DualVectorError` (no dual vector on that
 helper set) is a refusal, not a failure; a wrong symbol is a failure.
+
+A second sample takes sub-helper sets on shortened GF(64)/GF(8) and
+GF(81)/GF(9) Hermitian codes, d at least 20 above the pole degree s + rho
+the dual vector must annihilate, where every plan prunes helpers, and
+compares the download with the greedy reference's.
 """
 
 import functools
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from agrepair import codes, repair
 from agrepair.gf import tower
+from test_codes import _greedy_dual_support_vector
 
 MAX_Q = 81     # every p in the sample has a tower up to here
 MAX_N = 128    # shortened Hermitian codes keep planning cheap
@@ -94,3 +100,54 @@ def test_repair_matches_the_oracle_within_the_bound(case, seed):
     repeated = positions + positions[:1]
     with pytest.raises(ValueError, match="duplicate positions"):
         codes.erasure_decode_many(code, repeated, word[None, repeated])
+
+
+LARGE_TOWERS = [(8, 2), (9, 2)]  # GF(64)/GF(8) and GF(81)/GF(9)
+
+
+@st.composite
+def pruning_cases(draw):
+    """(code, variant, l, rho, target, helpers) on a shortened Hermitian
+    code over a large tower, with s + rho <= d - 20."""
+    p, t = draw(st.sampled_from(LARGE_TOWERS), label="tower")
+    curve = _curve(p, t)
+    variant = draw(st.sampled_from([repair.VARIANT_LINE, repair.VARIANT_WEAK]), label="variant")
+    l = draw(st.sampled_from([0, 1]), label="l")
+    rho = (p ** l - 1) * repair.pole_order(variant, curve.genus, curve.r)
+    n = draw(st.integers(rho + 60, min(rho + 160, 400)), label="n")
+    d = draw(st.integers(rho + 40, n - 2), label="d")
+    s = draw(st.integers(0, min(d - rho - 20, 60)), label="s")
+    target = draw(st.integers(0, n - 1), label="target")
+    others = [j for j in range(n) if j != target]
+    helpers = sorted(draw(st.permutations(others), label="order")[:d])
+    return codes.hermitian_code(curve, s, n), variant, l, rho, target, helpers
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case=pruning_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_repairs_on_large_codes(case, seed):
+    """The oracle's symbol within the bound; pruned helpers send nothing;
+    at most rank(augmented generator) helpers stay active, since a reduced
+    nullspace row is nonzero only on pivot columns and its own; a strong
+    plan downloads t - l per active helper, no more than the greedily
+    filled first row would."""
+    code, variant, l, rho, target, helpers = case
+    tw = code.tower
+    scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
+    word = codes.encode_many(code, np.random.default_rng(seed).integers(0, tw.q, (1, code.k)))[0]
+    value, transcript = repair.run_repair(scheme, word)
+
+    positions = [j for j in range(code.n) if j != target][:code.threshold]
+    oracle = codes.erasure_decode(code, [(j, word[j]) for j in positions])
+    assert value.code == oracle[target]
+    assert transcript.total_bits <= repair.bound_symbols(scheme) * scheme.bits_per_symbol()
+
+    assert sorted(scheme.active + scheme.pruned) == helpers
+    assert set(transcript.responses) == set(transcript.symbol_counts) == set(scheme.active)
+    assert len(scheme.active) <= len(codes._reduced_augmented(code, rho)[1])
+    event(f"GF({tw.q}), {variant}, l={l}, {len(scheme.pruned) * 10 // len(helpers) * 10}%+ pruned")
+    if variant == repair.VARIANT_LINE:
+        assert transcript.total_symbols == len(scheme.active) * (tw.t - l)
+        greedy = _greedy_dual_support_vector(codes.augmented_generator(code, rho), tw, target,
+                                             helpers)
+        assert transcript.total_symbols <= (np.count_nonzero(greedy) - 1) * (tw.t - l)

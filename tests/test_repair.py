@@ -1,3 +1,4 @@
+import collections
 import functools
 import re
 
@@ -154,6 +155,7 @@ def test_repair_matches_truth_and_decode_oracle(p, t, s, l, variant):
 def test_sub_helper_regime_exact_bandwidth():
     code = herm_code(2, 4, s=8)
     rng = np.random.default_rng(7)
+    seen = collections.Counter()
     for _ in range(30):
         i = int(rng.integers(code.n))
         others = np.asarray([j for j in range(code.n) if j != i])
@@ -162,8 +164,11 @@ def test_sub_helper_regime_exact_bandwidth():
         scheme = repair.build_scheme(code, i, helpers=helpers, l=1)
         value, transcript = repair.run_repair(scheme, cw.symbols)
         assert value.code == cw.symbols[i]
-        assert transcript.total_symbols == 14 * 3  # d * (t - l)
-        assert not scheme.pruned
+        assert sorted(scheme.active + scheme.pruned) == helpers
+        assert transcript.total_symbols == len(scheme.active) * 3 <= 14 * 3  # at most d * (t - l)
+        seen[transcript.total_symbols, len(scheme.pruned)] += 1
+    # (sub-symbols, pruned helpers) -> plans: the lightest dual row reaches 6 to 8 helpers
+    assert seen == {(18, 8): 8, (21, 7): 13, (24, 6): 9}
 
 
 def test_weak_bandwidth_bound():
@@ -227,8 +232,10 @@ def test_bandwidth_survey_full_and_sampled():
         others = np.asarray([j for j in range(sub.n) if j != i])
         helpers = rng.choice(others, size=14, replace=False).tolist()
         scheme = repair.build_scheme(sub, i, helpers=helpers, l=1, variant=repair.VARIANT_LINE)
-        sampled.append(repair.bandwidth(scheme)[0])
-    assert max(sampled) == 42
+        measured = repair.bandwidth(scheme)[0]
+        assert measured == len(scheme.active) * 3 <= 14 * 3  # at most d * (t - l)
+        sampled.append(measured)
+    assert sampled == [24, 24, 21, 24, 18, 24, 18, 21, 21, 21]
 
 
 # ----------------------------------------------------------------------
@@ -704,18 +711,27 @@ def _pinned_cases():
 
 def test_scheme_bytes_pinned():
     """Scheme and transcript JSON over a grid of every variant, full and
-    sub-helper sets, all-ones and searched dual vectors, hash to a digest
-    recorded before build_scheme's variant rules were folded together."""
+    sub-helper sets, hashed in two digests.  The all-ones plans (strong
+    variants on every other node of a complete point set) hash to a digest
+    recorded before build_scheme's variant rules were folded together and
+    unchanged since.  The searched dual vectors, weak full sets included,
+    hash to a digest recorded when the lightest nullspace row replaced the
+    greedily filled first row."""
     import hashlib
     import json
 
-    digest = hashlib.sha256()
+    digests = {True: hashlib.sha256(), False: hashlib.sha256()}
     for code, variant, l, target, helpers, msg in _pinned_cases():
         scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
         _, transcript = repair.run_repair(scheme, codes.encode(code, msg).symbols)
         blob = [repair.scheme_to_json(scheme), repair.transcript_to_json(transcript)]
-        digest.update(json.dumps(blob, sort_keys=True).encode())
-    assert digest.hexdigest() == "2dcd337d8034c2a03aad59b6aed482916ac0788877f18a4c570d2173f606711b"
+        all_ones = helpers is None and variant != repair.VARIANT_WEAK
+        assert all_ones == (scheme.w == 1).all()
+        digests[all_ones].update(json.dumps(blob, sort_keys=True).encode())
+    assert digests[True].hexdigest() == \
+        "8a6a278a026fc81552b8fbf96e8ccbd433d0cba10e0f39c5c7c7533980f31b5f"
+    assert digests[False].hexdigest() == \
+        "2a1082e447ff086e9478d6bac5a33760e5483f68a1430076e28417aa5a52af1a"
 
 
 # ----------------------------------------------------------------------
