@@ -11,11 +11,12 @@ Elimination is deterministic: pivots are found by a first-nonzero scan,
 left to right and top to bottom, so reduced forms, ranks and nullspace
 bases are reproducible byte for byte.  No floating point anywhere.
 
-`rref` is the one elimination kernel for whole matrices; `rank`,
-`nullspace` and `solve` read its output.  Per pivot it normalises the pivot
-row's tail (the columns from the pivot on; everything to their left is
-already zero) and adds to every other row the tail's multiple by minus that
-row's factor: an in-place XOR in characteristic 2, `add_arr` otherwise.
+`rref` is the one elimination kernel: `rank`, `nullspace` and `solve`
+read its output, and repair planning's index sets need no elimination (see
+`repair`).  Per pivot it normalises the pivot row's tail (the columns from
+the pivot on; everything to their left is already zero) and adds to every
+other row the tail's multiple by minus that row's factor: an in-place XOR
+in characteristic 2, `add_arr` otherwise.
 Both products are `FieldTower.mul_outer`, of the lead's inverse and of the
 tail by the factors.  Steps that would change nothing are skipped: a
 pivot row whose lead is already 1 is not normalised, and a pivot column
@@ -49,9 +50,6 @@ pivots is eliminated from the kept rows with one `matmul` on the free
 columns; and the kept rows, the reduced dropped rows and the free columns
 are the reduced form of the restriction, which is unique.  Scheme planning
 restricts a cached reduced generator this way to each helper set.
-
-`rref_blocks` reduces a (B, m, k) stack of small matrices with the same
-pivot rule, one column step for all blocks at once.
 
 `matmul` is one row loop for every field: it adds up one `mul_outer` per
 inner index, in place by XOR in characteristic 2 (in uint8 where the
@@ -139,40 +137,6 @@ def _rref(tw, m):
         pivots.append(col)
         row += 1
     return c.T.astype(np.int64, order="C"), pivots
-
-
-def rref_blocks(tw, blocks):
-    """Reduced row echelon form of every matrix in a (B, m, k) stack.
-
-    Returns (R, pivot_mask): R is the (B, m, k) int64 stack of reduced
-    forms and pivot_mask the (B, k) boolean map of each block's pivot
-    columns.  Block b gets exactly rref(tw, blocks[b]); each of the k column
-    steps swaps, normalises and eliminates in every block that has a pivot
-    there.
-    """
-    r = np.array(blocks, dtype=np.int64)
-    if r.ndim != 3:
-        raise ValueError("expected a (B, m, k) stack")
-    nblocks, nrows, ncols = r.shape
-    pivot_mask = np.zeros((nblocks, ncols), dtype=bool)
-    row = np.zeros(nblocks, dtype=np.int64)  # next pivot row of each block
-    below = np.ones((nblocks, nrows), dtype=bool)  # rows at or past it
-    for col in range(ncols):
-        cand = (r[:, :, col] != 0) & below
-        b = np.flatnonzero(cand.any(axis=1))
-        if b.size == 0:
-            continue
-        piv, top = cand[b].argmax(axis=1), row[b]
-        r[b, piv], r[b, top] = r[b, top], r[b, piv]
-        lead = tw.mul_arr(r[b, top], tw.inv_arr(r[b, top, col])[:, None])
-        r[b, top] = lead
-        factors = r[b, :, col]
-        factors[np.arange(b.size), top] = 0
-        r[b] = tw.sub_arr(r[b], tw.mul_arr(factors[:, :, None], lead[:, None, :]))
-        pivot_mask[b, col] = True
-        row[b] += 1
-        below[b, top] = False
-    return r, pivot_mask
 
 
 def rank(tw, mat) -> int:

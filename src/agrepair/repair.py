@@ -24,6 +24,15 @@ remaining traces are GF(p)-combinations of the downloaded ones, and
 rebuilds f(P_i) through its trace representation.  Helpers where w_j = 0
 contribute nothing and are pruned when the scheme is built.
 
+J_j depends on y = h_i(P_j) alone and needs no elimination.  For y != 0,
+h_(i,u)(P_j) = L(zeta_u * y) / (c * y) with L GF(p)-linear and zeta_u the
+element with the single base-p digit 1 at u, so sum_u x_u h_(i,u)(P_j) = 0
+exactly when the element whose digits are x lies in y^-1 V.  Row u is thus
+a GF(p)-combination of the rows before it exactly when some element of
+y^-1 V has its top digit at u, and J_j is every other row.  The smallest
+such element m_u has digit 1 at u and 0 at every other dependent row, so
+row u is -m_u read at J_j.  At y = 0 (a weak extra zero) J_j is every row.
+
 A built scheme is one flat plan over the D downloaded sub-symbols, helper
 by helper in ascending node order and ascending u within each helper:
 mu[k] is the coefficient w_j * h_(i,u)(P_j) of sub-symbol k, chosen_u[k]
@@ -192,6 +201,31 @@ def check_precondition(variant: str, s: int, d: int, l: int, p: int, genus: int,
     return rho, all_ones
 
 
+def _index_sets(tw, lin, y):
+    """(chosen, rows), both (len(y), t), from each helper's h_i value alone
+    (see the module docstring): chosen[a, u] says whether helper a sends row
+    u, and rows[a, u] is zeta_u if so and -m_u if not, so that its digits
+    at the chosen rows are row u of lam.  Holds one sorted (distinct y) x
+    p**l block of codes; `check_precondition` bounds p**l by n + 2*genus - 1.
+    """
+    present = np.zeros(tw.q, dtype=bool)
+    present[y] = True
+    ys = np.flatnonzero(present)
+    inv = tw.inv_arr(np.maximum(ys, 1)) * (ys != 0)  # y = 0 scales V to {0}
+    codes = tw.mul_arr(inv[:, None], np.asarray(lin.kernel)[None, :])
+    codes.sort(axis=1)
+    offset = tw.q * np.arange(len(ys))[:, None]
+    codes += offset  # one sorted run, row after row
+    # first[:, u] is where row codes reach p**u: bucket u runs to first[:, u + 1]
+    first = np.searchsorted(codes.ravel(), offset + tw.p ** np.arange(tw.t + 1))
+    dependent = first[:, :-1] < first[:, 1:]
+    smallest = np.where(dependent, codes.ravel().take(first[:, :-1], mode="clip") - offset, 0)
+    rows = np.where(dependent, tw.neg_arr(smallest), np.asarray(tw.zeta))
+    slot = np.zeros(tw.q, dtype=np.int64)
+    slot[ys] = np.arange(len(ys))
+    return ~dependent[slot[y]], rows[slot[y]]
+
+
 def build_scheme(
     code: EvalCode,
     target: int,
@@ -250,19 +284,13 @@ def build_scheme(
     active = tuple(helper_idx[weighted].tolist())
     pruned = tuple(helper_idx[~weighted].tolist())
 
-    # per-helper independent index sets and expansions, laid out flat: the
-    # columns of each active helper's transposed (t, t) digit block are the
-    # rows u; its pivot columns are the greedily independent u, and the
-    # pivot rows write every u over them
-    reduced, pivot_mask = linalg.rref_blocks(
-        tw, tw.digits_arr(table[:, list(active)].T).transpose(0, 2, 1))
-    counts = pivot_mask.sum(axis=1)
+    # per-helper independent index sets and expansions, laid out flat
+    chosen, rows = _index_sets(tw, lin, h_vals[list(active)])
     per_node = np.zeros(n, dtype=np.int64)
-    per_node[list(active)] = counts
+    per_node[list(active)] = chosen.sum(axis=1)
     start = np.concatenate([[0], np.cumsum(per_node)])
     helper_of = np.repeat(np.arange(n), per_node)
-    chosen_arr = np.nonzero(pivot_mask)[1]
-    pivot_rows = np.arange(tw.t)[None, :] < counts[:, None]
+    owner, chosen_arr = np.nonzero(chosen)  # active helper and u of each sub-symbol
 
     return RepairScheme(
         code=code,
@@ -276,7 +304,7 @@ def build_scheme(
         table=table,
         mu=tw.mul_arr(w[helper_of], table[chosen_arr, helper_of]),
         chosen_u=chosen_arr,
-        lam=reduced[pivot_rows].T,
+        lam=(rows[owner] // tw.p ** chosen_arr[:, None] % tw.p).T,  # digit chosen_u of each row
         start=start,
         extra_zeros=extra_zeros,
     )

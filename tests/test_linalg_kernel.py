@@ -1,6 +1,6 @@
 """Differential tests: the column-major, table-driven `linalg.rref`
 against the plain row-by-row elimination it replaced (on every input
-layout and dtype), the batched `rref_blocks` against `rref` on each block, `matmul` (one `mul_outer` per inner index, over the
+layout and dtype), `matmul` (one `mul_outer` per inner index, over the
 longer output side) against the plain `mul_arr`/`add_arr` product,
 `matvec` (the one field dot product) against the one-column `matmul` it
 replaced, `nullspace_of_columns` against `nullspace` of the column
@@ -246,51 +246,6 @@ def test_edge_shapes(shape):
     ref_r, ref_pivots = _reference_rref(tw, m)
     assert _same(r, ref_r) and pivots == ref_pivots
     assert _same(linalg.nullspace(tw, m), _reference_nullspace(tw, m))
-
-
-# towers for the digit blocks of scheme planning and a few general fields
-BLOCK_TOWERS = [(2, 2), (2, 4), (4, 2), (8, 2), (3, 2), (9, 2), (3, 3)]
-
-
-@st.composite
-def block_stacks(draw):
-    """A tower and a (B, m, k) stack, 1 <= m, k <= 4 and 0 <= B <= 12:
-    dense, base-field digits, rank-deficient or all zero."""
-    p, t = draw(st.sampled_from(BLOCK_TOWERS))
-    tw = tower(p, t)
-    shape = (draw(st.integers(0, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    kind = draw(st.sampled_from(["dense", "digits", "low-rank", "zero"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "zero":
-        return tw, np.zeros(shape, dtype=np.int64)
-    blocks = rng.integers(0, tw.p if kind == "digits" else tw.q, size=shape)
-    if kind == "low-rank" and shape[1] > 1:
-        blocks[:, -1] = blocks[:, 0]  # a repeated row in every block
-        blocks[:, :, -1] = 0          # and a zero column
-    return tw, blocks
-
-
-@DETERMINISTIC
-@given(block_stacks())
-def test_rref_blocks_matches_rref_per_block(case):
-    tw, blocks = case
-    before = blocks.copy()
-    reduced, pivot_mask = linalg.rref_blocks(tw, blocks)
-    assert reduced.dtype == np.int64 and reduced.shape == blocks.shape
-    assert pivot_mask.dtype == bool and pivot_mask.shape == (blocks.shape[0], blocks.shape[2])
-    for b in range(blocks.shape[0]):
-        ref_r, ref_pivots = linalg.rref(tw, blocks[b])
-        assert _same(reduced[b], ref_r)
-        assert np.flatnonzero(pivot_mask[b]).tolist() == ref_pivots
-    assert np.array_equal(blocks, before)
-
-
-def test_rref_blocks_empty_stack_and_bad_shape():
-    tw = tower(2, 4)
-    reduced, pivot_mask = linalg.rref_blocks(tw, np.zeros((0, 4, 4), dtype=np.int64))
-    assert reduced.shape == (0, 4, 4) and pivot_mask.shape == (0, 4)
-    with pytest.raises(ValueError, match=r"\(B, m, k\) stack"):
-        linalg.rref_blocks(tw, np.zeros((4, 4), dtype=np.int64))
 
 
 def _reference_matmul(tw, a, b):

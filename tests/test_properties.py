@@ -10,6 +10,8 @@ recovers from threshold other coordinates; the download must stay within
 `repair.bound_symbols`, exactly len(active) * (t - l) for the strong
 variants.  A plan refused with `DualVectorError` (no dual vector on that
 helper set) is a refusal, not a failure; a wrong symbol is a failure.
+The same sample checks each plan's index sets (`chosen_u`, `lam`, `start`)
+against the greedy `rank`/`solve` loop of `test_repair`.
 
 A second sample takes sub-helper sets on shortened GF(64)/GF(8) and
 GF(81)/GF(9) Hermitian codes, d at least 20 above the pole degree s + rho
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from agrepair import codes, repair
 from agrepair.gf import tower
 from test_codes import _greedy_dual_support_vector
+from test_repair import _reference_chosen, _reference_index_sets
 
 MAX_Q = 81     # every p in the sample has a tower up to here
 MAX_N = 128    # shortened Hermitian codes keep planning cheap
@@ -100,6 +103,28 @@ def test_repair_matches_the_oracle_within_the_bound(case, seed):
     repeated = positions + positions[:1]
     with pytest.raises(ValueError, match="duplicate positions"):
         codes.erasure_decode_many(code, repeated, word[None, repeated])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=repair_cases())
+def test_index_sets_match_the_greedy_reference(case):
+    """The index sets read off y^-1 V equal the greedy `rank`/`solve` loop:
+    the same chosen rows, expansion and offsets, helper by helper."""
+    code, variant, l, target, helpers = case
+    try:
+        scheme = repair.build_scheme(code, target, helpers=helpers, l=l, variant=variant)
+    except codes.DualVectorError:
+        return
+    event(f"{variant}, l={l}{', extra zeros' if scheme.extra_zeros else ''}")
+    mu, expand, counts = _reference_index_sets(scheme)
+    active = list(scheme.active)
+    per_node = np.zeros(code.n, dtype=np.int64)
+    per_node[active] = [counts[j] for j in active]
+    chosen = [u for j in active for u in _reference_chosen(scheme, j, mu[j])]
+    assert scheme.chosen_u.tolist() == chosen
+    assert np.array_equal(scheme.lam, np.hstack([np.zeros((code.tower.t, 0), dtype=np.int64)]
+                                                + [expand[j] for j in active]))
+    assert np.array_equal(scheme.start, np.concatenate([[0], np.cumsum(per_node)]))
 
 
 LARGE_TOWERS = [(8, 2), (9, 2)]  # GF(64)/GF(8) and GF(81)/GF(9)

@@ -444,7 +444,9 @@ def _index_set_cases():
     hc9 = herm_code(3, 2, s=9)
     rng = np.random.default_rng(7)
     sub = sorted(rng.choice([j for j in range(27) if j != 5], size=20, replace=False).tolist())
-    yield from ((rs16, 3, None, l, repair.VARIANT_RS) for l in (1, 2, 3))
+    rs64 = codes.rs_code(tower(8, 2), k=20, n=64)
+    yield from ((rs16, 3, None, l, repair.VARIANT_RS) for l in (0, 1, 2, 3))
+    yield rs64, 9, None, 1, repair.VARIANT_RS
     yield rs27, 5, sub, 2, repair.VARIANT_RS
     yield rs27, 0, None, 1, repair.VARIANT_RS
     yield hc, 0, None, 1, repair.VARIANT_LINE
