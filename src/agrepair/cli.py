@@ -29,6 +29,7 @@ from . import codes, repair, sim
 from .gf import tower
 
 BENCH_COLUMNS = ("target", "d", "symbols", "bits", "bound_bits", "equal")
+CONFIG_FIELDS = "kind p t k s r n l seed stripes trials variant helpers".split()
 
 
 class ConfigError(ValueError):
@@ -62,6 +63,11 @@ def _int(cfg: dict, key: str, default=None, low=None):
 
 
 def code_from_config(cfg: dict) -> codes.EvalCode:
+    helpers = cfg["helpers"] if isinstance(cfg.get("helpers"), dict) else {}
+    unknown = [f"config field {key!r}" for key in cfg if key not in CONFIG_FIELDS]
+    unknown += [f"config helpers field {key!r}" for key in helpers if key not in ("policy", "d")]
+    if unknown:
+        raise ConfigError(f"unknown {unknown[0]}")
     kind = cfg.get("kind")
     if kind not in ("rs", "hermitian"):
         raise ConfigError(f"kind must be 'rs' or 'hermitian', got {kind!r}")

@@ -192,7 +192,7 @@ def distinct(values) -> bool:
 def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCode:
     """The dimension-k code on `points`, by default the first n codes (all
     q of them when n is None); with points, an n other than len(points) is
-    refused."""
+    refused.  The code keeps a copy of the points."""
     if n is not None:
         n = integer(n, None, "length n={0} is {1}", low=1)
         if points is not None and n != len(points):
@@ -204,7 +204,7 @@ def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCo
     if n > tw.q:
         raise ValueError(f"cannot place {n} distinct points in GF({tw.q})")
     points = integers(np.arange(n) if points is None else points, tw.q,
-                      f"evaluation points must be codes in [0, {tw.q}), got {{0}}")
+                      f"evaluation points must be codes in [0, {tw.q}), got {{0}}").copy()
     if not distinct(points):
         raise ValueError("evaluation points must be pairwise distinct")
     k = integer(k, None, "dimension k={0} is {1}", low=1)

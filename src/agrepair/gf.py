@@ -9,17 +9,20 @@ the encodings nest, so the copy of GF(p) inside GF(q) is exactly the set of
 codes below p.  That makes digit lists, subfield membership and serialization
 line up with no conversion tables.
 
-Arithmetic is table-driven: discrete log / antilog tables over a fixed
-primitive element, and a trace table over all q codes.  The hot scalar
-`mul`, `inv` and `trace` read them as Python lists; scalar `pow`, and `add`
-in odd characteristic, wrap `pow_arr` and `add_arr`.  The *_arr methods are
-vectorised counterparts on numpy integer arrays, and every sum_k c_k * x_k
-here is one `linalg.matvec`.  A field of at most PRODUCT_TABLE_MAX = 256
-elements also keeps its whole q x q product table `mul_table`, one byte per
-entry (4 KB at GF(64), 64 KB at GF(256)).  `mul_outer`, the products of
-two code vectors, is its only reader: `linalg.rref` and `linalg.matmul`
-multiply through it and never look at the table, and a larger field's
-`mul_outer` runs on exp/log instead.
+Arithmetic is table-driven, with discrete log / antilog (exp/log) tables over
+a fixed primitive element g as the one representation, and a trace table over
+all q codes.  A sum is XOR in characteristic 2 and a Zech logarithm otherwise:
+a + b = g**(la + zech[lb - la]), zech[k] being log(1 + g**k); up to
+_ADD_TABLE_MAX = 2048 elements that kernel fills a q x q add table, and a
+negation is g**(log a + (q - 1) / 2).  The hot scalar `mul`, `inv` and `trace`
+read them as Python lists; scalar `pow`, and `add` in odd characteristic, wrap
+`pow_arr` and `add_arr`.  The *_arr methods are vectorised counterparts on
+numpy integer arrays, and every sum_k c_k * x_k here is one `linalg.matvec`.
+A field of at most PRODUCT_TABLE_MAX = 256 elements also keeps its whole q x q
+product table `mul_table`, one byte per entry (4 KB at GF(64), 64 KB at
+GF(256)).  `mul_outer`, the products of two code vectors, is its only reader:
+`linalg.rref` and `linalg.matmul` multiply through it and never look at the
+table, and a larger field's `mul_outer` runs on exp/log instead.
 
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.
@@ -167,7 +170,6 @@ class FieldTower:
         self.q = q
         self.name = f"GF({q})"
         self.char, base_deg = pp
-        self.degree = base_deg * t  # total degree over the prime field
         self.base = None if base_deg == 1 else FieldTower(self.char, base_deg)
 
         self.modulus = self._least_irreducible()
@@ -309,24 +311,14 @@ class FieldTower:
         self._exp_list = exp.tolist()  # the scalar ops read Python lists
         self._log_list = log.tolist()
 
-        p0 = self.char
-        e = self.degree
-        self._prime_pows = p0 ** np.arange(e, dtype=np.int64)
-        if p0 == 2:
-            self._add_table = None
-        elif q <= _ADD_TABLE_MAX:
-            codes = np.arange(q, dtype=np.int64)
-            dig = (codes[:, None] // self._prime_pows[None, :]) % p0
-            summed = (dig[:, None, :] + dig[None, :, :]) % p0
-            self._add_table = (summed * self._prime_pows).sum(axis=2)
-        else:
-            self._add_table = None
-        if p0 == 2:
-            self._neg_table = None
-        else:
-            codes = np.arange(q, dtype=np.int64)
-            dig = (codes[:, None] // self._prime_pows[None, :]) % p0
-            self._neg_table = (((-dig) % p0) * self._prime_pows).sum(axis=1)
+        self._add_table = self._neg_table = None
+        if self.char != 2:
+            # g**zech[k] = 1 + g**k (0 at the sentinel); 1 + x adds 1 to x's lowest prime digit
+            x, p0 = exp[:order], self.char
+            self._zech = log[x - x % p0 + (x + 1) % p0]
+            if q <= _ADD_TABLE_MAX:
+                self._add_table = self._zech_add(*np.ogrid[:q, :q])
+            self._neg_table = exp[log + order // 2]  # -1 = g**((q - 1) / 2)
 
         # Tr(a) = a + a**p + ... + a**(p**(t-1)) for every code, so that a
         # trace, scalar or array, is one lookup
@@ -379,10 +371,14 @@ class FieldTower:
             return np.bitwise_xor(a, b)
         if self._add_table is not None:
             return self._add_table[a, b]
-        p0 = self.char
-        da = (np.asarray(a)[..., None] // self._prime_pows) % p0
-        db = (np.asarray(b)[..., None] // self._prime_pows) % p0
-        return (((da + db) % p0) * self._prime_pows).sum(axis=-1)
+        return self._zech_add(a, b)
+
+    def _zech_add(self, a, b):
+        """a + b in odd characteristic as g**la * (1 + g**(lb - la))."""
+        a, b = np.asarray(a), np.asarray(b)
+        la, lb = self._log[a], self._log[b]
+        out = self._exp[la + self._zech[(lb - la) % self._order]]
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def neg_arr(self, a):
         return a if self.char == 2 else self._neg_table[a]

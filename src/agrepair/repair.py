@@ -265,12 +265,9 @@ def build_scheme(
         extra_zeros = tuple(j for j in zero_set if j in helper_set)
 
     # value table of h_(i,u) = zeta_u * Q(zeta_u * h_i) / c over all positions
-    rows = []
-    for zu in tw.zeta:
-        scaled = tw.mul_arr(np.int64(zu), h_vals)
-        rows.append(tw.mul_arr(np.int64(tw.div(zu, lin.c)), lin.quotient_arr(scaled)))
-    table = np.stack(rows)
-    if not np.array_equal(table[:, target], np.asarray(tw.zeta)):
+    scale = np.array([[tw.div(zu, lin.c)] for zu in tw.zeta])
+    table = tw.mul_arr(scale, lin.quotient_arr(tw.mul_arr(np.array(tw.zeta)[:, None], h_vals)))
+    if not np.array_equal(table[:, target], tw.zeta):
         raise AssertionError("normalisation failed: h_(i,u)(P_i) != zeta_u")
 
     # dual vector, w[target] = 1

@@ -235,6 +235,22 @@ def test_config_helper_count_must_be_a_json_integer(tmp_path, capsys):
     assert "config helpers field 'd' must be an integer, got 14.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,config,named", [
+    ("encode", dict(RS_CONFIG, stripe=64), "unknown config field 'stripe'"),
+    ("bench", dict(HERM_CONFIG, Trials=2), "unknown config field 'Trials'"),
+    ("bench", dict(HERM_CONFIG, helpers={"policy": "random", "d": 14, "seed": 1}),
+     "unknown config helpers field 'seed'"),
+])
+def test_config_unknown_fields_are_refused(tmp_path, capsys, command, config, named):
+    """A misspelt key is an error, not a default: {"stripe": 64} would
+    otherwise encode one stripe."""
+    state = tmp_path / "s.json"
+    cmd = [command, "--config", write_config(tmp_path, config)]
+    assert cli.main(cmd + (["--state", str(state)] if command == "encode" else [])) == 2
+    assert named in capsys.readouterr().err
+    assert not state.exists()
+
+
 @pytest.mark.parametrize("config,n,named", [
     (RS_CONFIG, 0, "config field 'n' must be at least 1, got 0"),
     (HERM_CONFIG, -1, "config field 'n' must be at least 1, got -1"),

@@ -543,3 +543,45 @@ def test_trace_round_trip_randomized_large_fields(p, t):
         a = int(a)
         traces = [tw.trace(tw.mul(a, z)) for z in tw.zeta]
         assert trace_reconstruct(traces, tw).code == a
+
+
+def _reference_add(tw, a, b):
+    """a + b digit by digit in base p0, the prime field under the tower: the
+    sum `gf` computed in odd characteristic before Zech logarithms."""
+    p0, e = prime_power(tw.q)
+    pows = p0 ** np.arange(e, dtype=np.int64)
+    da = (np.asarray(a)[..., None] // pows) % p0
+    db = (np.asarray(b)[..., None] // pows) % p0
+    return (((da + db) % p0) * pows).sum(axis=-1)
+
+
+@pytest.mark.parametrize("p,t", [(3, 2), (9, 2), (3, 4), (5, 2), (27, 2), (3, 6),
+                                 (3, 7), (3, 8), (9, 4), (5, 5), (2053, 1)])
+def test_sums_and_negation_match_prime_digit_arithmetic(p, t):
+    """Every pair up to q = 729 (the add table, which the Zech kernel fills);
+    above it, sampled pairs with a = 0, b = 0 and b = -a forced (the Zech
+    kernel itself).  Negation is checked as the reference's inverse and
+    subtraction as undoing the sum; a prime field against integers mod p."""
+    tw = tower(p, t)
+    q, p0 = tw.q, tw.char
+    rng = np.random.default_rng(q)
+    if q <= 729:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        a, b = rng.integers(0, q, size=(2, 20000))
+        a[:100] = b[100:200] = 0
+        minus = a[200:300]  # -a = (p0 - 1) * a, summed by the reference
+        for _ in range(p0 - 2):
+            minus = _reference_add(tw, minus, a[200:300])
+        b[200:300] = minus
+    total = tw.add_arr(a, b)
+    assert np.array_equal(total, _reference_add(tw, a, b))
+    neg = tw.neg_arr(np.arange(q))
+    assert not _reference_add(tw, np.arange(q), neg).any()
+    assert np.array_equal(tw.sub_arr(total, b), a)
+    if t == 1:
+        assert np.array_equal(total, (a + b) % p) and np.array_equal(tw.neg_arr(a), (-a) % p)
+    for i in np.r_[0:min(300, len(a)), rng.integers(0, len(a), 300)]:
+        x, y = int(a[i]), int(b[i])
+        assert tw.add(x, y) == total[i] and tw.sub(int(total[i]), y) == x
+        assert tw.neg(x) == neg[x]

@@ -28,8 +28,8 @@ from agrepair.gf import PRODUCT_TABLE_MAX, tower
 # (p, t): char 2 with q <= 256 (uint8 work array and a product table,
 # GF(64)/GF(8) being the benchmarks' field) and q > 256 (uint16, exp/log);
 # odd characteristic with a dense add table and a product table, and
-# q = 2187 above gf._ADD_TABLE_MAX, where add_arr takes the
-# digit-decomposition path
+# q = 2187 above gf._ADD_TABLE_MAX, where add_arr takes the Zech-logarithm
+# path
 TOWERS = [(2, 1), (2, 4), (8, 2), (16, 2), (32, 2), (3, 2), (9, 2), (3, 7)]
 
 DETERMINISTIC = settings(derandomize=True, max_examples=80, deadline=None)
@@ -359,7 +359,7 @@ def _reference_matvec(tw, a, v):
 @pytest.mark.parametrize("p,t", TOWERS)
 def test_matvec_matches_one_column_matmul(p, t):
     """The padded `add_arr` fold (characteristic 2 with and without a
-    product table, odd, and q = 2187 on the digit path) against the
+    product table, odd, and q = 2187 on the Zech path) against the
     one-column product, on every row count of ROWS, zero rows and zero
     columns included, inner widths that are and are not powers of two,
     and sparse rows."""

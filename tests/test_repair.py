@@ -119,6 +119,19 @@ def test_rs_gf4096_full_length_repair():
     assert transcript.total_symbols == 4095 * 11
 
 
+def test_rs_code_keeps_its_own_points():
+    """rs_code copies an int64 point array, so the caller mutating it later
+    moves neither the code's points nor its repairs."""
+    f16 = tower(2, 4)
+    pts = np.arange(12, dtype=np.int64)
+    rs = codes.rs_code(f16, k=4, points=pts)
+    pts[0] = pts[1] = 15
+    assert rs.points.tolist() == list(range(12)) and codes.distinct(rs.points)
+    cw = codes.encode(rs, [3, 1, 4, 1])
+    value, _ = repair.run_repair(repair.build_scheme(rs, 0, l=1), cw.symbols)
+    assert value.code == cw.symbols[0]
+
+
 def test_zero_codeword_zero_responses():
     hc = herm_code(2, 2, s=5)
     scheme = repair.build_scheme(hc, 3, l=1)
