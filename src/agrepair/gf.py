@@ -9,6 +9,13 @@ the encodings nest, so the copy of GF(p) inside GF(q) is exactly the set of
 codes below p.  That makes digit lists, subfield membership and serialization
 line up with no conversion tables.
 
+A tower builds its tables from arrays over every code.  The modulus is the
+least monic degree-t polynomial over GF(p), by the code of its lower
+coefficients, with no root in `tower(p, d)` for any d <= t/2: exactly the
+least irreducible one (Lidl and Niederreiter, Finite Fields, ch. 3).  Times x
+is a map on all q codes, and the generator g is the least code whose map
+(Horner in x) takes 1 through all q - 1 nonzero codes: that walk is exp.
+
 Arithmetic is table-driven, with discrete log / antilog (exp/log) tables over
 a fixed primitive element g as the one representation, and a trace table over
 all q codes.  A sum is XOR in characteristic 2 and a Zech logarithm otherwise:
@@ -32,37 +39,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_FIELD_SIZE = 1 << 16  # desk-scale cap; exp/log and trace tables are O(q)
 PRODUCT_TABLE_MAX = 256   # q x q uint8 product table up to here (q**2 bytes)
 _ADD_TABLE_MAX = 2048     # odd characteristic: dense q x q add table below this
 
 
-def _factor(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def prime_power(n: int):
     """Return (p0, e) with n == p0**e and p0 prime, or None."""
-    primes = _factor(n)
-    if len(primes) != 1:
+    if n < 2:
         return None
-    p0, e = primes[0], 0
-    while n > 1:
+    p0 = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)  # the least prime factor
+    e = 0
+    while n % p0 == 0:
         n //= p0
         e += 1
-    return p0, e
+    return (p0, e) if n == 1 else None
 
 
 def _integers_only(entries) -> bool:
@@ -148,31 +144,33 @@ class FieldTower:
     Parameters
     ----------
     p : base subfield order (prime or prime power)
-    t : extension degree, >= 1
+    t : extension degree, >= 1, with p**t at most MAX_FIELD_SIZE
 
-    The modulus is the lexicographically least monic degree-t irreducible
-    over GF(p) (by integer encoding of the non-leading coefficients), kept
-    as `modulus`, t+1 coefficient codes, least-significant first; it pins
-    the representation across runs.
+    `modulus` (t + 1 coefficient codes, least significant first) is the
+    least monic degree-t irreducible over GF(p), by the code of its lower
+    coefficients, and `generator` is the least code that generates GF(q)*;
+    both are found by array passes over every code (see the module
+    docstring), and they pin the representation across runs.
     """
 
     def __init__(self, p: int, t: int):
+        p = integer(p, None, "base order p={0} is {1}", low=2)
+        t = integer(t, None, "extension degree t={0} is {1}", low=1)
+        # p >= 2 puts any t > 16 past the cap, so p**t is only taken when small
+        if p > MAX_FIELD_SIZE or t > 16 or p ** t > MAX_FIELD_SIZE:
+            raise ValueError(f"field size p**t with p={p}, t={t} exceeds the supported cap "
+                             f"{MAX_FIELD_SIZE}")
         pp = prime_power(p)
         if pp is None:
             raise ValueError(f"base order p={p} is not a prime power")
-        if t < 1:
-            raise ValueError(f"extension degree t={t} must be >= 1")
         q = p ** t
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"field size q={q} exceeds the supported cap {MAX_FIELD_SIZE}")
         self.p = p
         self.t = t
         self.q = q
         self.name = f"GF({q})"
         self.char, base_deg = pp
-        self.base = None if base_deg == 1 else FieldTower(self.char, base_deg)
+        self.base = None if base_deg == 1 else tower(self.char, base_deg)
 
-        self.modulus = self._least_irreducible()
         self._build_tables()
 
         # polynomial basis 1, x, ..., x^(t-1) and its trace-dual
@@ -182,132 +180,75 @@ class FieldTower:
         self._theta_row.setflags(write=False)
 
     # ------------------------------------------------------------------
-    # base-field scalar helpers (used during construction only)
-    # ------------------------------------------------------------------
-    def _badd(self, a, b):
-        return (a + b) % self.p if self.base is None else self.base.add(a, b)
-
-    def _bsub(self, a, b):
-        return (a - b) % self.p if self.base is None else self.base.sub(a, b)
-
-    def _bmul(self, a, b):
-        return (a * b) % self.p if self.base is None else self.base.mul(a, b)
-
-    def _binv(self, a):
-        return pow(a, self.p - 2, self.p) if self.base is None else self.base.inv(a)
-
-    def _digits(self, code, n=None):
-        n = self.t if n is None else n
-        out = []
-        for _ in range(n):
-            code, r = divmod(code, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def _undigits(self, digits):
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
-
-    # dense polynomial arithmetic over GF(p), coefficients LSD-first
-    def _poly_mod(self, a, m):
-        a = list(a)
-        dm = len(m) - 1
-        inv_lead = self._binv(m[dm])
-        for i in range(len(a) - 1, dm - 1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            f = self._bmul(c, inv_lead)
-            for k in range(dm + 1):
-                a[i - dm + k] = self._bsub(a[i - dm + k], self._bmul(f, m[k]))
-        return a[:dm]
-
-    def _poly_mul_mod(self, a, b, m):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = self._badd(out[i + j], self._bmul(ai, bj))
-        return self._poly_mod(out, m)
-
-    def _poly_eval(self, poly, x):
-        acc = 0
-        for c in reversed(poly):
-            acc = self._badd(self._bmul(acc, x), c)
-        return acc
-
-    def _poly_is_irreducible(self, poly):
-        t = len(poly) - 1
-        if t == 1:
-            return True
-        for a in range(self.p):
-            if self._poly_eval(poly, a) == 0:
-                return False
-        # no linear factors; trial division by every monic divisor candidate
-        # of degree 2..t//2 (desk scale keeps this cheap)
-        for d in range(2, t // 2 + 1):
-            for lower in range(self.p ** d):
-                div = list(self._digits(lower, d)) + [1]
-                rem = self._poly_mod(list(poly), div)
-                if not any(rem):
-                    return False
-        return True
-
-    def _least_irreducible(self):
-        for lower in range(self.q):
-            cand = self._digits(lower, self.t) + (1,)
-            if self._poly_is_irreducible(cand):
-                return cand
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
-    def _slow_mul(self, a, b):
-        pa = self._digits(a)
-        pb = self._digits(b)
-        prod = self._poly_mul_mod(pa, pb, self.modulus)
-        return self._undigits(prod + [0] * (self.t - len(prod)))
-
-    def _slow_pow(self, a, k):
-        acc, base = 1, a
-        while k:
-            if k & 1:
-                acc = self._slow_mul(acc, base)
-            base = self._slow_mul(base, base)
-            k >>= 1
-        return acc
-
-    # ------------------------------------------------------------------
     # table construction
     # ------------------------------------------------------------------
+    def _generator_powers(self) -> np.ndarray:
+        """Pick `modulus` and `generator`, and return the generator's powers
+        1, g, ..., g**(q-2) as codes: the exp table."""
+        p, t, q = self.p, self.t, self.q
+        fields = [tower(p, d) for d in range(1, t // 2 + 1)]  # the modulus has no root there
+
+        def has_root(f):  # the modulus at every code of f, by Horner
+            xs = np.arange(f.q, dtype=np.int64)
+            values = np.zeros_like(xs)
+            for c in reversed(self.modulus):
+                values = f.add_arr(f.mul_arr(values, xs), c)
+            return not values.all()
+
+        for lower in range(q):
+            self.modulus = tuple(self.digits_arr(lower).tolist()) + (1,)
+            if not any(map(has_root, fields)):
+                break
+
+        # sums and base multiples go digit by digit: t // 2 digits at a time in
+        # GF(p**(t // 2)), or one in GF(p) when t = 1 (integers mod p for a prime p)
+        part = fields[-1] if fields else self.base
+        if part is None:
+            size, add, mul = p, (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+        else:
+            size, add, mul = part.q, part.add_arr, part.mul_arr
+        shifts = [size ** k for k in range(t) if size ** k < q]
+
+        def plus(a, b):
+            return sum(add(a // s % size, b // s % size) * s for s in shifts)
+
+        def scale(c, a):  # c * a for base scalars c
+            return sum(mul(c, a // s % size) * s for s in shifts)
+
+        # x * v: the digits shift up, and the top one returns times
+        # x**t = -(m_0 + ... + m_(t-1) x**(t-1)), the code (char - 1) * lower
+        codes = np.arange(q, dtype=np.int64)
+        times_x = plus(codes % (q // p) * p, scale(codes // (q // p), scale(self.char - 1, lower)))
+
+        for gen in range(p if t > 1 else 1, q):  # below p, the subfield when t > 1, none generates
+            times_g = np.zeros_like(codes)  # g * v by Horner in x
+            for c in reversed(self.digits_arr(gen).tolist()):
+                times_g = times_x[times_g]
+                if c:
+                    times_g = plus(times_g, scale(c, codes))
+            walk, power = np.ones(1, dtype=np.int64), times_g  # walk[i] = g**i; power = g**len(walk)
+            while len(walk) < q - 1:
+                walk, power = np.concatenate([walk, power[walk]]), power[power]
+            if not (walk[1:q - 1] == 1).any():
+                self.generator = gen
+                return walk[:q - 1]
+
     def _build_tables(self):
         q = self.q
         order = q - 1
-        prime_factors = _factor(order) if order > 1 else []
-        gen = 1
-        for cand in range(2, q):
-            if all(self._slow_pow(cand, order // f) != 1 for f in prime_factors):
-                gen = cand
-                break
-        self.generator = gen
-
-        exp = np.zeros(4 * order + 2 if order else 4, dtype=np.int64)
+        exp = np.zeros(4 * order + 2, dtype=np.int64)
+        exp[:order] = self._generator_powers()
+        exp[order:2 * order] = exp[:order]
         log = np.zeros(q, dtype=np.int64)
-        v = 1
-        for i in range(order):
-            exp[i] = v
-            exp[i + order] = v
-            log[v] = i
-            v = self._slow_mul(v, gen)
+        log[exp[:order]] = np.arange(order)
         log[0] = 2 * order  # sentinel: any product involving 0 lands on a 0 entry
         self._exp = exp
         self._log = log
         self._order = order
-        # row a of mul_table is a * every code
-        self.mul_table = (exp[log[:, None] + log[None, :]].astype(np.uint8)
-                          if q <= PRODUCT_TABLE_MAX else None)
+        # row a of mul_table is a * every code, exp[log a + log b]: row log a of
+        # a view whose row i is exp[i:i + 2q - 1], as bytes (no q x q index array)
+        self.mul_table = (sliding_window_view(exp.astype(np.uint8), 2 * order + 1)[log]
+                          .take(log, axis=1) if q <= PRODUCT_TABLE_MAX else None)
         self._exp_list = exp.tolist()  # the scalar ops read Python lists
         self._log_list = log.tolist()
 
@@ -316,8 +257,11 @@ class FieldTower:
             # g**zech[k] = 1 + g**k (0 at the sentinel); 1 + x adds 1 to x's lowest prime digit
             x, p0 = exp[:order], self.char
             self._zech = log[x - x % p0 + (x + 1) % p0]
-            if q <= _ADD_TABLE_MAX:
-                self._add_table = self._zech_add(*np.ogrid[:q, :q])
+            if q <= _ADD_TABLE_MAX:  # filled 128 rows at a time, to bound the temporaries
+                rows, cols = np.ogrid[:q, :q]
+                self._add_table = np.empty((q, q), dtype=np.int64)
+                for r in range(0, q, 128):
+                    self._add_table[r:r + 128] = self._zech_add(rows[r:r + 128], cols)
             self._neg_table = exp[log + order // 2]  # -1 = g**((q - 1) / 2)
 
         # Tr(a) = a + a**p + ... + a**(p**(t-1)) for every code, so that a

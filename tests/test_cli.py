@@ -100,6 +100,12 @@ DROP = object()
     (RS_CONFIG, ("code", "p"), 6,
      "code fields 'p' and 't': base order p=6 is not a prime power"),
     (RS_CONFIG, ("code", "s"), 40, "code field 's': k=41 exceeds length n=16"),
+    (RS_CONFIG, ("code", "t"), 20000000,
+     "code fields 'p' and 't': field size p**t with p=2, t=20000000 exceeds the supported "
+     "cap 65536"),
+    (RS_CONFIG, ("code", "p"), 100000000000031,
+     "code fields 'p' and 't': field size p**t with p=100000000000031, t=4 exceeds the "
+     "supported cap 65536"),
     (HERM_CONFIG, ("code", "t"), 3,
      "code fields 'p' and 't': Hermitian curve needs a square field size, got q=8"),
     (HERM_CONFIG, ("code", "s"), 64,
@@ -111,7 +117,8 @@ DROP = object()
      "state field 'withheld' is absent or null, but node 5 has failed"),
 ], ids=["no-nodes", "no-code", "no-code-p", "top-level-list", "null-digit", "nodes-int",
         "unknown-kind", "string-s", "null-seed", "list-seed", "wrong-monomials", "no-monomials",
-        "wrong-r", "swapped-monomial", "p-not-prime-power", "s-too-large",
+        "wrong-r", "swapped-monomial", "p-not-prime-power", "s-too-large", "t-beyond-cap",
+        "p-beyond-cap",
         "non-square-field", "pole-too-large", "repeated-point",
         "withheld-but-live", "failed-without-withheld"])
 def test_malformed_state_is_a_state_error(tmp_path, capsys, config, where, value, named):
@@ -261,6 +268,13 @@ def test_config_n_is_used_as_given(tmp_path, capsys, config, n, named):
     cfg = write_config(tmp_path, dict(config, n=n))
     assert cli.main(["encode", "--config", cfg, "--state", str(tmp_path / "s.json")]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,t", [(3, 20000000), (100000000000031, 1)])
+def test_config_field_beyond_the_cap_exits_2_naming_p_and_t(tmp_path, capsys, p, t):
+    cfg = write_config(tmp_path, {"kind": "rs", "p": p, "t": t, "k": 4})
+    assert cli.main(["encode", "--config", cfg, "--state", str(tmp_path / "s.json")]) == 2
+    assert f"p={p}, t={t} exceeds the supported cap 65536" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config,where,value,named", [

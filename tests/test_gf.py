@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -34,22 +35,82 @@ def brute_mul_table(p, t, modulus):
     return [[mul(a, b) for b in range(q)] for a in range(q)]
 
 
-def test_gf4_matches_brute_force_table():
-    f4 = tower(2, 2)
-    table = brute_mul_table(2, 2, f4.modulus)
-    for a in range(4):
-        for b in range(4):
-            assert f4.mul(a, b) == table[a][b]
-    g = f4.element(2)
-    assert (g * g).code == 3  # g^2 = g + 1
+@pytest.mark.parametrize("p,t", [(2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3), (2, 5)])
+def test_products_match_brute_force_table(p, t):
+    tw = tower(p, t)
+    table = brute_mul_table(p, t, tw.modulus)
+    assert [[tw.mul(a, b) for b in range(tw.q)] for a in range(tw.q)] == table
+    assert np.array_equal(tw.mul_outer(np.arange(tw.q), np.arange(tw.q)), table)
 
 
-def test_gf9_matches_brute_force_table():
-    f9 = tower(3, 2)
-    table = brute_mul_table(3, 2, f9.modulus)
-    for a in range(9):
-        for b in range(9):
-            assert f9.mul(a, b) == table[a][b]
+# (p, t, modulus, generator, the first 16 hex digits of the sha256 of
+# _exp[:q - 1] as little-endian int64), computed with the scalar polynomial
+# arithmetic that built the tables before they were built from arrays
+CONSTRUCTION_PINS = [
+    (2, 1, (0, 1), 1, "7c9fa136d4413fa6"),
+    (3, 1, (0, 1), 2, "0c730b69905c5ef7"),
+    (5, 1, (0, 1), 2, "92ebfe56a187e071"),
+    (2053, 1, (0, 1), 2, "2c6e5769c20d5810"),
+    (65521, 1, (0, 1), 17, "c041072e60fec759"),
+    (4, 2, (2, 1, 1), 4, "7b810ea0982ceb03"),
+    (8, 2, (1, 1, 1), 10, "e806996018ce7061"),
+    (9, 2, (4, 0, 1), 10, "e9e2b86f606f6554"),
+    (16, 2, (8, 1, 1), 18, "2dc7874864fdf341"),
+    (27, 2, (1, 0, 1), 30, "ea20134a05103401"),
+    (256, 2, (32, 1, 1), 264, "5e4e4aba60c98bbe"),
+    (4, 3, (2, 0, 0, 1), 5, "2d3234f165d3d25c"),
+    (2, 2, (1, 1, 1), 2, "e2e2033ae7e19d68"),
+    (2, 5, (1, 0, 1, 0, 0, 1), 2, "baa8a706cb55e34d"),
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1), 3, "11266a21c8268fe0"),
+    (2, 11, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2, "dfbf36bc9c4dc771"),
+    (2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,), 3, "a9c0b9735a82fc72"),
+    (3, 2, (1, 0, 1), 4, "107beef16789fe21"),
+    (3, 4, (2, 1, 0, 0, 1), 3, "6d1eb4f77b46bca3"),
+    (3, 5, (1, 2, 0, 0, 0, 1), 3, "e9772cc891777b15"),
+    (3, 10, (1, 0, 2) + (0,) * 7 + (1,), 34, "05e6eecc9abe2e8f"),
+    (5, 3, (1, 1, 0, 1), 9, "3cd23adf3501f4d1"),
+    (7, 2, (1, 0, 1), 9, "bfbb44080945d046"),
+    (43, 2, (1, 0, 1), 45, "2ae5bcf01f1a6b08"),
+]
+
+
+@pytest.mark.parametrize("p,t,modulus,generator,exp_digest", CONSTRUCTION_PINS,
+                         ids=[f"{p}^{t}" for p, t, *_ in CONSTRUCTION_PINS])
+def test_construction_is_pinned(p, t, modulus, generator, exp_digest):
+    """The modulus, generator and exp table fix every code, scheme and
+    state file: t = 1, prime-power bases, characteristic 2 up to t = 16
+    and odd characteristic."""
+    tw = tower(p, t)
+    assert tw.modulus == modulus and tw.generator == generator
+    digest = hashlib.sha256(tw._exp[:tw.q - 1].astype("<i8").tobytes()).hexdigest()
+    assert digest[:16] == exp_digest
+
+
+def _schoolbook_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out)
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the degree over GF(p), coefficients least
+    significant first, in the order of the code of the lower ones."""
+    return [tuple((lower // p ** i) % p for i in range(degree)) + (1,)
+            for lower in range(p ** degree)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_modulus_is_the_least_irreducible(p):
+    """An irreducibility oracle independent of roots: a monic polynomial
+    is reducible exactly when it is a product of two monic ones of lower
+    degree."""
+    for t in range(1, 5):
+        reducible = {_schoolbook_product(a, b, p)
+                     for d in range(1, t) for a in _monic(p, d) for b in _monic(p, t - d)}
+        least = next(f for f in _monic(p, t) if f not in reducible)
+        assert tower(p, t).modulus == least, (p, t)
 
 
 @pytest.mark.parametrize("p,t", SMALL_TOWERS)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from agrepair import codes, linalg, repair, sim
-from agrepair.gf import LinearizedMap, integers, tower, trace_reconstruct
+from agrepair.gf import FieldTower, LinearizedMap, integers, tower, trace_reconstruct
 
 TW = tower(4, 2)                      # GF(4^2)
 FOREIGN = tower(2, 4).element(3)      # an element of GF(2^4): the same q, another tower
@@ -93,6 +93,10 @@ ENTRIES = {
                              ["True", "np.True_", "[3]"]),
     "vanishing_function-i": (lambda v: codes.vanishing_function(HERM, v), 64, r"point",
                              NON_INTEGERS + ["-1", "2**70", "foreign"]),
+    "FieldTower-p": (lambda v: FieldTower(v, 2), None, r"base order p=",
+                     ["2.7", "2.0", "'3'", "[3]", "foreign"]),
+    "FieldTower-t": (lambda v: FieldTower(2, v), None, r"extension degree t=",
+                     NON_INTEGERS + ["foreign"]),
     # linalg's matrices and vectors: a plain int64 cast reads 2.7, True and
     # '3' as 2, 1 and 3, and lets -1 and 16 wrap or fail with a bare
     # IndexError
@@ -123,6 +127,22 @@ def test_bad_inputs_are_value_errors_naming_the_argument(entry, bad):
     with pytest.raises(ValueError) as info:
         call(value)
     assert re.search(named, str(info.value)), str(info.value)
+
+
+def test_tower_arguments_may_be_numpy_integers():
+    tw = FieldTower(np.int64(2), np.int32(3))
+    assert type(tw.p) is int and type(tw.t) is int
+    assert tw == tower(2, 3) and tw.modulus == tower(2, 3).modulus
+
+
+@pytest.mark.parametrize("p,t", [(3, 20000000), (100000000000031, 1), (2, 17), (257, 2)])
+def test_tower_size_cap_comes_first_and_names_p_and_t(p, t):
+    """Refused before p**t or a factorisation of p is computed: the first
+    would run for seconds and then fail to print, the second is trial
+    division up to sqrt(p)."""
+    with pytest.raises(ValueError, match=rf"^field size p\*\*t with p={p}, t={t} exceeds the "
+                                         rf"supported cap 65536$"):
+        FieldTower(p, t)
 
 
 @pytest.mark.parametrize("digits", [np.array([[1.9, 0.0]]), np.array([[True, False]]),
