@@ -8,16 +8,20 @@ Subcommands:
   verify   cross-check the cluster contents against erasure decoding
   bench    repeated repair trials with per-trial RNG streams -> CSV
 
-Configs are JSON objects; see README for the schema.  The only environment
-override is AGREPAIR_OUTPUT_DIR, which re-roots relative output paths.
+Configs are JSON objects; see README for the schema.  Every config is read
+by `sim.read_json`, and every state, report, params table and bench CSV is
+written by `sim.write_atomic`.  The only environment override is
+AGREPAIR_OUTPUT_DIR, which re-roots relative output paths.
 Exit status: 0 success, 1 verification mismatch, 2 bad config/state/preconditions
-(including too few live nodes left to verify against, and a corrupted stored
-symbol, which loading refuses wherever it sits: a state that loads verifies ok).
+(including too few live nodes left to verify against, a corrupted stored
+symbol, which loading refuses wherever it sits: a state that loads verifies ok,
+and a file that cannot be read or written).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -33,18 +37,7 @@ CONFIG_FIELDS = "kind p t k s r n l seed stripes trials variant helpers".split()
 
 
 class ConfigError(ValueError):
-    pass
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
+    noun = "config"  # what `sim.read_json` calls the file
 
 
 def _out_path(path) -> Path:
@@ -53,6 +46,14 @@ def _out_path(path) -> Path:
     if base and not path.is_absolute():
         return Path(base) / path
     return path
+
+
+def _emit(out, text: str) -> None:
+    """`text` into file `out` (under AGREPAIR_OUTPUT_DIR), or to stdout when `out` is None."""
+    if out:
+        sim.write_atomic(_out_path(out), text)
+    else:
+        sys.stdout.write(text)
 
 
 def _int(cfg: dict, key: str, default=None, low=None):
@@ -112,11 +113,7 @@ def _helper_set(cfg: dict, code: codes.EvalCode, target: int, rng) -> list | Non
 def cmd_params(args) -> int:
     from . import bounds  # imported here: fractions costs every other command's start-up
 
-    cfg = _load_config(args.config)
-    try:
-        report = bounds.bound_report(**cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = bounds.bound_report(**sim.read_json(args.config, ConfigError))
     if args.format == "json":
         text = json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n"
     else:
@@ -124,15 +121,12 @@ def cmd_params(args) -> int:
         for name, value, status, reason in report.rows():
             lines.append(f"{name},{value},{status},\"{reason}\"")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        _out_path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return 0
 
 
 def cmd_encode(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = sim.read_json(args.config, ConfigError)
     code = code_from_config(cfg)
     cluster = sim.make_cluster(code, _int(cfg, "stripes", 1, low=0), _int(cfg, "seed", 0, low=0))
     sim.save_cluster(_out_path(args.state), cluster)
@@ -175,9 +169,7 @@ def cmd_repair(args) -> int:
             "records": [r.summary() for r in records],
             "transcripts": [repair.transcript_to_json(r.transcript) for r in records],
         }
-        _out_path(args.report).write_text(
-            json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        sim.write_atomic(_out_path(args.report), json.dumps(payload, sort_keys=True) + "\n")
     return 0 if all_ok else 1
 
 
@@ -191,7 +183,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     import csv  # imported here, as bounds is in cmd_params
 
-    cfg = _load_config(args.config)
+    cfg = sim.read_json(args.config, ConfigError)
     code = code_from_config(cfg)
     trials, seed = _int(cfg, "trials", 10, low=0), _int(cfg, "seed", 0, low=0)
     l = _int(cfg, "l", 1)
@@ -205,20 +197,13 @@ def cmd_bench(args) -> int:
         cluster = sim.Cluster(code, msgs, codes.encode_many(code, msgs), seed)
         sim.fail_node(cluster, target)
         (rec,) = sim.repair_failed(cluster, l=l, variant=variant, helpers=helpers)
-        rows.append({"target": rec.target, "d": rec.helper_count, "symbols": rec.symbols,
-                     "bits": rec.bits, "bound_bits": rec.bound_bits, "equal": rec.equal})
-    out = _out_path(args.out) if args.out else None
-    fh = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
-    try:
-        writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
-    if not all(r["equal"] for r in rows):
-        return 1
-    return 0
+        rows.append({**rec.summary(), "d": rec.helper_count})
+    buf = io.StringIO()  # csv's own \r\n line ends, kept by _emit
+    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(args.out, buf.getvalue())
+    return 0 if all(r["equal"] for r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,8 +252,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, sim.StateFormatError, repair.RepairPreconditionError,
-            codes.DualVectorError, codes.DecodeError, ValueError) as exc:
+    except (ValueError, OSError, repair.RepairPreconditionError, codes.DualVectorError,
+            codes.DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,10 @@ sort_keys=True) and a newline.  Loading reads whole arrays through
 FieldTower.from_digits_arr and checks every field's presence, shape,
 JSON-integer digits and digit range, and that the stored monomials and r
 match the code rebuilt from the other fields, raising StateFormatError with
-the field's name, then re-encodes the stripes.
+the field's name, then re-encodes the stripes.  Every file the package
+reads goes through `read_json`, and every file it writes through
+`write_atomic`: the state here, and the CLI's configs, reports, parameter
+tables and bench CSVs.
 
 Helpers never see anything beyond (scheme, their index, their own symbol);
 the download accounting in the transcripts is therefore the real traffic.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +39,7 @@ SCHEMA_VERSION = 1
 
 
 class StateFormatError(ValueError):
-    pass
+    noun = "state"  # what `read_json` calls the file
 
 
 @dataclass
@@ -72,16 +75,8 @@ class ExperimentRecord:
     transcript: repair.RepairTranscript | None = None
 
     def summary(self) -> dict:
-        return {
-            "stripe": self.stripe,
-            "target": self.target,
-            "helper_count": self.helper_count,
-            "symbols": self.symbols,
-            "bits": self.bits,
-            "bound_bits": self.bound_bits,
-            "equal": self.equal,
-            "wall_time": self.wall_time,
-        }
+        """Every field but the transcript."""
+        return {key: value for key, value in vars(self).items() if key != "transcript"}
 
 
 def make_cluster(code: codes.EvalCode, num_stripes: int, seed: int) -> Cluster:
@@ -218,7 +213,7 @@ def _decode(tw: FieldTower, value, name: str, shape: tuple) -> np.ndarray:
     arr = np.array(value, dtype=object)
     if arr.size == 0:  # JSON keeps no axes inside an empty array
         arr = np.zeros(arr.shape + tuple(w or 0 for w in want[arr.ndim:]), dtype=object)
-    kinds = set(map(type, arr.flat))
+    kinds = set(map(type, arr.flat)) if arr.ndim <= len(want) else ()  # .flat stops at 32 axes
     if list in kinds:
         raise StateFormatError(f"{name} is a ragged array")
     if arr.ndim != len(want) or any(w not in (None, g) for g, w in zip(arr.shape, want)):
@@ -276,6 +271,39 @@ def _json_codes(words: np.ndarray, a: np.ndarray) -> str:
     return "[" + ", ".join(_json_codes(words, row) for row in a) + "]"
 
 
+def read_json(path, error: type[ValueError]) -> dict:
+    """The JSON object in file `path`.  A file that cannot be opened,
+    decoded or parsed (nesting past the recursion limit included), or that
+    holds anything but an object, raises `error` naming its `noun`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {error.noun} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{error.noun} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def write_atomic(path, text: str) -> None:
+    """Write `text` to a sibling file and rename it over `path`, so a crash
+    mid-write leaves the previous file whole.  Line ends are written as
+    given; a failure is an OSError naming `path`."""
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        with suppress(OSError):  # gone once replaced, or never made
+            tmp.unlink()
+
+
 def save_cluster(path, cluster: Cluster) -> None:
     tw = cluster.code.tower
     arrays = {"stripes": cluster.stripes, "nodes": cluster.nodes.T}  # nodes node-major
@@ -296,27 +324,11 @@ def save_cluster(path, cluster: Cluster) -> None:
         "withheld": "null",
         **{name: _json_codes(words, a) for name, a in arrays.items()},
     }
-    text = "{" + ", ".join(f"{json.dumps(k)}: {fields[k]}" for k in sorted(fields)) + "}\n"
-    # write a sibling file and rename it over the old state, so a crash
-    # mid-write leaves the previous file whole
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, "{" + ", ".join(f"{json.dumps(k)}: {fields[k]}" for k in sorted(fields)) + "}\n")
 
 
 def load_cluster(path) -> Cluster:
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    if not isinstance(state, dict):
-        raise StateFormatError(f"state must be a JSON object, got {type(state).__name__}")
+    state = read_json(path, StateFormatError)
     version = state.get("schema_version")
     if version != SCHEMA_VERSION:
         raise StateFormatError(

@@ -49,6 +49,8 @@ def test_linear_repair_lower_bounds():
     assert bounds.linear_repair_lb_ag(n, k, genus) == pytest.approx(
         bounds.linear_repair_lb(n, n - k + genus - 1), abs=TOL
     )
+    with pytest.raises(ValueError, match="designed dual distance term must be >= 1"):
+        bounds.linear_repair_lb_ag(16, 16, 1)  # n - k + genus - 2 = -1
     # asymptotic form in the tower rate regime
     got = bounds.linear_repair_lb_asymptotic(512, 64, 0.25)
     assert got == pytest.approx(511 * 0.25 * 6, abs=TOL)
@@ -101,6 +103,11 @@ def test_tower_row_and_interval():
     assert lo > hi
     with pytest.raises(ValueError):
         bounds.tower_full_interval(8, 2)
+    # q=256 with p=2: eps=0.5 lies in (2/15, 14/15), so the report gives the row
+    rep = bounds.bound_report(n=100, q=256, p=2, eps=0.5)
+    assert rep.values["tower_full"] == bounds.tower_full_bandwidth(100, 256, 0.5)
+    assert "outside the validity interval" in \
+        bounds.bound_report(n=100, q=256, p=2, eps=0.1).inapplicable["tower_full"]
 
 
 def test_tower_full_bandwidth_formula():

@@ -81,6 +81,17 @@ def test_out_of_range_failed_node_is_a_state_error(tmp_path, capsys):
 DROP = object()
 
 
+def nest(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def disagreeing_withheld(payload):
+    """Node 5 failed, its withheld symbols each one digit off the stored ones."""
+    return dict(payload, failed=5, withheld=[[1 - d[0], *d[1:]] for d in payload["nodes"][5]])
+
+
 @pytest.mark.parametrize("config,where,value,named", [
     (RS_CONFIG, ("nodes",), DROP, "state has no 'nodes' field"),
     (RS_CONFIG, ("code",), DROP, "state has no 'code' field"),
@@ -115,19 +126,22 @@ DROP = object()
      "state field 'withheld' must be null when no node has failed"),
     (RS_CONFIG, ("failed",), 5,
      "state field 'withheld' is absent or null, but node 5 has failed"),
+    (RS_CONFIG, (), disagreeing_withheld, "withheld symbols disagree with the encoded stripes"),
+    (RS_CONFIG, ("stripes",), nest(0, 100), "stripes must have shape (None, 8, 4), got (1, 1, "),
 ], ids=["no-nodes", "no-code", "no-code-p", "top-level-list", "null-digit", "nodes-int",
         "unknown-kind", "string-s", "null-seed", "list-seed", "wrong-monomials", "no-monomials",
         "wrong-r", "swapped-monomial", "p-not-prime-power", "s-too-large", "t-beyond-cap",
         "p-beyond-cap",
         "non-square-field", "pole-too-large", "repeated-point",
-        "withheld-but-live", "failed-without-withheld"])
+        "withheld-but-live", "failed-without-withheld", "withheld-disagrees",
+        "stripes-nested-100-deep"])
 def test_malformed_state_is_a_state_error(tmp_path, capsys, config, where, value, named):
     cfg = write_config(tmp_path, config)
     state = tmp_path / "state.json"
     assert cli.main(["encode", "--config", cfg, "--state", str(state)]) == 0
     payload = json.loads(state.read_text())
     if not where:
-        payload = value
+        payload = value(payload) if callable(value) else value
     else:
         obj = payload
         for key in where[:-1]:
@@ -200,6 +214,65 @@ def test_output_dir_override(tmp_path, monkeypatch):
     assert (outdir / "state.json").exists()
 
 
+# each command exits 2 naming the file it could not read or write; {dir} is
+# a directory holding deep.json (nested 100 000 arrays deep), bad.json (not
+# UTF-8), rs.json (RS_CONFIG) and bounds.json (a params config)
+FILE_ERRORS = {
+    "fail-missing-state": ("fail --state {dir}/none.json --node 1",
+                           "cannot read state {dir}/none.json: [Errno 2]"),
+    "repair-missing-state": ("repair --state {dir}/none.json", "cannot read state {dir}/none.json"),
+    "verify-missing-state": ("verify --state {dir}/none.json", "cannot read state {dir}/none.json"),
+    "verify-directory-state": ("verify --state {dir}", "cannot read state {dir}: "),
+    "verify-deep-state": ("verify --state {dir}/deep.json",
+                          "cannot read state {dir}/deep.json: maximum recursion depth"),
+    "verify-non-utf8-state": ("verify --state {dir}/bad.json",
+                              "cannot read state {dir}/bad.json: 'utf-8' codec"),
+    "encode-deep-config": ("encode --config {dir}/deep.json --state {dir}/s.json",
+                           "cannot read config {dir}/deep.json: maximum recursion depth"),
+    "bench-deep-config": ("bench --config {dir}/deep.json", "cannot read config {dir}/deep.json"),
+    "params-deep-config": ("params --config {dir}/deep.json", "cannot read config {dir}/deep.json"),
+    "encode-state-in-missing-dir": ("encode --config {dir}/rs.json --state {dir}/nodir/s.json",
+                                    "cannot write {dir}/nodir/s.json: No such file or directory"),
+    "params-out-in-missing-dir": ("params --config {dir}/bounds.json --out {dir}/nodir/p.json",
+                                  "cannot write {dir}/nodir/p.json"),
+    "bench-out-in-missing-dir": ("bench --config {dir}/rs.json --out {dir}/nodir/b.csv",
+                                 "cannot write {dir}/nodir/b.csv"),
+}
+
+
+@pytest.mark.parametrize("argv,named", FILE_ERRORS.values(), ids=FILE_ERRORS.keys())
+def test_unreadable_and_unwritable_files_exit_2_naming_the_path(tmp_path, capsys, argv, named):
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "bad.json").write_bytes(b'{"schema_version": "\xff"}')
+    write_config(tmp_path, dict(RS_CONFIG, trials=1), "rs.json")
+    write_config(tmp_path, {"n": 16, "m": 8, "d": 15, "q": 16, "p": 2, "l": 3}, "bounds.json")
+    assert cli.main([arg.format(dir=tmp_path) for arg in argv.split()]) == 2
+    assert named.format(dir=tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_unwritable_report_exits_2_after_the_state_is_repaired(tmp_path, capsys):
+    cfg = write_config(tmp_path, RS_CONFIG)
+    state = str(tmp_path / "state.json")
+    assert cli.main(["encode", "--config", cfg, "--state", state]) == 0
+    encoded = Path(state).read_bytes()
+    assert cli.main(["fail", "--state", state, "--node", "5"]) == 0
+    report = tmp_path / "nodir" / "r.json"
+    assert cli.main(["repair", "--state", state, "--l", "3", "--report", str(report)]) == 2
+    assert f"cannot write {report}: No such file or directory" in capsys.readouterr().err
+    assert Path(state).read_bytes() == encoded
+
+
+def test_bench_csv_is_the_same_bytes_in_a_file_and_on_stdout(tmp_path, capsys):
+    cfg = write_config(tmp_path, RS_CONFIG)
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["bench", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert out.read_bytes() == text.encode() and text.count("\r\n") == RS_CONFIG["trials"] + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.csv", "cfg.json"]
+
+
 def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -251,6 +324,24 @@ def test_config_helper_count_must_be_a_json_integer(tmp_path, capsys):
 def test_config_unknown_fields_are_refused(tmp_path, capsys, command, config, named):
     """A misspelt key is an error, not a default: {"stripe": 64} would
     otherwise encode one stripe."""
+    state = tmp_path / "s.json"
+    cmd = [command, "--config", write_config(tmp_path, config)]
+    assert cli.main(cmd + (["--state", str(state)] if command == "encode" else [])) == 2
+    assert named in capsys.readouterr().err
+    assert not state.exists()
+
+
+@pytest.mark.parametrize("command,config,named", [
+    ("encode", dict(HERM_CONFIG, r=3), "r=3 does not square to q=16"),
+    ("encode", {k: v for k, v in HERM_CONFIG.items() if k != "s"}, "hermitian config needs 's'"),
+    ("bench", dict(HERM_CONFIG, helpers={"policy": "random", "d": 64}),
+     "helper count d=64 exceeds n-1=63"),
+    ("bench", dict(HERM_CONFIG, helpers="all"), "unknown helper policy 'all'"),
+    ("encode", [RS_CONFIG], "config must be a JSON object, got list"),
+    ("params", [RS_CONFIG], "config must be a JSON object, got list"),
+], ids=["r-squared-not-q", "hermitian-without-s", "d-above-n-1", "unknown-policy",
+        "encode-array", "params-array"])
+def test_config_refusals_name_the_condition(tmp_path, capsys, command, config, named):
     state = tmp_path / "s.json"
     cmd = [command, "--config", write_config(tmp_path, config)]
     assert cli.main(cmd + (["--state", str(state)] if command == "encode" else [])) == 2

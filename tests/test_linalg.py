@@ -96,6 +96,11 @@ def test_solve_multi_rhs_matches_single():
         assert np.array_equal(single, sol[:, col])
 
 
+def test_matmul_refuses_a_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.matmul(tower(2, 2), [[1, 2, 3]], [[1], [2]])
+
+
 def test_rank_over_base_cases():
     f4 = tower(2, 2)
     assert linalg.rank_over_base(f4, [0, 0]) == 0
