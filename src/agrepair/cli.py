@@ -10,8 +10,10 @@ Subcommands:
 
 Configs are JSON objects; see README for the schema.  Every config is read
 by `sim.read_json`, and every state, report, params table and bench CSV is
-written by `sim.write_atomic`.  The only environment override is
-AGREPAIR_OUTPUT_DIR, which re-roots relative output paths.
+written by `sim.write_atomic`.  A config may ask `encode` for at most
+MAX_SYMBOLS stored symbols (stripes * n) and `bench` for at most
+MAX_TRIALS trials; more is refused before any work.  The only environment
+override is AGREPAIR_OUTPUT_DIR, which re-roots relative output paths.
 Exit status: 0 success, 1 verification mismatch, 2 bad config/state/preconditions
 (including too few live nodes left to verify against, a corrupted stored
 symbol, which loading refuses wherever it sits: a state that loads verifies ok,
@@ -34,6 +36,8 @@ from .gf import tower
 
 BENCH_COLUMNS = ("target", "d", "symbols", "bits", "bound_bits", "equal")
 CONFIG_FIELDS = "kind p t k s r n l seed stripes trials variant helpers".split()
+MAX_SYMBOLS = 1 << 20  # stripes * n that `encode` may store (the largest workload: 256 * 512)
+MAX_TRIALS = 1 << 16   # `bench` trials, whose rows are all held until the CSV is written
 
 
 class ConfigError(ValueError):
@@ -128,7 +132,11 @@ def cmd_params(args) -> int:
 def cmd_encode(args) -> int:
     cfg = sim.read_json(args.config, ConfigError)
     code = code_from_config(cfg)
-    cluster = sim.make_cluster(code, _int(cfg, "stripes", 1, low=0), _int(cfg, "seed", 0, low=0))
+    stripes = _int(cfg, "stripes", 1, low=0)
+    if stripes * code.n > MAX_SYMBOLS:
+        raise ConfigError(f"config field 'stripes' asks for {stripes} stripes of n={code.n} "
+                          f"symbols, above the cap of {MAX_SYMBOLS} stored symbols")
+    cluster = sim.make_cluster(code, stripes, _int(cfg, "seed", 0, low=0))
     sim.save_cluster(_out_path(args.state), cluster)
     print(f"encoded {cluster.num_stripes} stripe(s) across {cluster.n} nodes -> {args.state}")
     return 0
@@ -186,6 +194,9 @@ def cmd_bench(args) -> int:
     cfg = sim.read_json(args.config, ConfigError)
     code = code_from_config(cfg)
     trials, seed = _int(cfg, "trials", 10, low=0), _int(cfg, "seed", 0, low=0)
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"config field 'trials' asks for {trials} trials, above the cap of "
+                          f"{MAX_TRIALS}")
     l = _int(cfg, "l", 1)
     variant = cfg.get("variant")
     rows = []

@@ -13,6 +13,13 @@ whose divisor is (r+1)(P - Pinf) (it vanishes at one chosen affine point and
 nowhere else), and `vanishing_function`, a function with pole order at most
 genus+1 vanishing at a chosen point: always x - a_i, whose r - 1 extra zeros
 are the price of the generic (weak) repair path.
+
+Generators, the augmented generators planning reads and their cached
+reduced forms are stored in the tower's code dtype (`FieldTower.code_dtype`,
+uint8 up to q = 256, else uint16): at n = 4096 the generator takes 14 MiB,
+not 112.  They are filled row group by row group from int64 products, and
+`encode_many`'s product and `erasure_decode_many`'s solve read them
+without widening the whole matrix (see `linalg`); points stay int64.
 """
 
 from __future__ import annotations
@@ -119,7 +126,8 @@ class EvalCode:
     s         pole degree bound of the function space (RS: k - 1)
     monomials exponents of the function basis: ints e for x**e (RS),
               pairs (i, j) for x**i y**j (Hermitian)
-    generator k x n matrix of basis evaluations
+    generator k x n matrix of basis evaluations, in the tower's code dtype
+              (uint8 up to q = 256, else uint16)
     """
 
     tower: FieldTower
@@ -158,21 +166,29 @@ class Codeword:
 
 
 def _rs_generator(tw: FieldTower, points: np.ndarray, k: int) -> np.ndarray:
-    return np.stack([tw.pow_arr(points, e) for e in range(k)])
+    """Rows x**e evaluated at the points, e < k, in the tower's code dtype."""
+    rows = np.empty((k, len(points)), dtype=tw.code_dtype)
+    for e in range(k):
+        rows[e] = tw.pow_arr(points, e)
+    return rows
 
 
 def _hermitian_rows(tw: FieldTower, points: np.ndarray, monomials) -> np.ndarray:
-    """Rows x**i * y**j evaluated at the points, one per monomial (i, j).
+    """Rows x**i * y**j evaluated at the points, one per monomial (i, j), in
+    the tower's code dtype.
 
     The powers of x come from one table, and the rows sharing a y-exponent
-    j (there are at most r such groups) are multiplied in one call.
+    j (there are at most r such groups) are multiplied in one call, whose
+    int64 products are written into the narrow rows.
     """
     a, b = points[:, 0], points[:, 1]
     ij = np.asarray(monomials, dtype=np.int64).reshape(-1, 2)
-    rows = np.empty((ij.shape[0], points.shape[0]), dtype=np.int64)
+    rows = np.empty((ij.shape[0], points.shape[0]), dtype=tw.code_dtype)
     if not ij.size:
         return rows
-    a_pows = np.stack([tw.pow_arr(a, i) for i in range(ij[:, 0].max() + 1)])
+    a_pows = np.empty((ij[:, 0].max() + 1, points.shape[0]), dtype=tw.code_dtype)
+    for i in range(len(a_pows)):
+        a_pows[i] = tw.pow_arr(a, i)
     for j in set(ij[:, 1].tolist()):  # not np.unique: its first call imports numpy.ma
         group = np.flatnonzero(ij[:, 1] == j)
         rows[group] = tw.mul_arr(a_pows[ij[group, 0]], tw.pow_arr(b, j))
@@ -259,7 +275,7 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.ndarray]:
     """`linalg.rref` of `augmented_generator(code, extra_pole)`: its nonzero
-    rows in the smallest unsigned dtype and its pivot columns, read-only.
+    rows in the tower's code dtype and its pivot columns, read-only.
 
     Every column restriction of the augmented generator has its nullspace
     read off this pair by `linalg.nullspace_of_columns`, which reduces only
@@ -270,7 +286,7 @@ def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.
     """
     tw = code.tower
     reduced, pivots = linalg.rref(tw, augmented_generator(code, extra_pole))
-    rows = reduced[: len(pivots)].astype(np.min_scalar_type(tw.q - 1))
+    rows = reduced[: len(pivots)].astype(tw.code_dtype)
     pivots = np.asarray(pivots, dtype=np.int64)
     rows.setflags(write=False)
     pivots.setflags(write=False)

@@ -31,6 +31,18 @@ GF(256)).  `mul_outer`, the products of two code vectors, is its only reader:
 `linalg.rref` and `linalg.matmul` multiply through it and never look at the
 table, and a larger field's `mul_outer` runs on exp/log instead.
 
+Stored code arrays (a code's generator, a cluster's stripes and nodes)
+are held in `FieldTower.code_dtype`, np.min_scalar_type(q - 1): uint8 up
+to q = 256 and uint16 above, an eighth or a quarter of int64.  The *_arr
+kernels take them as they are and widen a narrow array to intp only where
+it indexes a table (`_wide`), since numpy gathers through a uint8 index
+1.7-1.8x slower.  No arithmetic runs in a narrow dtype, where under numpy
+2's promotion rules uint8_array * 64 stays uint8 and wraps: every table
+read returns int64, `digits_arr`/`from_digits_arr` compute in int64, and
+only a characteristic-2 sum or difference, XOR (negation being the
+identity), keeps numpy's common dtype of its inputs, which holds every
+code.  `mul_outer` gathers its product table by narrow indices directly.
+
 Towers are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.
 """
@@ -133,6 +145,13 @@ def integers(values, bound, what: str, block=None, at=None, domain=None) -> np.n
     return codes
 
 
+def _wide(a):
+    """a as a table index: a narrow integer array (a stored code array,
+    uint8 or uint16) widened to intp once; int64 arrays, Python ints and
+    lists pass as they are (see the module docstring)."""
+    return a.astype(np.intp) if getattr(a, "itemsize", 8) < 8 and a.dtype.kind in "iu" else a
+
+
 def _entry_error(what, shown, reason, index, at) -> ValueError:
     where = index if at is None or not index else index[:-1] + (at[index[-1]],)
     return ValueError(what.format(shown, reason, *where, index=list(where)))
@@ -168,6 +187,7 @@ class FieldTower:
         self.t = t
         self.q = q
         self.name = f"GF({q})"
+        self.code_dtype = np.min_scalar_type(q - 1)  # uint8 up to q = 256, else uint16
         self.char, base_deg = pp
         self.base = None if base_deg == 1 else tower(self.char, base_deg)
 
@@ -314,24 +334,24 @@ class FieldTower:
         if self.char == 2:
             return np.bitwise_xor(a, b)
         if self._add_table is not None:
-            return self._add_table[a, b]
+            return self._add_table[_wide(a), _wide(b)]
         return self._zech_add(a, b)
 
     def _zech_add(self, a, b):
         """a + b in odd characteristic as g**la * (1 + g**(lb - la))."""
         a, b = np.asarray(a), np.asarray(b)
-        la, lb = self._log[a], self._log[b]
+        la, lb = self._log[_wide(a)], self._log[_wide(b)]
         out = self._exp[la + self._zech[(lb - la) % self._order]]
         return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def neg_arr(self, a):
-        return a if self.char == 2 else self._neg_table[a]
+        return a if self.char == 2 else self._neg_table[_wide(a)]
 
     def sub_arr(self, a, b):
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp[self._log[_wide(a)] + self._log[_wide(b)]]
 
     def mul_outer(self, a, b):
         """The (len a, len b) products a[i] * b[j] of two 1-D code vectors.
@@ -343,7 +363,7 @@ class FieldTower:
         """
         table = self.mul_table
         if table is None:
-            return self._exp[self._log[a][:, None] + self._log[b][None, :]]
+            return self._exp[self._log[_wide(a)][:, None] + self._log[_wide(b)][None, :]]
         if self.q <= len(a):
             return table.take(b, axis=1).take(a, axis=0)
         return table.take(a, axis=0).take(b, axis=1)
@@ -351,19 +371,19 @@ class FieldTower:
     def inv_arr(self, a):
         if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[self._order - self._log[a]]
+        return self._exp[self._order - self._log[_wide(a)]]
 
     def pow_arr(self, a, k: int):
         a = np.asarray(a)
         if k == 0:
-            return np.ones_like(a)
+            return np.ones(a.shape, dtype=np.int64)
         if k < 0 and (a == 0).any():
             raise ZeroDivisionError("negative power of zero")
-        out = self._exp[(self._log[a] * (k % self._order)) % self._order]
+        out = self._exp[(self._log[_wide(a)] * (k % self._order)) % self._order]
         return np.where(a == 0, 0, out)
 
     def trace_arr(self, a):
-        return self._trace_table[a]
+        return self._trace_table[_wide(a)]
 
     # ------------------------------------------------------------------
     # digit views and elements

@@ -1,12 +1,19 @@
 """Exact dense linear algebra over GF(q).
 
-Matrices are 2-D numpy int64 arrays of element codes for a FieldTower.
+Matrices are 2-D numpy integer arrays of element codes for a FieldTower.
 Every matrix and vector argument of `rref`, `rank`, `nullspace`, `solve`,
 `matmul` and `matvec` is read by `gf.integers` against [0, q): an array
 costs one dtype test and one max, and an entry that is no integer or lies
-outside the field is refused with a ValueError naming it.  `_rref` (for
-`solve`) and `_matvec` (for trace reconstruction) are the same
-computations on operands already checked where they entered the package.
+outside the field is refused with a ValueError naming it.  A narrow
+unsigned array, such as a stored generator in the tower's code dtype, is
+checked the same way but never widened as a whole: `matmul` reads one row
+or column of it per inner index, and `mul_outer` widens only that vector
+where it indexes exp/log; `solve` builds its augmented system directly in
+`rref`'s working dtype, so verifying an n=4096 cluster holds no int64 copy
+of the 3584 x 3584 system.  Outputs are int64.  `_rref` (the in-place
+elimination `rref` and `solve` share) and `_matvec` (for trace
+reconstruction) are the same computations on operands already checked
+where they entered the package.
 Elimination is deterministic: pivots are found by a first-nonzero scan,
 left to right and top to bottom, so reduced forms, ranks and nullspace
 bases are reproducible byte for byte.  No floating point anywhere.
@@ -22,8 +29,8 @@ tail by the factors.  Steps that would change nothing are skipped: a
 pivot row whose lead is already 1 is not normalised, and a pivot column
 that is zero in every other row triggers no update, so reducing an
 already-reduced matrix costs one nonzero scan per column.  In
-characteristic 2 the working copy is uint8 (q <= 256) or uint16, so the
-update moves bytes, not int64 words.
+characteristic 2 the working copy is in the tower's code dtype, uint8
+(q <= 256) or uint16, so the update moves bytes, not int64 words.
 
 The working copy is column-major: `rref` transposes the input once, so
 column j of the matrix is the contiguous row c[j].  The pivot scan then
@@ -72,15 +79,21 @@ from .gf import integers
 
 
 def _codes(tw, values, name: str) -> np.ndarray:
-    """values as an int64 array of tw's element codes, read by `gf.integers`
+    """values as an array of tw's element codes, read by `gf.integers`
     against [0, q): an integer-dtype array or a (nested) list of integers.
-    Anything else is a ValueError naming the entry and the reason."""
+    Anything else is a ValueError naming the entry and the reason.  An
+    unsigned array narrower than 64 bits (a stored code array) passes one
+    max and is returned as it is, never widened; everything else comes
+    back int64."""
+    if (isinstance(values, np.ndarray) and values.dtype.kind == "u"
+            and values.dtype.itemsize < 8 and not (values.size and values.max() >= tw.q)):
+        return values
     return integers(values, tw.q, name + " entry {index} is {0}, {1}", block=name,
                     domain=tw.name)
 
 
 def as_matrix(tw, mat, name: str = "matrix") -> np.ndarray:
-    """mat as a 2-D int64 matrix of tw's element codes (see `_codes`)."""
+    """mat as a 2-D matrix of tw's element codes (see `_codes`)."""
     m = _codes(tw, mat, name)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {name} of shape {m.shape}")
@@ -88,11 +101,9 @@ def as_matrix(tw, mat, name: str = "matrix") -> np.ndarray:
 
 
 def _work_dtype(tw):
-    """uint8 or uint16 in characteristic 2, where addition is XOR on the
-    codes; int64 otherwise."""
-    if tw.char == 2:
-        return np.uint8 if tw.q <= 256 else np.uint16
-    return np.int64
+    """The tower's code dtype in characteristic 2, where addition is XOR on
+    the codes; int64 otherwise, where `add_arr` indexes tables."""
+    return tw.code_dtype if tw.char == 2 else np.int64
 
 
 def rref(tw, mat):
@@ -103,13 +114,14 @@ def rref(tw, mat):
     pivot column is the contiguous row c[col], and each update adds the
     tail's products by the factors into the contiguous block c[col:].
     """
-    return _rref(tw, as_matrix(tw, mat))
+    c = as_matrix(tw, mat).T.astype(_work_dtype(tw), order="C")  # always a copy, never a view
+    pivots = _rref(tw, c)
+    return c.T.astype(np.int64, order="C"), pivots
 
 
-def _rref(tw, m):
-    """`rref` of a 2-D integer array of codes already checked."""
-    work = _work_dtype(tw)
-    c = m.T.astype(work, order="C")  # always a copy, never a view
+def _rref(tw, c):
+    """Reduce c, the transpose of a matrix of codes already checked, in
+    place in `_work_dtype`; returns the pivot columns."""
     ncols, nrows = c.shape
     pivots = []
     row = 0
@@ -131,12 +143,12 @@ def _rref(tw, m):
         if np.count_nonzero(factors):
             multiples = tw.mul_outer(tail, factors)
             if tw.char == 2:
-                c[col:] ^= multiples.astype(work, copy=False)
+                c[col:] ^= multiples.astype(c.dtype, copy=False)
             else:
                 c[col:] = tw.add_arr(c[col:], multiples)
         pivots.append(col)
         row += 1
-    return c.T.astype(np.int64, order="C"), pivots
+    return pivots
 
 
 def rank(tw, mat) -> int:
@@ -208,13 +220,16 @@ def solve(tw, mat, rhs):
     bm = b[:, None] if single else b
     if bm.shape[0] != m.shape[0]:
         raise ValueError("rhs has wrong length")
-    aug = np.concatenate([m, bm], axis=1)
-    r, pivots = _rref(tw, aug)
     ncols = m.shape[1]
+    # the transposed augmented system [m | bm].T, built in the working dtype
+    c = np.empty((ncols + bm.shape[1], m.shape[0]), dtype=_work_dtype(tw))
+    c[:ncols] = m.T
+    c[ncols:] = bm.T
+    pivots = _rref(tw, c)
     if any(p >= ncols for p in pivots):
         return None
     x = np.zeros((ncols, bm.shape[1]), dtype=np.int64)
-    x[pivots] = r[: len(pivots), ncols:]
+    x[pivots] = c[ncols:, : len(pivots)].T
     return x[:, 0] if single else x
 
 

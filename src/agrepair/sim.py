@@ -2,8 +2,11 @@
 
 A Cluster holds the code, the encoded stripes, and at most one failed node
 whose symbols are withheld from the repair path but kept privately so the
-outcome can be verified.  State round-trips through a versioned, compact
-JSON file in which every field element appears as its base-p digit list
+outcome can be verified.  Its stripes, nodes and withheld arrays are held
+in the tower's code dtype (uint8 up to q = 256, else uint16) however they
+were built or loaded; codes are widened to int64 only inside the kernels
+that read them (see `gf`), and a state file's bytes do not depend on it.
+State round-trips through a versioned, compact JSON file in which every field element appears as its base-p digit list
 (least-significant digit first), so files are portable across runs.  Saving
 renders the JSON text of each element once, for every code the cluster
 holds, and writes the stripes, nodes and withheld arrays by joining those
@@ -44,12 +47,26 @@ class StateFormatError(ValueError):
 
 @dataclass
 class Cluster:
+    """The code and its stored arrays.  Each array is read by `gf.integers`
+    against [0, q), so an entry outside the field is refused by name, not
+    wrapped, and kept in the tower's code dtype (uint8 up to q = 256, else
+    uint16), whatever integer dtype it is given in."""
+
     code: codes.EvalCode
     stripes: np.ndarray        # (num_stripes, k) message codes
     nodes: np.ndarray          # (num_stripes, n) stored symbol codes
     seed: int
     failed: int | None = None
     withheld: np.ndarray | None = None  # (num_stripes,) codes of the failed node
+
+    def __post_init__(self):
+        tw = self.code.tower
+        for name in ("stripes", "nodes", "withheld"):
+            if getattr(self, name) is not None:
+                block = f"cluster {name}"
+                arr = gf.integers(getattr(self, name), tw.q, block + " entry {index} is {0}, {1}",
+                                  block, domain=tw.name)
+                setattr(self, name, arr.astype(tw.code_dtype))
 
     @property
     def n(self) -> int:

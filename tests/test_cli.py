@@ -339,8 +339,12 @@ def test_config_unknown_fields_are_refused(tmp_path, capsys, command, config, na
     ("bench", dict(HERM_CONFIG, helpers="all"), "unknown helper policy 'all'"),
     ("encode", [RS_CONFIG], "config must be a JSON object, got list"),
     ("params", [RS_CONFIG], "config must be a JSON object, got list"),
+    ("encode", dict(RS_CONFIG, stripes=10 ** 15), "config field 'stripes' asks for "
+     "1000000000000000 stripes of n=16 symbols, above the cap of 1048576 stored symbols"),
+    ("bench", dict(HERM_CONFIG, trials=10 ** 15),
+     "config field 'trials' asks for 1000000000000000 trials, above the cap of 65536"),
 ], ids=["r-squared-not-q", "hermitian-without-s", "d-above-n-1", "unknown-policy",
-        "encode-array", "params-array"])
+        "encode-array", "params-array", "stripes-times-n-above-the-cap", "trials-above-the-cap"])
 def test_config_refusals_name_the_condition(tmp_path, capsys, command, config, named):
     state = tmp_path / "s.json"
     cmd = [command, "--config", write_config(tmp_path, config)]

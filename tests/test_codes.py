@@ -217,7 +217,7 @@ def test_hermitian_rows_match_per_monomial_reference(p, t, r):
         for pts in (cv.points, cv.points[: r + 1]):
             got = codes._hermitian_rows(cv.tower, pts, mons)
             want = _reference_hermitian_rows(cv.tower, pts, mons)
-            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.dtype == cv.tower.code_dtype and got.shape == want.shape
             assert np.array_equal(got, want)
 
 

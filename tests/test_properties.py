@@ -17,17 +17,26 @@ A second sample takes sub-helper sets on shortened GF(64)/GF(8) and
 GF(81)/GF(9) Hermitian codes, d at least 20 above the pole degree s + rho
 the dual vector must annihilate, where every plan prunes helpers, and
 compares the download with the greedy reference's.
+
+A third sample is differential: stored codes are narrow (uint8 up to
+q = 256, uint16 above), so every kernel, `linalg` entry point, code,
+repair and state-file round trip is fed the same codes as narrow and as
+int64 arrays, at GF(256) and GF(512) in characteristic 2 and at GF(81)
+and GF(2187) in odd characteristic.  Values must agree, and each output
+must have its documented dtype.
 """
 
 import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from agrepair import codes, repair
+from agrepair import codes, linalg, repair, sim
 from agrepair.gf import tower
 from test_codes import _greedy_dual_support_vector
 from test_repair import _reference_chosen, _reference_index_sets
@@ -176,3 +185,128 @@ def test_pruned_repairs_on_large_codes(case, seed):
         greedy = _greedy_dual_support_vector(codes.augmented_generator(code, rho), tw, target,
                                              helpers)
         assert transcript.total_symbols <= (np.count_nonzero(greedy) - 1) * (tw.t - l)
+
+
+# (p, t) with q = 256 (uint8 codes), 512 (uint16 codes, digits whose
+# weighted sum passes 255) and odd q = 81 (add table) and 2187 (Zech sums)
+NARROW_TOWERS = [(2, 8), (16, 2), (2, 9), (8, 3), (9, 2), (3, 7)]
+
+
+def _same(got, want, dtype=np.int64):
+    assert got.dtype == dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pt=st.sampled_from(NARROW_TOWERS), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from([(0,), (1,), (9,), (3, 4)]), k=st.integers(-3, 600))
+def test_kernels_read_narrow_codes_as_int64_codes(pt, seed, shape, k):
+    """mul/add/sub/trace/pow and the digit views on narrow codes equal
+    their int64 results.  Every kernel returns int64, except that a sum or
+    difference in characteristic 2 is XOR in numpy's common dtype of its
+    inputs, which holds every code."""
+    tw = tower(*pt)
+    assert tw.code_dtype == (np.uint8 if tw.q <= 256 else np.uint16)
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, tw.q, size=(2, *shape))
+    a[a == 0] = 1  # a negative power needs nonzero codes
+    na, nb = a.astype(tw.code_dtype), b.astype(tw.code_dtype)
+    for f, xor in ((tw.mul_arr, False), (tw.add_arr, tw.char == 2), (tw.sub_arr, tw.char == 2)):
+        want = f(a, b)
+        for x, y in ((na, nb), (na, b), (a, nb)):
+            _same(f(x, y), want, np.result_type(x, y) if xor else np.int64)
+    for f in (tw.trace_arr, lambda x: tw.pow_arr(x, k), tw.digits_arr):
+        _same(f(na), f(a))
+    digits = tw.digits_arr(a)
+    _same(tw.from_digits_arr(digits.astype(np.uint8)), a)
+
+
+def test_narrow_digits_of_gf512_do_not_wrap():
+    """Digit 1 at u = 8 of GF(512)/GF(2) weighs 256, and digit 7 at u = 2 of
+    GF(512)/GF(8) weighs 448: a uint8 weighted sum would wrap."""
+    for p, t in ((2, 9), (8, 3)):
+        tw = tower(p, t)
+        digits = np.zeros((2, t), dtype=np.uint8)
+        digits[0, -1] = 1
+        digits[1] = p - 1
+        _same(tw.from_digits_arr(digits), np.array([p ** (t - 1), tw.q - 1]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pt=st.sampled_from(NARROW_TOWERS), seed=st.integers(0, 2 ** 32 - 1),
+       rows=st.integers(0, 10), cols=st.integers(1, 10), rank=st.integers(0, 10))
+def test_linalg_reads_narrow_matrices_as_int64_matrices(pt, seed, rows, cols, rank):
+    """rref, nullspace, solve, matmul and matvec give the same int64 output
+    for a narrow matrix as for its int64 copy, and leave it unwritten."""
+    tw = tower(*pt)
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    m = linalg.matmul(tw, rng.integers(0, tw.q, (rows, rank)), rng.integers(0, tw.q, (rank, cols)))
+    nm = m.astype(tw.code_dtype)
+    before = nm.copy()
+    r, pivots = linalg.rref(tw, m)
+    nr, npivots = linalg.rref(tw, nm)
+    _same(nr, r)
+    assert npivots == pivots
+    _same(linalg.nullspace(tw, nm), linalg.nullspace(tw, m))
+    x = rng.integers(0, tw.q, (cols, 2))
+    for rhs in (linalg.matmul(tw, m, x), rng.integers(0, tw.q, (rows, 2))):  # solvable, random
+        want = linalg.solve(tw, m, rhs)
+        for got in (linalg.solve(tw, nm, rhs), linalg.solve(tw, nm, rhs.astype(tw.code_dtype)),
+                    linalg.solve(tw, nm, rhs[:, 0].astype(tw.code_dtype))):
+            if want is None:
+                assert got is None
+            else:
+                _same(got, want if got.ndim == 2 else linalg.solve(tw, m, rhs[:, 0]))
+    nx = x.astype(tw.code_dtype)
+    _same(linalg.matmul(tw, nm, nx), linalg.matmul(tw, m, x))
+    _same(linalg.matmul(tw, nx.T, nm.T), linalg.matmul(tw, x.T, m.T))
+    _same(linalg.matvec(tw, nm, nx[:, 0]), linalg.matvec(tw, m, x[:, 0]))
+    assert np.array_equal(nm, before)
+
+
+@functools.lru_cache(maxsize=None)
+def _narrow_code(name):
+    if name == "hermitian-256":
+        return codes.hermitian_code(codes.hermitian_curve(tower(2, 8)), 20, 60)
+    p, t = {"rs-256": (2, 8), "rs-512": (2, 9), "rs-81": (3, 4), "rs-2187": (3, 7)}[name]
+    return codes.rs_code(tower(p, t), 12, n=40)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(name=st.sampled_from(["rs-256", "rs-512", "rs-81", "rs-2187", "hermitian-256"]),
+       seed=st.integers(0, 2 ** 32 - 1), target=st.integers(0, 39))
+def test_codes_repair_and_state_files_on_narrow_codes(name, seed, target):
+    """The generator and a cluster's arrays are stored narrow; encoding,
+    erasure decoding and a repair from narrow codes equal those from
+    int64 codes; a state saved from narrow arrays loads back narrow."""
+    code = _narrow_code(name)
+    tw = code.tower
+    assert code.generator.dtype == tw.code_dtype
+    assert np.array_equal(code.generator, np.array(
+        [tw.pow_arr(code.points, e) for e in range(code.k)] if code.kind == "rs" else
+        [tw.mul_arr(tw.pow_arr(code.points[:, 0], i), tw.pow_arr(code.points[:, 1], j))
+         for i, j in code.monomials]))
+    cl = sim.make_cluster(code, 3, seed % 1000)
+    for arr in (cl.stripes, cl.nodes):
+        assert arr.dtype == tw.code_dtype
+    stripes = cl.stripes.astype(np.int64)
+    nodes = codes.encode_many(code, stripes)
+    _same(codes.encode_many(code, cl.stripes), nodes)
+    assert np.array_equal(cl.nodes, nodes)
+    positions = [j for j in range(code.n) if j != target][:code.threshold]
+    _same(codes.erasure_decode_many(code, positions, cl.nodes[:, positions]),
+          codes.erasure_decode_many(code, positions, nodes[:, positions]))
+    scheme = repair.build_scheme(code, target)
+    value, transcript = repair.run_repair(scheme, cl.nodes[0])
+    assert (value, transcript) == repair.run_repair(scheme, nodes[0])
+    assert value.code == nodes[0, target]
+    sim.fail_node(cl, target)
+    assert cl.withheld.dtype == tw.code_dtype
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        sim.save_cluster(path, cl)
+        back = sim.load_cluster(path)
+    for field in ("stripes", "nodes", "withheld"):
+        got, sent = getattr(back, field), getattr(cl, field)
+        assert got.dtype == tw.code_dtype and np.array_equal(got, sent)
+    assert back.code.points.dtype == np.int64 and np.array_equal(back.code.points, code.points)

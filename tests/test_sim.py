@@ -77,6 +77,21 @@ def test_every_state_an_accepted_call_leaves_loads(tmp_path, call):
     assert np.array_equal(back.nodes, cl.nodes) and np.array_equal(back.stripes, cl.stripes)
 
 
+def test_cluster_arrays_are_field_codes_held_narrow():
+    """A Cluster keeps its arrays in the tower's code dtype; a code outside
+    the field is refused by name, not wrapped (256 would be 0 as uint8)."""
+    code = codes.rs_code(tower(2, 8), k=2, n=4)
+    msgs = np.array([[1, 255]])
+    cl = sim.Cluster(code, msgs, codes.encode_many(code, msgs), seed=0, withheld=np.array([7]))
+    for arr in (cl.stripes, cl.nodes, cl.withheld):
+        assert arr.dtype == np.uint8
+    assert np.array_equal(cl.stripes, msgs)
+    with pytest.raises(ValueError, match=r"^cluster stripes entry \[0, 1\] is 256, outside GF\(256\)$"):
+        sim.Cluster(code, np.array([[1, 256]]), cl.nodes, seed=0)
+    with pytest.raises(ValueError, match="^cluster nodes dtype float64, not an integer dtype$"):
+        sim.Cluster(code, msgs, cl.nodes.astype(float), seed=0)
+
+
 def test_save_is_atomic_when_the_write_fails(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
     sim.save_cluster(path, small_cluster())
