@@ -165,8 +165,9 @@ class Codeword:
         return int(self.symbols[i])
 
 
-def _rs_generator(tw: FieldTower, points: np.ndarray, k: int) -> np.ndarray:
-    """Rows x**e evaluated at the points, e < k, in the tower's code dtype."""
+def _power_rows(tw: FieldTower, points: np.ndarray, k: int) -> np.ndarray:
+    """Rows x**e evaluated at the points, e < k, in the tower's code dtype:
+    the RS generator, and the powers of x behind the Hermitian rows."""
     rows = np.empty((k, len(points)), dtype=tw.code_dtype)
     for e in range(k):
         rows[e] = tw.pow_arr(points, e)
@@ -186,9 +187,7 @@ def _hermitian_rows(tw: FieldTower, points: np.ndarray, monomials) -> np.ndarray
     rows = np.empty((ij.shape[0], points.shape[0]), dtype=tw.code_dtype)
     if not ij.size:
         return rows
-    a_pows = np.empty((ij[:, 0].max() + 1, points.shape[0]), dtype=tw.code_dtype)
-    for i in range(len(a_pows)):
-        a_pows[i] = tw.pow_arr(a, i)
+    a_pows = _power_rows(tw, a, ij[:, 0].max() + 1)
     for j in set(ij[:, 1].tolist()):  # not np.unique: its first call imports numpy.ma
         group = np.flatnonzero(ij[:, 1] == j)
         rows[group] = tw.mul_arr(a_pows[ij[group, 0]], tw.pow_arr(b, j))
@@ -233,7 +232,7 @@ def rs_code(tw: FieldTower, k: int, points=None, n: int | None = None) -> EvalCo
         s=k - 1,
         genus=0,
         monomials=tuple(range(k)),
-        generator=_rs_generator(tw, points, k),
+        generator=_power_rows(tw, points, k),
     )
 
 
@@ -268,14 +267,15 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
     """
     s_aug = code.s + extra_pole
     if code.kind == "rs":
-        return _rs_generator(code.tower, code.points, s_aug + 1)
+        return _power_rows(code.tower, code.points, s_aug + 1)
     return _hermitian_rows(code.tower, code.points, rr_basis(code.curve.r, s_aug))
 
 
 @functools.lru_cache(maxsize=8)
 def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.ndarray]:
-    """`linalg.rref` of `augmented_generator(code, extra_pole)`: its nonzero
-    rows in the tower's code dtype and its pivot columns, read-only.
+    """`linalg.reduced_rows` of `augmented_generator(code, extra_pole)`: the
+    nonzero rows of its reduced form in the tower's code dtype and its pivot
+    columns, read-only.
 
     Every column restriction of the augmented generator has its nullspace
     read off this pair by `linalg.nullspace_of_columns`, which reduces only
@@ -284,9 +284,7 @@ def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.
     weak plan.  Cached per (code, extra pole), as repeated repairs against
     one code reuse it.
     """
-    tw = code.tower
-    reduced, pivots = linalg.rref(tw, augmented_generator(code, extra_pole))
-    rows = reduced[: len(pivots)].astype(tw.code_dtype)
+    rows, pivots = linalg.reduced_rows(code.tower, augmented_generator(code, extra_pole))
     pivots = np.asarray(pivots, dtype=np.int64)
     rows.setflags(write=False)
     pivots.setflags(write=False)

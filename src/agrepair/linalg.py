@@ -1,19 +1,22 @@
 """Exact dense linear algebra over GF(q).
 
 Matrices are 2-D numpy integer arrays of element codes for a FieldTower.
-Every matrix and vector argument of `rref`, `rank`, `nullspace`, `solve`,
-`matmul` and `matvec` is read by `gf.integers` against [0, q): an array
-costs one dtype test and one max, and an entry that is no integer or lies
-outside the field is refused with a ValueError naming it.  A narrow
-unsigned array, such as a stored generator in the tower's code dtype, is
-checked the same way but never widened as a whole: `matmul` reads one row
-or column of it per inner index, and `mul_outer` widens only that vector
-where it indexes exp/log; `solve` builds its augmented system directly in
-`rref`'s working dtype, so verifying an n=4096 cluster holds no int64 copy
-of the 3584 x 3584 system.  Outputs are int64.  `_rref` (the in-place
-elimination `rref` and `solve` share) and `_matvec` (for trace
-reconstruction) are the same computations on operands already checked
-where they entered the package.
+Every matrix and vector argument of `rref`, `reduced_rows`, `rank`,
+`nullspace`, `solve`, `matmul` and `matvec` is read by `gf.integers`
+against [0, q): an array costs one dtype test and one max, and an entry
+that is no integer or lies outside the field is refused with a ValueError
+naming it.  A narrow unsigned array, such as a stored generator in the
+tower's code dtype, is checked the same way but never widened as a whole:
+`matmul` reads one row or column of it per inner index, and `mul_outer`
+widens only that vector where it indexes exp/log; `solve` builds its
+augmented system directly in `rref`'s working dtype, so verifying an
+n=4096 cluster holds no int64 copy of the 3584 x 3584 system.  Outputs
+are int64, except `reduced_rows`: the nonzero rows of `rref`'s R in the
+tower's code dtype, for a reduced form that is kept (planning caches one
+per augmented generator), cut from the working copy without R's whole
+int64 copy.  `_rref` (the in-place elimination `rref`, `reduced_rows` and
+`solve` share) and `_matvec` (for trace reconstruction) are the same
+computations on operands already checked where they entered the package.
 Elimination is deterministic: pivots are found by a first-nonzero scan,
 left to right and top to bottom, so reduced forms, ranks and nullspace
 bases are reproducible byte for byte.  No floating point anywhere.
@@ -114,9 +117,22 @@ def rref(tw, mat):
     pivot column is the contiguous row c[col], and each update adds the
     tail's products by the factors into the contiguous block c[col:].
     """
-    c = as_matrix(tw, mat).T.astype(_work_dtype(tw), order="C")  # always a copy, never a view
-    pivots = _rref(tw, c)
+    c, pivots = _reduce(tw, mat)
     return c.T.astype(np.int64, order="C"), pivots
+
+
+def reduced_rows(tw, mat):
+    """The nonzero rows of `rref`'s R, in the tower's code dtype, and the
+    pivot columns: a reduced form to keep, without R's int64 copy."""
+    c, pivots = _reduce(tw, mat)
+    return c[:, : len(pivots)].T.astype(tw.code_dtype, order="C"), pivots
+
+
+def _reduce(tw, mat):
+    """The transposed working copy of mat, reduced by `_rref`, and its
+    pivot columns."""
+    c = as_matrix(tw, mat).T.astype(_work_dtype(tw), order="C")  # always a copy, never a view
+    return c, _rref(tw, c)
 
 
 def _rref(tw, c):

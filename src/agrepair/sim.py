@@ -6,12 +6,13 @@ outcome can be verified.  Its stripes, nodes and withheld arrays are held
 in the tower's code dtype (uint8 up to q = 256, else uint16) however they
 were built or loaded; codes are widened to int64 only inside the kernels
 that read them (see `gf`), and a state file's bytes do not depend on it.
-State round-trips through a versioned, compact JSON file in which every field element appears as its base-p digit list
-(least-significant digit first), so files are portable across runs.  Saving
-renders the JSON text of each element once, for every code the cluster
-holds, and writes the stripes, nodes and withheld arrays by joining those
-words, in sorted-key order: the bytes are those of json.dumps(state,
-sort_keys=True) and a newline.  Loading reads whole arrays through
+State round-trips through a versioned, compact JSON file in which every
+field element appears as its base-p digit list (least-significant digit
+first), so files are portable across runs.  Saving renders the JSON text
+of each element once, for every code the cluster holds, and writes the
+stripes, nodes and withheld arrays by joining those words, in sorted-key
+order: the bytes are those of json.dumps(state, sort_keys=True) and a
+newline.  Loading reads whole arrays through
 FieldTower.from_digits_arr and checks every field's presence, shape,
 JSON-integer digits and digit range, and that the stored monomials and r
 match the code rebuilt from the other fields, raising StateFormatError with

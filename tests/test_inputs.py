@@ -155,6 +155,7 @@ def test_digit_arrays_of_another_dtype_are_refused(digits):
 # linalg entry point -> (call in a tower on a (1, 2) array, the argument's name)
 LINALG_ARRAYS = {
     "rref": (lambda tw, m: linalg.rref(tw, m), "matrix"),
+    "reduced_rows": (lambda tw, m: linalg.reduced_rows(tw, m), "matrix"),
     "rank": (lambda tw, m: linalg.rank(tw, m), "matrix"),
     "nullspace": (lambda tw, m: linalg.nullspace(tw, m), "matrix"),
     "solve-mat": (lambda tw, m: linalg.solve(tw, m, [1]), "matrix"),

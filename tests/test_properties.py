@@ -236,7 +236,8 @@ def test_narrow_digits_of_gf512_do_not_wrap():
        rows=st.integers(0, 10), cols=st.integers(1, 10), rank=st.integers(0, 10))
 def test_linalg_reads_narrow_matrices_as_int64_matrices(pt, seed, rows, cols, rank):
     """rref, nullspace, solve, matmul and matvec give the same int64 output
-    for a narrow matrix as for its int64 copy, and leave it unwritten."""
+    for a narrow matrix as for its int64 copy, and leave it unwritten;
+    reduced_rows gives rref's nonzero rows in the code dtype from either."""
     tw = tower(*pt)
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, cols)
@@ -247,6 +248,10 @@ def test_linalg_reads_narrow_matrices_as_int64_matrices(pt, seed, rows, cols, ra
     nr, npivots = linalg.rref(tw, nm)
     _same(nr, r)
     assert npivots == pivots
+    for mat in (m, nm):  # the nonzero rows of R, kept narrow
+        nonzero, rpivots = linalg.reduced_rows(tw, mat)
+        _same(nonzero, r[: len(pivots)], tw.code_dtype)
+        assert rpivots == pivots and nonzero.flags.c_contiguous
     _same(linalg.nullspace(tw, nm), linalg.nullspace(tw, m))
     x = rng.integers(0, tw.q, (cols, 2))
     for rhs in (linalg.matmul(tw, m, x), rng.integers(0, tw.q, (rows, 2))):  # solvable, random
