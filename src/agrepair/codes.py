@@ -24,7 +24,6 @@ without widening the whole matrix (see `linalg`); points stay int64.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -274,8 +273,9 @@ def augmented_generator(code: EvalCode, extra_pole: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.ndarray]:
     """`linalg.reduced_rows` of `augmented_generator(code, extra_pole)`: the
-    nonzero rows of its reduced form in the tower's code dtype and its pivot
-    columns, read-only.
+    nonzero rows of its reduced form in the tower's code dtype, column-major
+    (every restriction is a set of its columns), and its pivot columns,
+    read-only.
 
     Every column restriction of the augmented generator has its nullspace
     read off this pair by `linalg.nullspace_of_columns`, which reduces only
@@ -285,6 +285,7 @@ def _reduced_augmented(code: EvalCode, extra_pole: int) -> tuple[np.ndarray, np.
     one code reuse it.
     """
     rows, pivots = linalg.reduced_rows(code.tower, augmented_generator(code, extra_pole))
+    rows = np.asfortranarray(rows)
     pivots = np.asarray(pivots, dtype=np.int64)
     rows.setflags(write=False)
     pivots.setflags(write=False)
@@ -419,14 +420,17 @@ def vanishing_function(code: EvalCode, i: int):
 # ----------------------------------------------------------------------
 
 
-def repair_set(n: int, target, helpers) -> tuple[int, list]:
+def repair_set(n: int, target, helpers) -> tuple[int, np.ndarray]:
     """The target and its helpers (any iterable; default: every other node)
-    as an int and a sorted list, checked against [0, n); a helper that is
-    the target or appears twice, or no helpers, is a ValueError too."""
+    as an int and a strictly increasing int64 array, checked against [0, n);
+    a helper that is the target or appears twice, or no helpers, is a
+    ValueError too.  An int64 array already in that form, as this returns
+    it, is checked in a few array passes."""
     target = integer(target, n, "target {0} is {1}")
     if helpers is None:
-        helpers = [j for j in range(n) if j != target]
-    idx = integers(list(helpers), n, "helper {0} is {1}")
+        helpers = np.delete(np.arange(n), target)
+    flat = isinstance(helpers, np.ndarray) and helpers.ndim == 1 and helpers.dtype.kind in "iu"
+    idx = integers(helpers if flat else list(helpers), n, "helper {0} is {1}")
     steps = np.diff(idx)
     if (steps <= 0).any():  # not strictly increasing: sort, then look again
         idx = np.sort(idx)
@@ -437,7 +441,7 @@ def repair_set(n: int, target, helpers) -> tuple[int, list]:
         raise ValueError(f"helper {target} is the target: the target cannot be its own helper")
     if not steps.all():
         raise ValueError(f"helper {idx[np.argmin(steps != 0)]} appears more than once")
-    return target, idx.tolist()
+    return target, idx
 
 
 def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.ndarray:
@@ -450,10 +454,12 @@ def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.
     nonzeros (the first such row on a tie).  The basis is
     `linalg.nullspace_of_columns` of the generator's cached reduced form,
     byte for byte the nullspace of the restriction, which reduces only the
-    rows whose pivot column the helper set drops.  Every helper where w is
-    zero is pruned and downloads nothing, so the lightest row is the
-    cheapest repair this basis offers.  It need not be the lightest dual
-    vector: a combination of rows can cancel more positions.
+    rows whose pivot column the helper set drops; the rows' weights and the
+    one row picked are read off its parts, so the basis is never laid out.
+    Every helper where w is zero is pruned and downloads nothing, so the
+    lightest row is the cheapest repair this basis offers.  It need not be
+    the lightest dual vector: a combination of rows can cancel more
+    positions.
 
     The target and helpers are checked by `repair_set`, extra_pole by
     `integer`.
@@ -461,16 +467,22 @@ def dual_support_vector(code: EvalCode, extra_pole: int, i: int, helpers) -> np.
     i, helpers = repair_set(code.n, i, helpers)
     extra_pole = integer(extra_pole, None, "extra pole {0} is {1}")
     tw = code.tower
-    pos_i = bisect.bisect_left(helpers, i)
-    cols = helpers[:pos_i] + [i] + helpers[pos_i:]
-    basis = linalg.nullspace_of_columns(tw, _reduced_augmented(code, extra_pole), cols)
-    if basis.shape[0] == 0:
+    pos_i = int(np.searchsorted(helpers, i))
+    cols = np.concatenate([helpers[:pos_i], [i], helpers[pos_i:]])
+    free, dependent, coefficients = linalg._nullspace_parts(
+        tw, _reduced_augmented(code, extra_pole), cols)
+    if free.size == 0:
         raise DualVectorError("restricted dual code is trivial")
-    reaches = np.flatnonzero(basis[:, pos_i])
+    # the basis column at i: a row of the coefficients, or a unit where i is free
+    at_i = np.flatnonzero(dependent == pos_i)
+    reaches = np.flatnonzero(coefficients[at_i[0]] if at_i.size else free == pos_i)
     if not reaches.size:
         raise DualVectorError("no dual vector is nonzero at the repair position")
-    weights = np.count_nonzero(basis[reaches], axis=1)
-    pick = basis[reaches[weights.argmin()]]  # argmin takes the first row on a tie
+    weights = np.count_nonzero(coefficients[:, reaches], axis=0)  # each row's weight, less its 1
+    f = reaches[weights.argmin()]  # argmin takes the first row on a tie
+    pick = np.zeros(cols.size, dtype=np.int64)
+    pick[free[f]] = 1
+    pick[dependent] = tw.neg_arr(coefficients[:, f])
     out = np.zeros(code.n, dtype=np.int64)
     out[cols] = tw.mul_arr(pick, tw.inv(int(pick[pos_i])))
     return out

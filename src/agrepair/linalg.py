@@ -23,28 +23,33 @@ bases are reproducible byte for byte.  No floating point anywhere.
 
 `rref` is the one elimination kernel: `rank`, `nullspace` and `solve`
 read its output, and repair planning's index sets need no elimination (see
-`repair`).  Per pivot it normalises the pivot row's tail (the columns from
-the pivot on; everything to their left is already zero) and adds to every
-other row the tail's multiple by minus that row's factor: an in-place XOR
-in characteristic 2, `add_arr` otherwise.
-Both products are `FieldTower.mul_outer`, of the lead's inverse and of the
-tail by the factors.  Steps that would change nothing are skipped: a
-pivot row whose lead is already 1 is not normalised, and a pivot column
-that is zero in every other row triggers no update, so reducing an
-already-reduced matrix costs one nonzero scan per column.  In
-characteristic 2 the working copy is in the tower's code dtype, uint8
-(q <= 256) or uint16, so the update moves bytes, not int64 words.
+`repair`).  Per pivot one rank-1 update both normalises the pivot row and
+clears the pivot column: every row adds the pivot row's tail (the columns
+from the pivot on; everything to their left is already zero) times its
+factor, inv - 1 for the pivot row itself (inv being the lead's inverse)
+and -inv * (its entry in the pivot column) for every other row.  That is
+an in-place XOR in characteristic 2 and `add_arr` otherwise, of one
+`FieldTower.mul_outer` of the tail by the factors; with a product table
+the factors are one table row, inv's, read at the pivot column.  The pivot
+is the lead itself unless it is zero, so the first-nonzero scan runs only
+then.  A pivot whose factors are all zero (a lead of 1 in an otherwise
+zero column) triggers no update, so reducing an already-reduced matrix
+costs one lead test and one factor row per column.  In characteristic 2
+the working copy is in the tower's code dtype, uint8 (q <= 256) or
+uint16, so the update moves bytes, not int64 words.
 
 The working copy is column-major: `rref` transposes the input once, so
-column j of the matrix is the contiguous row c[j].  The pivot scan then
-reads one contiguous row, the products of the tail (a column of c) by the
-factors (the row c[col]) come out of `mul_outer` in c's layout, its table
-gather copying whole table rows, and the update adds them into the
-contiguous block c[col:] of the columns from the pivot on.  In row-major
-order the scan and the factors would be strided column reads and the
-update a strided block.  That pays most on small matrices such as
-planning's low blocks; on large ones the products, not the layout,
-dominate.
+column j of the matrix is the contiguous row c[j].  The pivot test and the
+factors then read one contiguous row, the products of the tail (a column
+of c) by the factors come out of `mul_outer` in c's layout, and the update
+adds them into the contiguous block c[col:] of the columns from the pivot
+on.  On planning's low blocks (about 70 rows by 135 columns at GF(64))
+most tails have at least q entries and q times the 70 factors is past
+`mul_outer`'s whole-row rule (see its docstring), so most pivots gather
+whole rows of the product table.  In row-major order the factors would be
+a strided column read and the update a strided block.  That pays most on
+small matrices such as planning's low blocks; on large ones the products,
+not the layout, dominate.
 The reduced row echelon form is unique, so the pivot rule and every output
 are unchanged: R is transposed back and returned as a C-ordered int64
 matrix.
@@ -58,20 +63,27 @@ dropped are zero on every kept pivot column.  So only those dropped-pivot rows a
 reduced, over the columns of cols that are no kept pivot; each of their new
 pivots is eliminated from the kept rows with one `matmul` on the free
 columns; and the kept rows, the reduced dropped rows and the free columns
-are the reduced form of the restriction, which is unique.  Scheme planning
-restricts a cached reduced generator this way to each helper set.
+are the reduced form of the restriction, which is unique.  `_nullspace_parts`
+returns that form before the basis is laid out (each basis row is a unit
+at its free column and minus a column of the coefficients at the pivot
+columns), so a caller that wants one row and the rows' weights, as
+`codes.dual_support_vector` does, builds no basis.  Every operand is a set
+of columns of the reduced form: given it column-major, as planning caches
+it, each is a gather of whole rows of its transpose, and the kept rows'
+product operand comes out in the column-major layout `matmul` reads.
 
 `matmul` is one row loop for every field: it adds up one `mul_outer` per
 inner index, in place by XOR in characteristic 2 (in uint8 where the
 product table gives uint8 products) and with `add_arr` otherwise.  With a
 product table it runs over the longer output side, transposing when a has
-fewer rows than b has columns, so each inner index gathers a q x short
-slice of the table (long x short when long < q) and copies whole rows of
-it.
+fewer rows than b has columns.  It copies its left operand column-major
+once (no copy when it arrives so), so each inner index multiplies a
+contiguous column of it by a row of the right operand.
 
 `matvec` is the one field dot product: every combination sum_k c_k * x_k
 (`repair.reconstruct`, and `gf`'s trace reconstruction, dual basis and
-linearized-map kernel) is one call.
+linearized-map kernel) is one call: one `mul_arr`, then one XOR reduction
+in characteristic 2 and halving `add_arr` folds otherwise.
 """
 
 from __future__ import annotations
@@ -139,25 +151,29 @@ def _rref(tw, c):
     """Reduce c, the transpose of a matrix of codes already checked, in
     place in `_work_dtype`; returns the pivot columns."""
     ncols, nrows = c.shape
+    table = tw.mul_table
     pivots = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = c[col, row:].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
+        column = c[col]
+        lead = int(column[row])
+        if not lead:  # the pivot is the first nonzero entry from the row on
+            nz = column[row:].nonzero()[0]
+            if nz.size == 0:
+                continue
+            piv = row + int(nz[0])
             c[col:, [row, piv]] = c[col:, [piv, row]]
-        tail = c[col:, row]
-        if tail[0] != 1:
-            tail = tw.mul_outer([tw.inv(int(tail[0]))], tail)[0]
-            c[col:, row] = tail
-        factors = tw.neg_arr(c[col].copy())  # each row adds -factor * tail
-        factors[row] = 0
+            lead = int(column[row])
+        inv = tw.inv(lead)
+        # one rank-1 update normalises the pivot row and clears the column:
+        # row r adds the pivot row's tail times factors[r], which is inv - 1
+        # for the pivot row and -inv * (its entry in the column) otherwise
+        factors = tw.neg_arr(tw.mul_arr(inv, column) if table is None else table[inv].take(column))
+        factors[row] = tw.sub(inv, 1)
         if np.count_nonzero(factors):
-            multiples = tw.mul_outer(tail, factors)
+            multiples = tw.mul_outer(c[col:, row], factors)
             if tw.char == 2:
                 c[col:] ^= multiples.astype(c.dtype, copy=False)
             else:
@@ -195,31 +211,44 @@ def _column_indices(cols, ncols: int) -> np.ndarray:
 def nullspace_of_columns(tw, reduced, cols) -> np.ndarray:
     """nullspace(tw, mat[:, cols]), byte for byte, for strictly increasing
     column indices cols, given reduced = rref(tw, mat): the reduced form
-    (zero rows past its pivots are ignored, any integer dtype) and its pivot
-    columns.  Reduces only the rows whose pivot column cols leaves out (see
-    the module docstring); the reduced form is not written to."""
+    (zero rows past its pivots are ignored, any integer dtype, read fastest
+    in column-major order) and its pivot columns.  Reduces only the rows
+    whose pivot column cols leaves out (see the module docstring); the
+    reduced form is not written to."""
+    free, dependent, coefficients = _nullspace_parts(tw, reduced, cols)
+    basis = np.zeros((free.size, len(cols)), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, dependent] = tw.neg_arr(coefficients.T)
+    return basis
+
+
+def _nullspace_parts(tw, reduced, cols):
+    """`nullspace_of_columns` before it is laid out: (free, dependent,
+    coefficients), where row f of the basis is 1 at position free[f] of
+    cols, -coefficients[:, f] at the positions dependent and 0 elsewhere.
+    A caller that needs one row, or only the rows' weights, reads them
+    here without building the basis."""
     r, pivots = reduced
-    m = r[: len(pivots)]
+    mt = r[: len(pivots)].T  # column j of the reduced form is the row mt[j]
     pivots = np.asarray(pivots, dtype=np.int64)
-    idx = _column_indices(cols, m.shape[1])
-    local = np.full(m.shape[1], -1, dtype=np.int64)  # position in cols, or -1
+    idx = _column_indices(cols, mt.shape[0])
+    local = np.full(mt.shape[0], -1, dtype=np.int64)  # position in cols, or -1
     local[idx] = np.arange(idx.size)
-    kept = local[pivots] >= 0
+    at = local[pivots]
+    kept, dropped = np.flatnonzero(at >= 0), np.flatnonzero(at < 0)
     is_rest = np.ones(idx.size, dtype=bool)
-    is_rest[local[pivots[kept]]] = False
+    is_rest[at[kept]] = False
     rest = idx[is_rest]  # columns of cols that are no kept row's pivot
-    low, low_pivots = rref(tw, m[~kept][:, rest])
+    low, low_pivots = rref(tw, mt[rest][:, dropped].T)
     low = low[: len(low_pivots)]
     is_free = np.ones(rest.size, dtype=bool)
     is_free[low_pivots] = False
     free = rest[is_free]
-    top = tw.sub_arr(m[kept][:, free],
-                     matmul(tw, m[kept][:, rest[low_pivots]], low[:, is_free]))
-    basis = np.zeros((free.size, idx.size), dtype=np.int64)
-    basis[np.arange(free.size), local[free]] = 1
-    basis[:, local[pivots[kept]]] = tw.neg_arr(top.T)
-    basis[:, local[rest[low_pivots]]] = tw.neg_arr(low[:, is_free].T)
-    return basis
+    low_free = low[:, is_free]
+    top = tw.sub_arr(np.ascontiguousarray(mt[free][:, kept].T),  # in matmul's layout
+                     matmul(tw, mt[rest[low_pivots]][:, kept].T, low_free))
+    dependent = np.concatenate([at[kept], local[rest[low_pivots]]])
+    return local[free], dependent, np.concatenate([top, low_free])
 
 
 def solve(tw, mat, rhs):
@@ -263,8 +292,9 @@ def matmul(tw, a, b):
     xor = tw.char == 2
     out = np.zeros((left.shape[0], right.shape[1]),
                    dtype=np.uint8 if xor and tw.mul_table is not None else np.int64)
+    columns = np.ascontiguousarray(left.T)  # column k of left is the row columns[k]
     for k in range(a.shape[1]):
-        products = tw.mul_outer(left[:, k], right[k])
+        products = tw.mul_outer(columns[k], right[k])
         if xor:
             out ^= products
         else:
@@ -274,9 +304,9 @@ def matmul(tw, a, b):
 
 def matvec(tw, a, v):
     """sum_k a[i, k] * v[k] for every row i, as int64: one `mul_arr`, then
-    halving `add_arr` folds, padded with code 0 to a power of two.  v must
-    be 1-D with one entry per column of a; a length-1 v is refused, not
-    broadcast."""
+    one XOR reduction in characteristic 2, and otherwise halving `add_arr`
+    folds, padded with code 0 to a power of two.  v must be 1-D with one
+    entry per column of a; a length-1 v is refused, not broadcast."""
     a = as_matrix(tw, a, "matrix a")
     v = _codes(tw, v, "vector v")
     if v.shape != a.shape[1:]:
@@ -288,6 +318,8 @@ def matvec(tw, a, v):
 def _matvec(tw, a, v):
     """`matvec` of a 2-D and a matching 1-D integer array of codes already
     checked."""
+    if tw.char == 2:  # the sum is XOR, one reduction
+        return np.bitwise_xor.reduce(tw.mul_arr(a, v), axis=1)
     width = 1 << max(a.shape[1] - 1, 0).bit_length()
     terms = np.zeros((a.shape[0], width), dtype=np.int64)  # code 0 is the field's zero
     terms[:, :a.shape[1]] = tw.mul_arr(a, v)

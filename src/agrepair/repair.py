@@ -32,6 +32,10 @@ a GF(p)-combination of the rows before it exactly when some element of
 y^-1 V has its top digit at u, and J_j is every other row.  The smallest
 such element m_u has digit 1 at u and 0 at every other dependent row, so
 row u is -m_u read at J_j.  At y = 0 (a weak extra zero) J_j is every row.
+The values h_(i,u)(P_j) depend on y alone too, so both are tabulated over
+the codes y once per (code, l), each y the first time a plan meets it
+(`_HelperTables`), with the linearized map; a plan reads its n values and
+its active helpers' index sets with one gather each.
 
 A built scheme is one flat plan over the D downloaded sub-symbols, helper
 by helper in ascending node order and ascending u within each helper:
@@ -43,7 +47,11 @@ The per-call protocol reads three Python views of that plan, derived from
 mu and start once per scheme and kept on it: `runs` (each helper's run of
 mu as a tuple), `active_counts` (each active helper's run length) and
 `senders` (the node behind each flat sub-symbol).  They hold nothing the
-flat plan does not, so they are no second plan representation.
+flat plan does not, so they are no second plan representation.  Inputs
+are checked once: `run_repair` reads the codeword's active symbols in one
+pass and hands `helper_response` plain ints, on which it skips the input
+rule; `reconstruct` finds a response from a node that is no active helper
+by one length comparison, and looks for it only when that fails.
 
 Variants differ only in h_i and so in its pole order (`pole_order`, read by
 `check_precondition`):
@@ -61,7 +69,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -201,16 +210,14 @@ def check_precondition(variant: str, s: int, d: int, l: int, p: int, genus: int,
     return rho, all_ones
 
 
-def _index_sets(tw, lin, y):
-    """(chosen, rows), both (len(y), t), from each helper's h_i value alone
-    (see the module docstring): chosen[a, u] says whether helper a sends row
-    u, and rows[a, u] is zeta_u if so and -m_u if not, so that its digits
-    at the chosen rows are row u of lam.  Holds one sorted (distinct y) x
-    p**l block of codes; `check_precondition` bounds p**l by n + 2*genus - 1.
+def _index_sets(tw, lin, ys):
+    """(chosen, rows), both (len(ys), t), for distinct codes ys of h_i's
+    value (see the module docstring): chosen[a, u] says whether a helper
+    where h_i = ys[a] sends row u, and rows[a, u] is zeta_u if so and -m_u
+    if not, so that its digits at the chosen rows are row u of lam.  Holds
+    one sorted len(ys) x p**l block of codes; `check_precondition` bounds
+    p**l by n + 2*genus - 1.
     """
-    present = np.zeros(tw.q, dtype=bool)
-    present[y] = True
-    ys = np.flatnonzero(present)
     inv = tw.inv_arr(np.maximum(ys, 1)) * (ys != 0)  # y = 0 scales V to {0}
     codes = tw.mul_arr(inv[:, None], np.asarray(lin.kernel)[None, :])
     codes.sort(axis=1)
@@ -220,10 +227,50 @@ def _index_sets(tw, lin, y):
     first = np.searchsorted(codes.ravel(), offset + tw.p ** np.arange(tw.t + 1))
     dependent = first[:, :-1] < first[:, 1:]
     smallest = np.where(dependent, codes.ravel().take(first[:, :-1], mode="clip") - offset, 0)
-    rows = np.where(dependent, tw.neg_arr(smallest), np.asarray(tw.zeta))
-    slot = np.zeros(tw.q, dtype=np.int64)
-    slot[ys] = np.arange(len(ys))
-    return ~dependent[slot[y]], rows[slot[y]]
+    return ~dependent, np.where(dependent, tw.neg_arr(smallest), np.asarray(tw.zeta))
+
+
+class _HelperTables:
+    """What a plan reads at a helper j that depends on y = h_i(P_j) alone,
+    for one tower and l: the values h_(i,u)(P_j) = zeta_u * Q(zeta_u * y) / c
+    (Q = L(x)/x, `LinearizedMap.quotient_arr`) and the index set J_j with
+    its rows (`_index_sets`).  One instance per (code, l), from
+    `_helper_tables`, keeps the linearized map and q-row tables that
+    `fill` completes for each y the first time a plan meets it; a later
+    plan reads every helper with one gather.  A fill writes its rows before
+    marking them known, and a row is a function of y alone, so threads may
+    share an instance.
+    """
+
+    def __init__(self, tw, l: int):
+        self.tower = tw
+        self.lin = LinearizedMap(tw, tw.theta[:l])
+        self.known = np.zeros(tw.q, dtype=bool)
+        self.values = np.zeros((tw.t, tw.q), dtype=np.int64)  # column y: h_(i,u) where h_i = y
+        self.chosen = np.zeros((tw.q, tw.t), dtype=bool)
+        self.rows = np.zeros((tw.q, tw.t), dtype=np.int64)
+
+    def fill(self, y) -> None:
+        """Complete the tables at every code in y."""
+        if self.known[y].all():
+            return
+        tw, lin = self.tower, self.lin
+        new = np.zeros(tw.q, dtype=bool)
+        new[y] = True
+        ys = np.flatnonzero(new & ~self.known)
+        zeta = np.array(tw.zeta)
+        scale = np.array([[tw.div(zu, lin.c)] for zu in tw.zeta])
+        self.values[:, ys] = tw.mul_arr(scale, lin.quotient_arr(tw.mul_arr(zeta[:, None], ys)))
+        self.chosen[ys], self.rows[ys] = _index_sets(tw, lin, ys)
+        self.known[ys] = True
+
+
+@lru_cache(maxsize=8)
+def _helper_tables(code: EvalCode, l: int) -> _HelperTables:
+    """The `_HelperTables` of the code's tower and l, cached per (code, l)
+    as `codes._reduced_augmented` caches per (code, extra pole): repeated
+    plans against one code reuse them."""
+    return _HelperTables(code.tower, l)
 
 
 def build_scheme(
@@ -237,7 +284,6 @@ def build_scheme(
     tw = code.tower
     n = code.n
     target, helpers = repair_set(n, target, helpers)
-    helper_set = set(helpers)
 
     if variant is None:
         variant = VARIANT_RS if code.kind == "rs" else VARIANT_LINE
@@ -246,7 +292,7 @@ def build_scheme(
     if _CODE_KIND[variant] != code.kind:
         raise ValueError(f"{variant!r} is not a variant for a {code.kind} code")
     l = integer(l, tw.t + 1, f"l={{0}} must satisfy 0 <= l <= t={tw.t}")
-    lin = LinearizedMap(tw, tw.theta[:l])
+    tables = _helper_tables(code, l)
 
     # rs_code refuses repeated and out-of-field points, so n == q says the set is complete
     r = None if code.curve is None else code.curve.r
@@ -262,11 +308,11 @@ def build_scheme(
         h_vals = vanishing_line(code.curve, code.points[target]).values(code.points)
     else:
         h_vals, zero_set = vanishing_function(code, target)
-        extra_zeros = tuple(j for j in zero_set if j in helper_set)
+        extra_zeros = tuple(sorted(set(zero_set).intersection(helpers.tolist())))
 
     # value table of h_(i,u) = zeta_u * Q(zeta_u * h_i) / c over all positions
-    scale = np.array([[tw.div(zu, lin.c)] for zu in tw.zeta])
-    table = tw.mul_arr(scale, lin.quotient_arr(tw.mul_arr(np.array(tw.zeta)[:, None], h_vals)))
+    tables.fill(h_vals)
+    table = tables.values.take(h_vals, axis=1)
     if not np.array_equal(table[:, target], tw.zeta):
         raise AssertionError("normalisation failed: h_(i,u)(P_i) != zeta_u")
 
@@ -276,15 +322,14 @@ def build_scheme(
     else:
         w = dual_support_vector(code, rho, target, helpers)
 
-    helper_idx = np.asarray(helpers, dtype=np.int64)
-    weighted = w[helper_idx] != 0
-    active = tuple(helper_idx[weighted].tolist())
-    pruned = tuple(helper_idx[~weighted].tolist())
+    weighted = w[helpers] != 0
+    active = helpers[weighted]
 
     # per-helper independent index sets and expansions, laid out flat
-    chosen, rows = _index_sets(tw, lin, h_vals[list(active)])
+    y = h_vals[active]
+    chosen, rows = tables.chosen[y], tables.rows[y]
     per_node = np.zeros(n, dtype=np.int64)
-    per_node[list(active)] = chosen.sum(axis=1)
+    per_node[active] = chosen.sum(axis=1)
     start = np.concatenate([[0], np.cumsum(per_node)])
     helper_of = np.repeat(np.arange(n), per_node)
     owner, chosen_arr = np.nonzero(chosen)  # active helper and u of each sub-symbol
@@ -292,12 +337,12 @@ def build_scheme(
     return RepairScheme(
         code=code,
         target=target,
-        helpers=tuple(helpers),
+        helpers=tuple(helpers.tolist()),
         variant=variant,
-        lin=lin,
+        lin=tables.lin,
         w=w,
-        active=active,
-        pruned=pruned,
+        active=tuple(active.tolist()),
+        pruned=tuple(helpers[~weighted].tolist()),
         table=table,
         mu=tw.mul_arr(w[helper_of], table[chosen_arr, helper_of]),
         chosen_u=chosen_arr,
@@ -313,36 +358,59 @@ def helper_response(scheme: RepairScheme, j: int, symbol) -> tuple:
     Deterministic order (ascending chosen index): Tr(mu[k] * symbol) for
     each of j's sub-symbols k.  Pruned helpers are asked for nothing and return an empty tuple.
     Raises ValueError when j is not a helper; see "Library inputs" in the
-    README for the symbols accepted.
+    README for the symbols accepted.  A plain int j and a plain int symbol
+    in [0, q), as `run_repair` passes them, skip the generic input rule,
+    whose verdict on them is known.
     """
-    j = integer(j, None, "node {0} is not in the helper set")
+    if type(j) is not int:
+        j = integer(j, None, "node {0} is not in the helper set")
     run = scheme.runs.get(j)
     if run is None:
         raise ValueError(f"node {j} is not in the helper set")
     tw = scheme.code.tower
-    sym = tw.code_of(symbol, "node {2} stores {0}, {1}", j)
-    return tuple([tw.trace(tw.mul(m, sym)) for m in run])
+    if not (type(symbol) is int and 0 <= symbol < tw.q):
+        symbol = tw.code_of(symbol, "node {2} stores {0}, {1}", j)
+    if len(run) == 1:  # t - l = 1, as on every quadratic tower with l = 1: no comprehension
+        return (tw.trace(tw.mul(run[0], symbol)),)
+    return tuple([tw.trace(tw.mul(m, symbol)) for m in run])
+
+
+def _check_response(j, r) -> None:
+    """Refuse a response that is not a list, tuple or 1-D integer array."""
+    if not (isinstance(r, (list, tuple))
+            or isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.kind in "iu"):
+        raise ValueError(f"helper {j} sent a {type(r).__name__}, not a list, tuple or "
+                         "1-D integer array")
 
 
 def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
     """Rebuild the lost symbol from the helpers' sub-symbol lists.
 
     Raises ValueError when an active helper's response is missing, is not
-    a list, tuple or 1-D integer array, or has the wrong length; see
-    "Library inputs" in the README for the values accepted, which lie in
-    the base subfield GF(p).
+    a list, tuple or 1-D integer array, or has the wrong length, and when
+    a response comes from a node that is no helper or a non-empty one from
+    a pruned helper (an empty one, what `helper_response` returns there,
+    is accepted); see "Library inputs" in the README for the values
+    accepted, which lie in the base subfield GF(p).
     """
     tw = scheme.code.tower
     missing = [j for j in scheme.active if j not in responses]
     if missing:
         raise ValueError(f"missing response from helper {missing[0]}")
+    if len(responses) != len(scheme.active):  # every active helper answered, and someone else
+        for j, r in responses.items():
+            run = scheme.runs.get(j)
+            if run is None:
+                raise ValueError(f"node {j} is not in the helper set: it sent a response")
+            if not run:
+                _check_response(j, r)
+                if len(r):
+                    raise ValueError(f"helper {j} is pruned: it sent {len(r)} symbols, "
+                                     "expected 0")
     resps = [responses[j] for j in scheme.active]
     if not {list, tuple}.issuperset(map(type, resps)):  # arrays, subclasses or a bad response
         for j, r in zip(scheme.active, resps):
-            if not (isinstance(r, (list, tuple))
-                    or isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.kind in "iu"):
-                raise ValueError(f"helper {j} sent a {type(r).__name__}, not a list, tuple or "
-                                 "1-D integer array")
+            _check_response(j, r)
     sent = [len(r) for r in resps]
     expected = scheme.active_counts
     if sent != expected:
@@ -350,7 +418,7 @@ def reconstruct(scheme: RepairScheme, responses) -> FieldElement:
         raise ValueError(
             f"helper {scheme.active[k]} sent {sent[k]} symbols, expected {expected[k]}")
     # the lengths match, so flat index k is sub-symbol k of the scheme
-    vals = integers([v for r in resps for v in r], tw.p, "helper {2} sent {0}, {1}",
+    vals = integers(list(chain.from_iterable(resps)), tw.p, "helper {2} sent {0}, {1}",
                     at=scheme.senders, domain=f"GF({tw.p})")
     # Tr(zeta_u * f(P_i)) = -sum_k lam[u, k] * response_k
     return from_traces(tw, tw.neg_arr(linalg._matvec(tw, scheme.lam, vals)))
@@ -372,8 +440,8 @@ def run_repair(scheme: RepairScheme, symbols) -> tuple[FieldElement, RepairTrans
                                       "node {2} stores {0}, {1}", "codeword has", scheme.active)
     responses = {j: helper_response(scheme, j, x) for j, x in zip(scheme.active, read.tolist())}
     value = reconstruct(scheme, responses)
-    counts = {j: len(r) for j, r in responses.items()}
-    total = sum(counts.values())
+    counts = dict(zip(scheme.active, scheme.active_counts))  # the lengths reconstruct checked
+    total = len(scheme.mu)
     transcript = RepairTranscript(
         target=scheme.target,
         responses=responses,

@@ -24,10 +24,18 @@ repair and state-file round trip is fed the same codes as narrow and as
 int64 arrays, at GF(256) and GF(512) in characteristic 2 and at GF(81)
 and GF(2187) in odd characteristic.  Values must agree, and each output
 must have its documented dtype.
+
+A fourth sample checks the fast paths of a sub-helper repair against the
+slow paths they replaced: `FieldTower.mul_outer` against a product table
+filled by scalar `mul` on both sides of its gather rule and for uint8,
+uint16 and int64 indices; `linalg._rref` against the elimination it
+replaced, copied below verbatim; and `repair.helper_response` on plain
+ints against its checked path, which must still refuse what it refused.
 """
 
 import functools
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -36,8 +44,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from agrepair import codes, linalg, repair, sim
-from agrepair.gf import tower
+from agrepair import codes, gf, linalg, repair, sim
+from agrepair.gf import FieldElement, tower
 from test_codes import _greedy_dual_support_vector
 from test_repair import _reference_chosen, _reference_index_sets
 
@@ -315,3 +323,125 @@ def test_codes_repair_and_state_files_on_narrow_codes(name, seed, target):
         got, sent = getattr(back, field), getattr(cl, field)
         assert got.dtype == tw.code_dtype and np.array_equal(got, sent)
     assert back.code.points.dtype == np.int64 and np.array_equal(back.code.points, code.points)
+
+
+# ----------------------------------------------------------------------
+# fast paths against the slow paths they replaced
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_products(p, t):
+    tw = tower(p, t)
+    return np.array([[tw.mul(a, b) for b in range(tw.q)] for a in range(tw.q)])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(pt=st.sampled_from([(2, 2), (2, 4), (4, 2), (8, 2), (2, 8), (16, 2)]),
+       seed=st.integers(0, 2 ** 32 - 1), la=st.integers(0, 2), lb=st.integers(0, 3),
+       dtype=st.sampled_from([np.uint8, np.uint16, np.int64]))
+def test_mul_outer_matches_a_scalar_product_table(pt, seed, la, lb, dtype):
+    """Every route of `mul_outer` (a shorter or longer than q, len(b) on
+    either side of the whole-row gather rule) gives the scalar products."""
+    tw = tower(*pt)
+    rule = -(-gf._ROW_GATHER_BYTES // tw.q)  # the least len(b) that gathers whole rows
+    len_a = (1, tw.q - 1, tw.q + 7)[la]
+    len_b = (1, rule - 1, rule, rule + 1)[lb]
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, tw.q, len_a).astype(dtype)
+    b = rng.integers(0, tw.q, len_b).astype(dtype)
+    got = tw.mul_outer(a, b)
+    assert got.dtype == np.uint8 and got.shape == (len_a, len_b)
+    assert np.array_equal(got, _scalar_products(*pt)[np.ix_(a, b)])
+
+
+def _rref_before_fold(tw, c):
+    """`linalg._rref` as it was before the pivot step was folded into one
+    rank-1 update: verbatim."""
+    ncols, nrows = c.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        nz = c[col, row:].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            c[col:, [row, piv]] = c[col:, [piv, row]]
+        tail = c[col:, row]
+        if tail[0] != 1:
+            tail = tw.mul_outer([tw.inv(int(tail[0]))], tail)[0]
+            c[col:, row] = tail
+        factors = tw.neg_arr(c[col].copy())  # each row adds -factor * tail
+        factors[row] = 0
+        if np.count_nonzero(factors):
+            multiples = tw.mul_outer(tail, factors)
+            if tw.char == 2:
+                c[col:] ^= multiples.astype(c.dtype, copy=False)
+            else:
+                c[col:] = tw.add_arr(c[col:], multiples)
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pt=st.sampled_from([(2, 6), (8, 2), (16, 2), (2, 9), (3, 2), (9, 2), (5, 2), (3, 7)]),
+       seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 40), cols=st.integers(0, 90),
+       rank=st.integers(0, 40), zero_cols=st.integers(0, 3))
+def test_rref_matches_the_kernel_it_replaced(pt, seed, rows, cols, rank, zero_cols):
+    """Same pivots and the same reduced working copy, in characteristic 2
+    (XOR on the code dtype, with and without a product table) and in odd
+    characteristic (int64), on matrices of any rank with zero columns."""
+    tw = tower(*pt)
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    m = linalg.matmul(tw, rng.integers(0, tw.q, (rows, rank)), rng.integers(0, tw.q, (rank, cols)))
+    m[:, rng.integers(0, max(cols, 1), zero_cols if cols else 0)] = 0
+    c = m.T.astype(linalg._work_dtype(tw), order="C")
+    ref = c.copy()
+    assert linalg._rref(tw, c) == _rref_before_fold(tw, ref)
+    assert c.dtype == ref.dtype and np.array_equal(c, ref)
+
+
+@functools.lru_cache(maxsize=None)
+def _response_scheme(name):
+    if name == "rs-16":
+        code = codes.rs_code(tower(2, 4), 4, n=16)
+        return repair.build_scheme(code, 0, helpers=[1, 3, 4, 5, 7, 9, 12, 13, 14, 15])
+    if name == "rs-81":
+        return repair.build_scheme(codes.rs_code(tower(3, 4), 20, n=81), 5, l=2)
+    code = codes.hermitian_code(_curve(4, 2), 10)
+    return repair.build_scheme(code, 3, variant=repair.VARIANT_WEAK)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(["rs-16", "rs-81", "hermitian-weak-16"]), data=st.data())
+def test_helper_response_fast_path_matches_the_checked_path(name, data):
+    """Plain ints in range take the fast path; a numpy j, a numpy or
+    FieldElement symbol take the checked one, with the same replies; bool
+    and out-of-range values are refused on either path, by name."""
+    scheme = _response_scheme(name)
+    tw = scheme.code.tower
+    j = data.draw(st.sampled_from(scheme.helpers), label="helper")
+    x = data.draw(st.integers(0, tw.q - 1), label="symbol")
+    want = repair.helper_response(scheme, j, x)
+    for jj, xx in ((np.int64(j), x), (np.uint16(j), np.uint8(x) if tw.q <= 256 else x),
+                   (j, FieldElement(tw, x)), (np.int32(j), np.int64(x))):
+        assert repair.helper_response(scheme, jj, xx) == want
+    assert want == tuple(tw.trace_arr(tw.mul_arr(
+        scheme.mu[scheme.start[j]:scheme.start[j + 1]], x)).tolist())
+    for bad, shown in ((True, "True, not an integer"), (tw.q, f"{tw.q}, outside GF({tw.q})"),
+                       (-1, f"-1, outside GF({tw.q})"), (np.int64(tw.q), f"{tw.q}, outside"),
+                       (2.0, "2.0, not an integer"),
+                       (FieldElement(tower(2, 2), 1), "<1 in GF(4)>, an element of a different")):
+        with pytest.raises(ValueError, match=f"^node {j} stores {re.escape(shown)}"):
+            repair.helper_response(scheme, j, bad)
+    outsider = data.draw(st.sampled_from([scheme.target, -1, scheme.code.n]), label="outsider")
+    for jj in (outsider, np.int64(outsider)):
+        with pytest.raises(ValueError, match=f"^node {outsider} is not in the helper set$"):
+            repair.helper_response(scheme, jj, x)
+    with pytest.raises(ValueError, match="^node True is not in the helper set$"):
+        repair.helper_response(scheme, True, x)

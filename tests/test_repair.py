@@ -364,6 +364,32 @@ def test_reconstruct_refuses_responses_that_are_not_sequences():
     assert repair.reconstruct(scheme, {k: list(r) for k, r in resp.items()}).code == cw[0]
 
 
+def test_reconstruct_refuses_responses_nobody_asked_for():
+    """A response from a node outside the helper set, or a non-empty one
+    from a pruned helper, is refused by name; the empty tuple a pruned
+    helper's `helper_response` returns is accepted.  RS over GF(16) with
+    ten helpers, five of them pruned."""
+    rs = codes.rs_code(tower(2, 4), k=4, n=16)
+    scheme = repair.build_scheme(rs, 0, helpers=[1, 3, 4, 5, 7, 9, 12, 13, 14, 15], l=1)
+    assert scheme.pruned == (9, 12, 13, 14, 15) and 11 not in scheme.helpers
+    cw = codes.encode(rs, np.arange(1, rs.k + 1))
+    resp = {j: repair.helper_response(scheme, j, cw[j]) for j in scheme.active}
+    with pytest.raises(ValueError, match="^node 11 is not in the helper set: it sent a response$"):
+        repair.reconstruct(scheme, {**resp, 11: (0,)})
+    with pytest.raises(ValueError, match="^node 0 is not in the helper set"):
+        repair.reconstruct(scheme, {**resp, 0: ()})
+    for sent in ((1,), [0, 1], np.zeros(1, dtype=np.int64)):
+        with pytest.raises(ValueError, match=f"^helper 12 is pruned: it sent {len(sent)} "
+                                             "symbols, expected 0$"):
+            repair.reconstruct(scheme, {**resp, 12: sent})
+    with pytest.raises(ValueError, match="^helper 12 sent a int, not a list"):
+        repair.reconstruct(scheme, {**resp, 12: 0})
+    everyone = {j: repair.helper_response(scheme, j, cw[j]) for j in scheme.helpers}
+    assert all(everyone[j] == () for j in scheme.pruned)
+    for responses in (resp, everyone, {**resp, 12: [], np.int64(13): np.zeros(0, dtype=np.uint8)}):
+        assert repair.reconstruct(scheme, responses).code == cw[0]
+
+
 def test_run_repair_refuses_codewords_of_another_shape():
     hc = herm_code(4, 2, s=3)
     scheme = repair.build_scheme(hc, 0)
